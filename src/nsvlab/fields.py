@@ -148,15 +148,18 @@ class Lattice:
         return out
 
     @cached_property
-    def descending_order(self) -> np.ndarray:
-        """Raveled indices sorted by decreasing |k| (zero mode last).
+    def shells(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(index, radius)``: the distinct |k| values and each mode's shell.
 
-        Cached once per lattice; norm accumulations traverse terms in this
-        order before compensated summation.
+        ``radius`` ascends strictly (shell 0 is the zero mode) and
+        ``radius[index] == kmag.ravel()`` exactly, so a band cut at any
+        radius contains whole shells.  Norms and band sums reduce each mode
+        onto its shell and sum across shells.
         """
-        order = np.argsort(-self.kmag.ravel(), kind="stable")
-        order.setflags(write=False)
-        return order
+        radius, index = np.unique(self.kmag.ravel(), return_inverse=True)
+        index.setflags(write=False)
+        radius.setflags(write=False)
+        return index, radius
 
     def mode_index(self, m1: int, m2: int, m3: int) -> tuple[int, int, int]:
         """Array index of integer mode (m1, m2, m3)."""

@@ -36,6 +36,7 @@ from .fields import (
     VelocityField,
     random_band_limited,
 )
+from .norms import _power_sums, _radial_weight, _shell_fsum, _shell_sums
 from .norms import band_constant, l2_norm, leilin_norm, sobolev_norm
 from .products import advect, embed_coefficients, pad_lattice, require_band_limited
 
@@ -207,24 +208,6 @@ def check_x0_via_h12_x1(
     return InequalityVerdict("x0_via_h12_x1", x0, rhs, constant_mode, tolerance, details)
 
 
-def _band_x1_sum(f, mask: np.ndarray) -> float:
-    lat = f.lattice
-    arrays = (
-        [c.coefficients for c in f.components]
-        if isinstance(f, VelocityField)
-        else [f.coefficients]
-    )
-    mask = mask & (lat.kmag > 0)
-    if not mask.any():
-        return 0.0
-    km = lat.kmag[mask]
-    order = np.argsort(-km, kind="stable")
-    total: list[float] = []
-    for arr in arrays:
-        total.extend((km[order] * np.abs(arr[mask])[order]).tolist())
-    return math.fsum(total)
-
-
 I_VARIANTS = ("L2", "H1/2", "Xm1")
 
 
@@ -309,11 +292,13 @@ def split_x1(
         raise ValueError(f"need 0 < alpha < beta, got ({alpha}, {beta})")
     if beta > lat.nyquist:
         raise ValueError(f"beta {beta} exceeds the lattice Nyquist {lat.nyquist}")
-    kmag = lat.kmag
-    i_alpha = _band_x1_sum(f, kmag <= alpha)
-    j_ab = _band_x1_sum(f, (kmag > alpha) & (kmag <= beta))
-    k_beta = _band_x1_sum(f, kmag > beta)
-    x1 = leilin_norm(f, 1.0)
+    radius = lat.shells[1]
+    moduli = _power_sums(f, 1.0)
+    weight = _radial_weight(radius, 1.0)
+    i_alpha = _shell_fsum(moduli, np.where(radius <= alpha, weight, 0.0))
+    j_ab = _shell_fsum(moduli, np.where((radius > alpha) & (radius <= beta), weight, 0.0))
+    k_beta = _shell_fsum(moduli, np.where(radius > beta, weight, 0.0))
+    x1 = _shell_fsum(moduli, weight)
 
     lattice_mode = constant_mode == "lattice"
     mult = _cs_multiplicity(f) if lattice_mode else 1.0
@@ -373,15 +358,14 @@ def _fractional_velocity(f: VelocityField, s: float) -> VelocityField:
     return VelocityField(tuple(ScalarSpectralField(lat, a) for a in arrays))
 
 
-def _padded_pairing(a_arrays, b_arrays, lat_pad: Lattice, weight: np.ndarray) -> float:
-    """sum_k weight(k) Re(a_k conj(b_k)) with compensated descending-|k| sum."""
-    order = lat_pad.descending_order
-    w = weight.ravel()[order]
-    total: list[float] = []
-    for a, b in zip(a_arrays, b_arrays):
-        terms = w * np.real(a.ravel()[order] * np.conj(b.ravel()[order]))
-        total.extend(terms.tolist())
-    return math.fsum(total)
+def _padded_pairing(a_arrays, b_arrays, lat_pad: Lattice, weight) -> float:
+    """sum_k weight(|k|) Re(a_k conj(b_k)), weight given per |k| shell.
+
+    Terms are summed per shell, then across shells with compensated
+    summation, like the norms.
+    """
+    terms = [np.real(a * np.conj(b)) for a, b in zip(a_arrays, b_arrays)]
+    return _shell_fsum(_shell_sums(lat_pad, terms), weight)
 
 
 def commutator_l2(f: VelocityField, s: float) -> float:
@@ -399,12 +383,8 @@ def commutator_l2(f: VelocityField, s: float) -> float:
         [c.coefficients for c in transported], lat_pad, s
     )
     second = advect(f, _fractional_velocity(f, s))
-    order = lat_pad.descending_order
-    total: list[float] = []
-    for a, b in zip(first, second):
-        diff = np.abs(a - b.coefficients).ravel()[order] ** 2
-        total.extend(diff.tolist())
-    return math.sqrt(math.fsum(total))
+    diff = [np.abs(a - b.coefficients) ** 2 for a, b in zip(first, second)]
+    return math.sqrt(_shell_fsum(_shell_sums(lat_pad, diff), 1.0))
 
 
 def trilinear_hs(f: VelocityField, s: float) -> float:
@@ -413,9 +393,7 @@ def trilinear_hs(f: VelocityField, s: float) -> float:
     lat_pad = pad_lattice(lat)
     transported = advect(f, f)
     f_pad = [embed_coefficients(c.coefficients, lat_pad.n) for c in f.components]
-    weight = lat_pad.kmag ** (2.0 * s) if s != 0.0 else np.ones(lat_pad.shape)
-    weight = weight.copy()
-    weight[0, 0, 0] = 0.0
+    weight = _radial_weight(lat_pad.shells[1], 2.0 * s)
     return _padded_pairing([c.coefficients for c in transported], f_pad, lat_pad, weight)
 
 
@@ -425,8 +403,7 @@ def advection_cancellation(f: VelocityField, s: float) -> float:
     g = _fractional_velocity(f, s)
     transported = advect(f, g)
     g_pad = [embed_coefficients(c.coefficients, lat_pad.n) for c in g.components]
-    weight = np.ones(lat_pad.shape)
-    return _padded_pairing([c.coefficients for c in transported], g_pad, lat_pad, weight)
+    return _padded_pairing([c.coefficients for c in transported], g_pad, lat_pad, 1.0)
 
 
 def commutator_report(f: VelocityField, s: float) -> dict[str, float]:

@@ -6,11 +6,13 @@ All norms are series-coefficient norms:
     ||f||_Hdot(s)   = sqrt( sum_{k != 0} |k|^(2s) |c_k|^2 )
     ||f||_X(sigma)  = sum_{k != 0} |k|^sigma |c_k|
 
-Vector fields sum over components.  Sums accumulate in descending |k|
-order with compensated summation (math.fsum), so results do not depend on
-component memory layout.  Orders below -1 are outside the library's
-conventions and are rejected: with a nonzero mean those sums diverge, and
-the verification suite never needs them.
+Vector fields sum over components.  Each sum first adds up the terms of
+every |k| shell (``Lattice.shells``), then weights the shell sums and adds
+them across shells and components with compensated summation
+(math.fsum).  Results are deterministic, independent of memory layout,
+and within 1e-14 relative of the per-mode compensated sum.  Orders below
+-1 are outside the library's conventions and are rejected: with a nonzero
+mean those sums diverge, and the verification suite never needs them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (
-    EmptyBandError,
+    MEAN_TOLERANCE,
     Lattice,
     NonzeroMeanError,
     ScalarSpectralField,
@@ -54,66 +56,61 @@ def _components(f) -> list[np.ndarray]:
     raise TypeError(f"expected a spectral field, got {type(f).__name__}")
 
 
-def _lattice_of(f) -> Lattice:
-    return f.lattice
+def _checked_order(f, order: float, name: str) -> float:
+    """Validate a norm order; a negative order also needs a zero-mean field."""
+    order = float(order)
+    if not math.isfinite(order) or order < -1.0:
+        raise ValueError(f"{name} must be finite and >= -1, got {order}")
+    if order < 0:
+        arrays = _components(f)
+        scale = max(float(np.abs(a).max()) for a in arrays)
+        mean = max(abs(complex(a[0, 0, 0])) for a in arrays)
+        if mean > MEAN_TOLERANCE * max(scale, 1e-300):
+            raise NonzeroMeanError(
+                f"norm of order {order} requires a zero-mean field (|c_0| = {mean:.3e})"
+            )
+    return order
 
 
-def _require_zero_mean(arrays: list[np.ndarray], order: float) -> None:
-    scale = max(float(np.abs(a).max()) for a in arrays)
-    mean = max(abs(complex(a[0, 0, 0])) for a in arrays)
-    if mean > 1e-13 * max(scale, 1e-300):
-        raise NonzeroMeanError(
-            f"norm of order {order} requires a zero-mean field (|c_0| = {mean:.3e})"
-        )
+def _shell_sums(lattice: Lattice, terms) -> list[np.ndarray]:
+    """Per component, the sum of its per-mode terms over each |k| shell."""
+    index = lattice.shells[0]
+    return [np.bincount(index, np.ravel(t)) for t in terms]
 
 
-def _descending_sum(terms_by_component: list[np.ndarray]) -> float:
-    """fsum of per-component term streams, each already in descending-|k| order."""
-    total: list[float] = []
-    for t in terms_by_component:
-        total.extend(t.tolist())
-    return math.fsum(total)
+def _shell_fsum(sums: list[np.ndarray], weight) -> float:
+    """Compensated sum over shells x components of weight * shell sums."""
+    return math.fsum(x for s in sums for x in (weight * s).tolist())
+
+
+def _radial_weight(radius: np.ndarray, exponent: float) -> np.ndarray:
+    """|k|^exponent per shell, 0 on the zero shell."""
+    weight = np.zeros_like(radius)
+    weight[1:] = radius[1:] ** exponent
+    return weight
+
+
+def _power_sums(f, p: float) -> list[np.ndarray]:
+    """Per component, sum of |c_k|^p over each |k| shell."""
+    return _shell_sums(f.lattice, [np.abs(a) ** p for a in _components(f)])
 
 
 def l2_norm(f) -> float:
     """Coefficient l2 norm including the zero mode."""
-    lat = _lattice_of(f)
-    order = lat.descending_order
-    terms = []
-    for arr in _components(f):
-        mags2 = np.abs(arr.ravel()[order]) ** 2
-        terms.append(mags2)
-    return math.sqrt(_descending_sum(terms))
+    return math.sqrt(_shell_fsum(_power_sums(f, 2.0), 1.0))
 
 
 def sobolev_norm(f, s: float) -> float:
     """Homogeneous Sobolev norm of order s >= -1."""
-    s = float(s)
-    if not math.isfinite(s) or s < -1.0:
-        raise ValueError(f"Sobolev order must be finite and >= -1, got {s}")
-    lat = _lattice_of(f)
-    arrays = _components(f)
-    if s < 0:
-        _require_zero_mean(arrays, s)
-    nonzero = lat.descending_order[:-1]  # zero mode sorts last
-    weights = lat.kmag.ravel()[nonzero] ** (2.0 * s)
-    terms = [weights * np.abs(arr.ravel()[nonzero]) ** 2 for arr in arrays]
-    return math.sqrt(_descending_sum(terms))
+    s = _checked_order(f, s, "Sobolev order")
+    weight = _radial_weight(f.lattice.shells[1], 2.0 * s)
+    return math.sqrt(_shell_fsum(_power_sums(f, 2.0), weight))
 
 
 def leilin_norm(f, sigma: float) -> float:
     """Summed-coefficient norm sum |k|^sigma |c_k|, sigma >= -1."""
-    sigma = float(sigma)
-    if not math.isfinite(sigma) or sigma < -1.0:
-        raise ValueError(f"order must be finite and >= -1, got {sigma}")
-    lat = _lattice_of(f)
-    arrays = _components(f)
-    if sigma < 0:
-        _require_zero_mean(arrays, sigma)
-    nonzero = lat.descending_order[:-1]
-    weights = lat.kmag.ravel()[nonzero] ** sigma
-    terms = [weights * np.abs(arr.ravel()[nonzero]) for arr in arrays]
-    return _descending_sum(terms)
+    sigma = _checked_order(f, sigma, "order")
+    return _shell_fsum(_power_sums(f, 1.0), _radial_weight(f.lattice.shells[1], sigma))
 
 
 def _order_key(prefix: str, order: float) -> str:
@@ -162,11 +159,19 @@ def full_report(
     sobolev_orders=DEFAULT_SOBOLEV_ORDERS,
     leilin_orders=DEFAULT_LEILIN_ORDERS,
 ) -> NormReport:
-    """Evaluate every tracked norm of one field."""
+    """Evaluate every tracked norm of one field from one pass per power."""
+    sobolev_orders = [_checked_order(f, s, "Sobolev order") for s in sobolev_orders]
+    leilin_orders = [_checked_order(f, sig, "order") for sig in leilin_orders]
+    radius = f.lattice.shells[1]
+    squares = _power_sums(f, 2.0)
+    moduli = _power_sums(f, 1.0)
     return NormReport(
-        l2=l2_norm(f),
-        hdot={float(s): sobolev_norm(f, s) for s in sobolev_orders},
-        leilin={float(sig): leilin_norm(f, sig) for sig in leilin_orders},
+        l2=math.sqrt(_shell_fsum(squares, 1.0)),
+        hdot={
+            s: math.sqrt(_shell_fsum(squares, _radial_weight(radius, 2.0 * s)))
+            for s in sobolev_orders
+        },
+        leilin={sig: _shell_fsum(moduli, _radial_weight(radius, sig)) for sig in leilin_orders},
     )
 
 
@@ -197,16 +202,6 @@ class BandConstant:
         return self.lattice_value == 0.0
 
 
-def _band_lattice_sum(lattice: Lattice, exponent: float, mask: np.ndarray) -> float:
-    mask = mask & (lattice.kmag > 0)
-    if not mask.any():
-        return 0.0
-    km = lattice.kmag[mask]
-    idx = np.argsort(-km, kind="stable")
-    terms = km[idx] ** (2.0 * exponent)
-    return math.sqrt(math.fsum(terms.tolist()))
-
-
 def band_constant(
     lattice: Lattice,
     exponent: float,
@@ -217,12 +212,16 @@ def band_constant(
 
     Which bounds are given selects the band: alpha only -> low, both ->
     mid, beta only -> high.  Raises ValueError when the continuum integral
-    for the requested band diverges.  The high-band lattice sum runs over
-    the finite lattice support above beta.
+    for the requested band diverges or an input is not finite.  The
+    high-band lattice sum runs over the finite lattice support above beta.
     """
+    if not all(math.isfinite(float(x)) for x in (exponent, alpha, beta) if x is not None):
+        raise ValueError(
+            f"band needs a finite exponent and bounds, got ({exponent}, {alpha}, {beta})"
+        )
     a = float(exponent)
     p = 2.0 * a + 3.0  # continuum integrand 4*pi r^(p-1)
-    kmag = lattice.kmag
+    index, radius = lattice.shells
     if alpha is not None and beta is None:
         alpha = float(alpha)
         if not (alpha > 0):
@@ -231,14 +230,14 @@ def band_constant(
             raise ValueError(
                 f"low-band continuum integral diverges at the origin for exponent {a}"
             )
-        mask = kmag <= alpha
+        mask = radius <= alpha
         continuum = math.sqrt(FOUR_PI * alpha**p / p)
         band = "low"
     elif alpha is not None and beta is not None:
         alpha, beta = float(alpha), float(beta)
         if not (0 < alpha < beta):
             raise ValueError(f"mid band needs 0 < alpha < beta, got ({alpha}, {beta})")
-        mask = (kmag > alpha) & (kmag <= beta)
+        mask = (radius > alpha) & (radius <= beta)
         if p == 0.0:
             continuum = math.sqrt(FOUR_PI * math.log(beta / alpha))
         else:
@@ -252,16 +251,19 @@ def band_constant(
             raise ValueError(
                 f"high-band continuum integral diverges at infinity for exponent {a}"
             )
-        mask = kmag > beta
+        mask = radius > beta
         continuum = math.sqrt(FOUR_PI * beta**p / (-p))
         band = "high"
     else:
         raise ValueError("band_constant needs alpha, beta, or both")
+    keep = mask & (radius > 0)
+    counts = np.bincount(index)[keep]
+    lattice_value = math.sqrt(_shell_fsum([counts], radius[keep] ** (2.0 * a)))
     return BandConstant(
         exponent=a,
         alpha=alpha,
         beta=beta,
         band=band,
-        lattice_value=_band_lattice_sum(lattice, a, mask),
+        lattice_value=lattice_value,
         continuum_value=continuum,
     )

@@ -28,6 +28,7 @@ import numpy as np
 
 from ._version import __version__
 from .fields import (
+    MEAN_TOLERANCE,
     Lattice,
     NonzeroMeanError,
     ScalarSpectralField,
@@ -313,7 +314,7 @@ def step(state: SolverState, config: SolverConfig, dt: float | None = None) -> S
 
 
 def _validate_initial(u0: VelocityField) -> None:
-    if u0.mean_magnitude() > 1e-13 * max(u0.max_abs_coefficient(), 1e-300):
+    if u0.mean_magnitude() > MEAN_TOLERANCE * max(u0.max_abs_coefficient(), 1e-300):
         raise NonzeroMeanError("initial velocity has a nonzero mean")
     defect = u0.divergence_defect()
     if defect > 1e-8:

@@ -368,3 +368,6 @@ def test_constants_divergent_band_is_usage_error(tmp_path, capsys):
     assert code == 2
     code2, _ = run(tmp_path, "constants", "--lattice-n", "16", "--band", "oops")
     assert code2 == 2
+    for band in ("--band=-2.5::inf", "--band=nan:1:"):  # non-finite inputs
+        code3, _ = run(tmp_path, "constants", "--lattice-n", "16", band)
+        assert code3 == 2, band

@@ -70,10 +70,14 @@ def test_k_deriv_zeroes_nyquist(lat8):
     assert lat8.k[0].ravel()[4] == -4.0
 
 
-def test_kmag_descending_order(lat8):
-    mags = lat8.kmag.ravel()[lat8.descending_order]
-    assert all(mags[i] >= mags[i + 1] for i in range(len(mags) - 1))
-    assert mags[-1] == 0.0  # zero mode sorts last
+def test_lattice_shells(lat8):
+    for lat in (lat8, Lattice(8, period=3.0)):
+        index, radius = lat.shells
+        counts = np.bincount(index)
+        assert radius[0] == 0.0 and index[0] == 0 and counts[0] == 1  # zero mode alone
+        assert np.all(np.diff(radius) > 0)
+        assert np.array_equal(radius[index], lat.kmag.ravel())
+        assert counts.sum() == lat.n**3
 
 
 # ---------------------------------------------------------------------------

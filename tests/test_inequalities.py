@@ -27,8 +27,8 @@ from nsvlab.inequalities import (
     split_x1,
     trilinear_hs,
 )
-from nsvlab.norms import leilin_norm, sobolev_norm
-from nsvlab.products import AliasingError
+from nsvlab.norms import band_constant, full_report, leilin_norm, sobolev_norm
+from nsvlab.products import AliasingError, advect, embed_coefficients, pad_lattice
 
 
 def shell_velocity(lattice, modes_amplitudes):
@@ -48,6 +48,85 @@ SMALL_CORPUS = CorpusConfig(size=12)
 @pytest.fixture(scope="module")
 def corpus16(lat16):
     return list(corpus_fields(lat16, SMALL_CORPUS))
+
+
+# ---------------------------------------------------------------------------
+# Shell sums against a per-mode compensated-sum oracle
+
+
+def oracle_weight(lattice, exponent, band=True):
+    """|k|^exponent on the nonzero modes inside ``band``, 0 elsewhere."""
+    keep = (lattice.kmag > 0) & band
+    weight = np.zeros(lattice.shape)
+    weight[keep] = lattice.kmag[keep] ** exponent
+    return weight
+
+
+def oracle_sum(terms, weight):
+    """One math.fsum over every (mode, component) product weight * term."""
+    return math.fsum(x for t in terms for x in (weight * t).ravel().tolist())
+
+
+def test_shell_sums_match_per_mode_oracle(corpus16):
+    odd = Lattice(16, period=3.0)
+    fields = [entry.field for entry in corpus16]
+    fields.append(random_band_limited(odd, odd.k_unit, 4.0 * odd.k_unit, 1.5, seed=7))
+    for u in fields:
+        lat = u.lattice
+        km = lat.kmag
+        mags = [np.abs(c.coefficients) for c in u.components]
+        squares = [m**2 for m in mags]
+        report = full_report(u)
+        assert report.l2 == pytest.approx(math.sqrt(oracle_sum(squares, 1.0)), rel=1e-14)
+        for s, value in report.hdot.items():
+            expected = math.sqrt(oracle_sum(squares, oracle_weight(lat, 2.0 * s)))
+            assert value == pytest.approx(expected, rel=1e-14), s
+        for sigma, value in report.leilin.items():
+            expected = oracle_sum(mags, oracle_weight(lat, sigma))
+            assert value == pytest.approx(expected, rel=1e-14), sigma
+
+        alpha, beta = 2.0 * lat.k_unit, 5.0 * lat.k_unit
+        split = split_x1(u, alpha, beta)
+        bands = (km <= alpha, (km > alpha) & (km <= beta), km > beta)
+        for value, band in zip((split.i_alpha, split.j_alpha_beta, split.k_beta), bands):
+            expected = oracle_sum(mags, oracle_weight(lat, 1.0, band))
+            assert value == pytest.approx(expected, rel=1e-14)
+
+        ones = [np.ones(lat.shape)]
+        for exponent, bounds, band in zip(
+            (1.0, -1.5, -2.5),
+            ({"alpha": alpha}, {"alpha": alpha, "beta": beta}, {"beta": beta}),
+            bands,
+        ):
+            expected = math.sqrt(oracle_sum(ones, oracle_weight(lat, 2.0 * exponent, band)))
+            value = band_constant(lat, exponent, **bounds).lattice_value
+            assert value == pytest.approx(expected, rel=1e-14), exponent
+
+    lat8 = Lattice(8)
+    lat_pad = pad_lattice(lat8)
+    for seed in (41, 42):
+        u = random_band_limited(lat8, 1.0, 8.0 / 3.0, 1.0, seed=seed)
+        transported = [c.coefficients for c in advect(u, u)]
+        u_pad = [embed_coefficients(c.coefficients, lat_pad.n) for c in u.components]
+        for s in (1.5, 2.5):
+            hs, x1 = sobolev_norm(u, s), leilin_norm(u, 1.0)
+            terms = [np.real(a * np.conj(b)) for a, b in zip(transported, u_pad)]
+            expected = oracle_sum(terms, oracle_weight(lat_pad, 2.0 * s))
+            assert abs(trilinear_hs(u, s) - expected) <= 1e-12 * hs**2 * x1
+
+            ds_u = VelocityField(
+                tuple(
+                    ScalarSpectralField(lat8, oracle_weight(lat8, s) * c.coefficients)
+                    for c in u.components
+                )
+            )
+            second = [c.coefficients for c in advect(u, ds_u)]
+            diff = [
+                np.abs(oracle_weight(lat_pad, s) * a - b) ** 2
+                for a, b in zip(transported, second)
+            ]
+            expected = math.sqrt(oracle_sum(diff, 1.0))
+            assert abs(commutator_l2(u, s) - expected) <= 1e-12 * hs * x1
 
 
 # ---------------------------------------------------------------------------

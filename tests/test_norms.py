@@ -257,6 +257,10 @@ def test_divergent_bands_rejected(lat16):
         band_constant(lat16, -1.5, beta=4.0)  # tail with 2a+3 = 0 diverges
     with pytest.raises(ValueError):
         band_constant(lat16, 1.0, beta=4.0)  # tail with 2a+3 > 0 diverges
+    with pytest.raises(ValueError):
+        band_constant(lat16, -2.5, beta=math.inf)  # non-finite bound
+    with pytest.raises(ValueError):
+        band_constant(lat16, math.nan, alpha=1.0)  # non-finite exponent
 
 
 def test_empty_lattice_band_flagged(lat16):
