@@ -7,6 +7,9 @@ echoed into the run directory, and all CSV/JSON outputs format floats
 with repr, so identical configs produce byte-identical reports.
 Timestamps live only in the run.log sidecar.
 
+The list flags (--checks, --t-star, --s-list, --band) may be repeated;
+their values are joined with commas.
+
 Run directories are append-only: each invocation creates the next free
 out/run-NNNN and never touches earlier ones.
 
@@ -156,6 +159,8 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
     effective.update(file_cfg)
     for key in defaults:
         value = getattr(args, key, None)
+        if isinstance(value, list):  # a list flag: one string per use
+            value = ",".join(value)
         if value is not None:
             effective[key] = value
     return effective
@@ -633,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the inequality suite over a random corpus")
     _add_common(p_verify)
     p_verify.add_argument("--corpus-size", dest="corpus_size", type=int, help="number of fields")
-    p_verify.add_argument("--checks", help=f"comma list (default {DEFAULT_CHECKS})")
+    p_verify.add_argument("--checks", action="append", help=f"comma list (default {DEFAULT_CHECKS})")
     p_verify.add_argument(
         "--inject-mean-violation",
         dest="inject_mean_violation",
@@ -663,15 +668,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_mon = sub.add_parser("monitor", help="evaluate blow-up functionals along a trajectory")
     _add_common(p_mon)
     p_mon.add_argument("trajectory", nargs="?", help="trajectory CSV or JSON file")
-    p_mon.add_argument("--t-star", dest="t_star", help="comma list of candidate singular times")
+    p_mon.add_argument("--t-star", action="append", help="comma list of candidate singular times")
     p_mon.add_argument("--c-small", dest="c_small", type=float, help="smallness constant c")
     p_mon.add_argument("--nu", type=float, help="viscosity override for external trajectories")
-    p_mon.add_argument("--s-list", dest="s_list", help="comma list of Sobolev orders for rates")
+    p_mon.add_argument("--s-list", action="append", help="comma list of Sobolev orders for rates")
 
     p_const = sub.add_parser("constants", help="tabulate lattice vs continuum band constants")
     _add_common(p_const)
     p_const.add_argument(
         "--band",
+        action="append",
         help="comma list of EXPONENT:ALPHA:BETA requests (empty side = low/high band)",
     )
     return parser

@@ -7,9 +7,16 @@ representable below the padded Nyquist (3n/4), so the result is the exact
 complete convolution of the inputs: no aliasing, no truncation.  Inputs
 with broader support raise :class:`AliasingError` rather than silently
 returning a contaminated product.
+
+:func:`to_grid` and :func:`from_grid` are the package's one transform pair
+between fft-layout coefficients and grid samples; the solver's dealiased
+nonlinear term (:mod:`nsvlab.sim`) is built on it too, under both rules.
 """
 
 from __future__ import annotations
+
+import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +36,8 @@ __all__ = [
     "require_band_limited",
     "embed_coefficients",
     "restrict_coefficients",
+    "to_grid",
+    "from_grid",
     "multiply",
     "advect",
 ]
@@ -44,7 +53,9 @@ def padded_size(n: int) -> int:
     return m + (m % 2)
 
 
+@lru_cache(maxsize=None)
 def pad_lattice(lattice: Lattice) -> Lattice:
+    """The padded lattice of ``lattice``, shared so its cached grids are built once."""
     return Lattice(padded_size(lattice.n), lattice.period)
 
 
@@ -67,15 +78,23 @@ def require_band_limited(f, limit: float | None = None) -> None:
         )
 
 
+def _corner_blocks(n_small: int, n_big: int):
+    """(small, big) index pairs of the 8 corner blocks holding the shared modes."""
+    h = (n_small + 1) // 2  # labels 0..h-1 lead each axis; the negative ones trail
+    axis = ((slice(0, h), slice(0, h)), (slice(h, n_small), slice(n_big - n_small + h, n_big)))
+    for pairs in itertools.product(axis, repeat=3):
+        yield tuple(zip(*pairs))
+
+
 def embed_coefficients(c: np.ndarray, n_pad: int) -> np.ndarray:
     """Embed fft-layout coefficients into a larger lattice (zero padding)."""
     n = c.shape[0]
     if n_pad < n:
         raise ValueError(f"cannot embed n={n} into smaller n_pad={n_pad}")
-    lo = (n_pad - n) // 2
     out = np.zeros((n_pad,) * 3, dtype=np.complex128)
-    out[lo : lo + n, lo : lo + n, lo : lo + n] = np.fft.fftshift(c)
-    return np.fft.ifftshift(out)
+    for small, big in _corner_blocks(n, n_pad):
+        out[big] = c[small]
+    return out
 
 
 def restrict_coefficients(c: np.ndarray, n_small: int) -> np.ndarray:
@@ -83,17 +102,26 @@ def restrict_coefficients(c: np.ndarray, n_small: int) -> np.ndarray:
     n = c.shape[0]
     if n_small > n:
         raise ValueError(f"cannot restrict n={n} to larger n_small={n_small}")
-    lo = (n - n_small) // 2
-    cs = np.fft.fftshift(c)
-    return np.fft.ifftshift(cs[lo : lo + n_small, lo : lo + n_small, lo : lo + n_small])
+    out = np.empty((n_small,) * 3, dtype=c.dtype)
+    for small, big in _corner_blocks(n_small, n):
+        out[small] = c[big]
+    return out
 
 
-def _padded_physical(c: np.ndarray, n_pad: int) -> np.ndarray:
-    return np.real(np.fft.ifftn(embed_coefficients(c, n_pad))) * float(n_pad**3)
+def to_grid(c: np.ndarray, n_grid: int) -> np.ndarray:
+    """Real grid samples of fft-layout coefficients, zero-padded to n_grid^3."""
+    if n_grid != c.shape[0]:
+        c = embed_coefficients(c, n_grid)
+    return np.real(np.fft.ifftn(c)) * float(n_grid**3)
 
 
-def _to_padded_spectral(values: np.ndarray, lat_pad: Lattice) -> np.ndarray:
-    return np.fft.fftn(values) / float(lat_pad.n**3)
+def from_grid(values: np.ndarray, n_out: int) -> np.ndarray:
+    """Fft-layout coefficients of grid samples, truncated to n_out^3 modes."""
+    n_grid = values.shape[0]
+    c = np.fft.fftn(values)
+    if n_out != n_grid:
+        c = restrict_coefficients(c, n_out)
+    return c / float(n_grid**3)
 
 
 def multiply(f: ScalarSpectralField, g: ScalarSpectralField) -> ScalarSpectralField:
@@ -104,8 +132,8 @@ def multiply(f: ScalarSpectralField, g: ScalarSpectralField) -> ScalarSpectralFi
     require_band_limited(g)
     lat_pad = pad_lattice(f.lattice)
     n_pad = lat_pad.n
-    values = _padded_physical(f.coefficients, n_pad) * _padded_physical(g.coefficients, n_pad)
-    return ScalarSpectralField(lat_pad, _to_padded_spectral(values, lat_pad))
+    values = to_grid(f.coefficients, n_pad) * to_grid(g.coefficients, n_pad)
+    return ScalarSpectralField(lat_pad, from_grid(values, n_pad))
 
 
 def advect(u: VelocityField, g):
@@ -119,7 +147,7 @@ def advect(u: VelocityField, g):
     require_band_limited(u)
     lat_pad = pad_lattice(lat)
     n_pad = lat_pad.n
-    u_phys = [_padded_physical(c.coefficients, n_pad) for c in u.components]
+    u_phys = [to_grid(c.coefficients, n_pad) for c in u.components]
 
     def one(scalar: ScalarSpectralField) -> ScalarSpectralField:
         if scalar.lattice != lat:
@@ -127,8 +155,8 @@ def advect(u: VelocityField, g):
         require_band_limited(scalar)
         total = np.zeros((n_pad,) * 3)
         for j, dg in enumerate(gradient(scalar)):
-            total += u_phys[j] * _padded_physical(dg.coefficients, n_pad)
-        return ScalarSpectralField(lat_pad, _to_padded_spectral(total, lat_pad))
+            total += u_phys[j] * to_grid(dg.coefficients, n_pad)
+        return ScalarSpectralField(lat_pad, from_grid(total, n_pad))
 
     if isinstance(g, ScalarSpectralField):
         return one(g)

@@ -10,12 +10,13 @@ periodic cube.  Two integrators:
   exp(-nu |k|^2 dt) is applied exactly and only advection is explicit.
   With advection disabled a single mode decays exactly (to roundoff).
 
-Advection products are dealiased per config: the two-thirds rule masks
-|k| strictly below (2/3) * Nyquist (the strict inequality keeps wrapped
-images out of the retained band when 3 divides n), the three-halves rule
-zero-pads products and is exact for Nyquist-free states.  Both the
-convective form u.grad(u) and the divergence form div(u (x) u) are
-implemented; they agree to roundoff for divergence-free input.
+Advection is evaluated in divergence form, div(u (x) u), with its six
+distinct products formed on a grid through the transform pair of
+:mod:`nsvlab.products`.  The products are dealiased per config: the
+two-thirds rule masks |k| strictly below (2/3) * Nyquist on the n-point
+grid (the strict inequality keeps wrapped images out of the retained band
+when 3 divides n); the three-halves rule zero-pads to the 3n/2-point grid
+and drops the Nyquist planes of state and term, which makes it exact.
 """
 
 from __future__ import annotations
@@ -36,14 +37,13 @@ from .fields import (
     project_arrays,
 )
 from .norms import full_report
-from .products import embed_coefficients, padded_size, restrict_coefficients
+from .products import from_grid, padded_size, to_grid
 from .trajectory import Trajectory, TrajectorySample
 
 __all__ = [
     "RK4_DIFFUSIVE_LIMIT",
     "DEALIAS_RULES",
     "INTEGRATORS",
-    "ADVECTION_FORMS",
     "SolverConfig",
     "SolverState",
     "SchemeBlowupError",
@@ -60,7 +60,6 @@ RK4_DIFFUSIVE_LIMIT = 2.785
 
 DEALIAS_RULES = ("two-thirds", "three-halves")
 INTEGRATORS = ("rk4", "imex")
-ADVECTION_FORMS = ("divergence", "convective")
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,6 @@ class SolverConfig:
     sample_every: int = 1
     cfl: float = 0.4
     advection: bool = True
-    advection_form: str = "divergence"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.nu) and self.nu > 0):
@@ -95,10 +93,6 @@ class SolverConfig:
             raise ValueError(f"sample_every must be a positive integer, got {self.sample_every!r}")
         if not (math.isfinite(self.cfl) and self.cfl > 0):
             raise ValueError(f"cfl must be positive, got {self.cfl}")
-        if self.advection_form not in ADVECTION_FORMS:
-            raise ValueError(
-                f"advection_form must be one of {ADVECTION_FORMS}, got {self.advection_form!r}"
-            )
 
     def to_record(self) -> dict:
         return asdict(self)
@@ -137,10 +131,7 @@ def _max_ksq(n: int, period: float) -> float:
 
 def max_velocity(u: VelocityField) -> float:
     """Maximum pointwise speed on the grid."""
-    n = u.lattice.n
-    total = np.zeros(u.lattice.shape)
-    for c in u.components:
-        total += (np.real(np.fft.ifftn(c.coefficients)) * float(n**3)) ** 2
+    total = sum(to_grid(c.coefficients, u.lattice.n) ** 2 for c in u.components)
     return float(np.sqrt(total.max()))
 
 
@@ -185,95 +176,69 @@ def _zero_nyquist(stack: np.ndarray) -> None:
     stack[:, :, :, half] = 0.0
 
 
-def _advection_arrays(
-    stack: np.ndarray, lattice: Lattice, dealias: str, form: str
-) -> np.ndarray:
-    """u.grad u (equivalently div(u(x)u)) as dealiased coefficients."""
+def _solver_stack(u: VelocityField, dealias: str) -> np.ndarray:
+    """A copy of u's coefficients as the solver advances them: the three-halves
+    rule is exact only without the Nyquist planes, so they are zeroed."""
+    stack = u.coefficient_stack()
+    if dealias == "three-halves":
+        _zero_nyquist(stack)
+    return stack
+
+
+def _advection_arrays(stack: np.ndarray, lattice: Lattice, dealias: str) -> np.ndarray:
+    """div(u(x)u) as dealiased coefficients."""
     n = lattice.n
     kd = lattice.k_deriv
     if dealias == "two-thirds":
         mask = _dealias_mask(n, lattice.period)
-        c = stack * mask
-        vel = [np.real(np.fft.ifftn(c[i])) * float(n**3) for i in range(3)]
-
-        def spectral(values: np.ndarray) -> np.ndarray:
-            return (np.fft.fftn(values) / float(n**3)) * mask
-
+        stack = stack * mask
+        n_grid = n
     else:  # three-halves: zero-padded products, exact for Nyquist-free states
-        n_pad = padded_size(n)
-        c = stack
-        vel = [
-            np.real(np.fft.ifftn(embed_coefficients(c[i], n_pad))) * float(n_pad**3)
-            for i in range(3)
-        ]
-
-        def spectral(values: np.ndarray) -> np.ndarray:
-            return restrict_coefficients(np.fft.fftn(values) / float(n_pad**3), n)
-
+        mask = None
+        n_grid = padded_size(n)
+    vel = [to_grid(c, n_grid) for c in stack]
+    # d_j (u_i u_j): six distinct products
+    flux = {}
+    for i in range(3):
+        for j in range(i, 3):
+            t_ij = from_grid(vel[i] * vel[j], n)
+            flux[(i, j)] = t_ij if mask is None else t_ij * mask
     out = np.empty_like(stack)
-    if form == "divergence":
-        # d_j (u_i u_j): six distinct products
-        flux = {}
-        for i in range(3):
-            for j in range(i, 3):
-                flux[(i, j)] = spectral(vel[i] * vel[j])
-        for i in range(3):
-            total = np.zeros(lattice.shape, dtype=np.complex128)
-            for j in range(3):
-                t_ij = flux[(min(i, j), max(i, j))]
-                total += 1j * kd[j] * t_ij
-            out[i] = total
-    else:  # convective u_j d_j u_i
-        if dealias == "two-thirds":
-            grads = [
-                [np.real(np.fft.ifftn(1j * kd[j] * c[i])) * float(n**3) for j in range(3)]
-                for i in range(3)
-            ]
-        else:
-            n_pad = padded_size(n)
-            grads = [
-                [
-                    np.real(np.fft.ifftn(embed_coefficients(1j * kd[j] * c[i], n_pad)))
-                    * float(n_pad**3)
-                    for j in range(3)
-                ]
-                for i in range(3)
-            ]
-        for i in range(3):
-            values = vel[0] * grads[i][0] + vel[1] * grads[i][1] + vel[2] * grads[i][2]
-            out[i] = spectral(values)
-    if dealias == "three-halves":
+    for i in range(3):
+        total = np.zeros(lattice.shape, dtype=np.complex128)
+        for j in range(3):
+            total += 1j * kd[j] * flux[(min(i, j), max(i, j))]
+        out[i] = total
+    if mask is None:
         _zero_nyquist(out)
     return out
 
 
-def _nonlinear_arrays(
-    stack: np.ndarray, lattice: Lattice, dealias: str, form: str
-) -> np.ndarray:
-    adv = _advection_arrays(stack, lattice, dealias, form)
+def _nonlinear_arrays(stack: np.ndarray, lattice: Lattice, dealias: str) -> np.ndarray:
+    adv = _advection_arrays(stack, lattice, dealias)
     term = project_arrays(adv, lattice)
     np.negative(term, out=term)
     term[:, 0, 0, 0] = 0.0
     return term
 
 
-def nonlinear_term(
-    u: VelocityField, dealias: str = "two-thirds", form: str = "divergence"
-) -> VelocityField:
-    """-P[u.grad u], dealiased; equal to -P[div(u(x)u)] for div-free u."""
+def nonlinear_term(u: VelocityField, dealias: str = "two-thirds") -> VelocityField:
+    """-P[div(u(x)u)] = -P[u.grad u] for div-free u, dealiased.
+
+    Under the three-halves rule u's Nyquist planes are dropped first, as
+    :func:`step` and :func:`integrate` drop them from the state.
+    """
     if dealias not in DEALIAS_RULES:
         raise ValueError(f"dealias must be one of {DEALIAS_RULES}, got {dealias!r}")
-    if form not in ADVECTION_FORMS:
-        raise ValueError(f"form must be one of {ADVECTION_FORMS}, got {form!r}")
     lat = u.lattice
-    arrays = _nonlinear_arrays(u.coefficient_stack(), lat, dealias, form)
+    arrays = _nonlinear_arrays(_solver_stack(u, dealias), lat, dealias)
     return VelocityField(tuple(ScalarSpectralField(lat, a) for a in arrays))
 
 
 def _rhs(stack: np.ndarray, lattice: Lattice, config: SolverConfig) -> np.ndarray:
     out = -config.nu * lattice.ksq * stack
     if config.advection:
-        out += _nonlinear_arrays(stack, lattice, config.dealias, config.advection_form)
+        out += _nonlinear_arrays(stack, lattice, config.dealias)
     return out
 
 
@@ -289,7 +254,7 @@ def _step_arrays(
     else:  # integrating-factor Euler: exact diffusion multiplier
         new = stack.copy()
         if config.advection:
-            new += dt * _nonlinear_arrays(stack, lattice, config.dealias, config.advection_form)
+            new += dt * _nonlinear_arrays(stack, lattice, config.dealias)
         new *= np.exp(-config.nu * lattice.ksq * dt)
     new = project_arrays(new, lattice)
     new[:, 0, 0, 0] = 0.0
@@ -303,10 +268,7 @@ def step(state: SolverState, config: SolverConfig, dt: float | None = None) -> S
         dt = resolve_dt(state.u, config)
     elif config.integrator == "rk4":
         _check_rk4_stability(dt, config.nu, lat)
-    stack = state.u.coefficient_stack()
-    if config.dealias == "three-halves":
-        _zero_nyquist(stack)
-    new = _step_arrays(stack, lat, config, dt)
+    new = _step_arrays(_solver_stack(state.u, config.dealias), lat, config, dt)
     if not np.isfinite(new).all():
         raise SchemeBlowupError(state.t + dt, 1)
     u = VelocityField(tuple(ScalarSpectralField(lat, c) for c in new))
@@ -342,9 +304,7 @@ def integrate(u0: VelocityField, config: SolverConfig, hooks=()) -> Trajectory:
         code_version=__version__,
         samples=[],
     )
-    stack = u0.coefficient_stack()
-    if config.dealias == "three-halves":
-        _zero_nyquist(stack)
+    stack = _solver_stack(u0, config.dealias)
 
     def emit(step_index: int, t: float, arrays: np.ndarray) -> None:
         u = VelocityField(tuple(ScalarSpectralField(lat, c) for c in arrays))

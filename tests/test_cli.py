@@ -66,6 +66,13 @@ def test_verify_rejects_unknown_check(tmp_path, capsys):
     code, _ = run(tmp_path, "verify", "--lattice-n", "16", "--checks", "x0_magic")
     assert code == 2
     assert "unknown check" in capsys.readouterr().err
+    # a repeated flag keeps every value, so an earlier bad name is still seen
+    code, _ = run(
+        tmp_path, "verify", "--lattice-n", "16", "--corpus-size", "1",
+        "--checks", "x0_magic", "--checks", "x0_interpolation",
+    )
+    assert code == 2
+    assert "'x0_magic'" in capsys.readouterr().err
 
 
 def test_verify_rejects_negative_corpus(tmp_path):
@@ -360,6 +367,16 @@ def test_constants_empty_band_is_noted(tmp_path):
     doc = json.loads((run_dir / "constants.json").read_text())
     assert doc["rows"][0]["empty"] is True
     assert doc["rows"][0]["ratio"] == 0.0
+    # repeated --band flags add rows, and the config echoes them comma-joined
+    code, run_dir = run(
+        tmp_path, "constants", "--lattice-n", "16", "--band", "1:0.5:", "--band=-2.5::5"
+    )
+    assert code == 0
+    lines = (run_dir / "constants.csv").read_text().splitlines()
+    assert len(lines) == 2 + 2
+    assert lines[2].endswith(",empty band")
+    effective = json.loads((run_dir / "effective_config.json").read_text())
+    assert effective["band"] == "1:0.5:,-2.5::5"
 
 
 def test_constants_divergent_band_is_usage_error(tmp_path, capsys):

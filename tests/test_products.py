@@ -74,6 +74,17 @@ def test_embed_restrict_round_trip(lat8):
     # embedded content preserves mode labels
     lat12 = Lattice(n_pad)
     assert big[lat12.mode_index(1, -2, 3)] == c[lat8.mode_index(1, -2, 3)]
+    # odd sizes and odd targets too: every label keeps its coefficient and
+    # the modes the small lattice lacks stay zero
+    for n, n_pad in ((7, 12), (9, 14), (8, 9), (7, 7)):
+        c = rng.standard_normal((n,) * 3) + 1j * rng.standard_normal((n,) * 3)
+        big = embed_coefficients(c, n_pad)
+        assert np.array_equal(restrict_coefficients(big, n), c), (n, n_pad)
+        small_labels = np.fft.fftfreq(n, 1.0 / n).astype(int)
+        big_labels = list(np.fft.fftfreq(n_pad, 1.0 / n_pad).astype(int))
+        at = [big_labels.index(m) for m in small_labels]
+        assert np.array_equal(big[np.ix_(at, at, at)], c), (n, n_pad)
+        assert np.count_nonzero(big) == np.count_nonzero(c), (n, n_pad)
 
 
 def test_cosine_product_hand_value(lat8):

@@ -8,10 +8,12 @@ from nsvlab.fields import (
     NonzeroMeanError,
     ScalarSpectralField,
     VelocityField,
+    leray_project,
     random_band_limited,
     taylor_green,
 )
 from nsvlab.norms import NormReport, l2_norm, sobolev_norm
+from nsvlab.products import advect, restrict_coefficients
 from nsvlab.sim import (
     RK4_DIFFUSIVE_LIMIT,
     SchemeBlowupError,
@@ -52,7 +54,6 @@ def test_config_rejects_bad_values():
         dict(nu=0.1, sample_every=0),
         dict(nu=0.1, sample_every=2.5),
         dict(nu=0.1, cfl=0.0),
-        dict(nu=0.1, advection_form="rotational"),
     ):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
@@ -105,13 +106,83 @@ def test_rk4_heat_decay_has_fourth_order_error(lat16):
 # Nonlinear term
 
 
-def test_advection_forms_agree(lat16):
+def retained_modes(lat: Lattice, dealias: str) -> np.ndarray:
+    """Modes a dealias rule keeps: |k| < (2/3) Nyquist, or all but the
+    Nyquist planes."""
+    if dealias == "two-thirds":
+        return lat.kmag < (2.0 / 3.0) * lat.nyquist
+    nyq = lat.modes == -(lat.n // 2)
+    return ~(nyq[:, None, None] | nyq[None, :, None] | nyq[None, None, :])
+
+
+def test_nonlinear_term_matches_padded_advect_oracle(lat16):
+    # independent oracle: the convective form u.grad u, exact on the padded
+    # lattice, restricted to n, projected, negated and cut to the retained modes
     u = random_band_limited(lat16, 1.0, 4.0, 1.5, seed=77)
-    scale = np.max(np.abs(stack_of(nonlinear_term(u))))
+    transported = [
+        ScalarSpectralField(lat16, restrict_coefficients(c.coefficients, lat16.n))
+        for c in advect(u, u)
+    ]
+    projected = -stack_of(leray_project(transported))
+    scale = np.max(np.abs(projected))
     for dealias in ("two-thirds", "three-halves"):
-        a = stack_of(nonlinear_term(u, dealias, "divergence"))
-        b = stack_of(nonlinear_term(u, dealias, "convective"))
-        assert np.max(np.abs(a - b)) < 1e-13 * scale
+        oracle = projected * retained_modes(lat16, dealias)
+        got = stack_of(nonlinear_term(u, dealias))
+        assert np.max(np.abs(got - oracle)) < 1e-13 * scale, dealias
+
+
+def curl_stack(u: VelocityField) -> np.ndarray:
+    a = stack_of(u)
+    kx, ky, kz = u.lattice.k_deriv
+    return 1j * np.stack((ky * a[2] - kz * a[1], kz * a[0] - kx * a[2], kx * a[1] - ky * a[0]))
+
+
+def pairing(a: np.ndarray, b: np.ndarray) -> float:
+    """|<a, b>| relative to |a| |b|."""
+    return abs(np.vdot(a, b).real) / (np.linalg.norm(a) * np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("dealias", ["two-thirds", "three-halves"])
+@pytest.mark.parametrize("kmax", [7.0, 8.0])
+def test_nonlinear_term_conserves_energy_and_helicity(lat16, dealias, kmax):
+    # the Galerkin-truncated term keeps both quadratic invariants; kmax = 8
+    # puts content on the Nyquist planes, which the three-halves rule drops
+    u = random_band_limited(lat16, 1.0, kmax, 1.0, seed=93)
+    term = stack_of(nonlinear_term(u, dealias))
+    assert np.max(np.abs(term)) > 0.0
+    assert pairing(stack_of(u), term) <= 1e-15
+    assert pairing(curl_stack(u), term) <= 1e-15
+
+
+def abc_flow(lat: Lattice) -> VelocityField:
+    """ABC flow A = B = C = 1 at |k| = 1: u = (sin z + cos y, sin x + cos z,
+    sin y + cos x), a Beltrami field (curl u = u)."""
+    stack = np.zeros((3,) + lat.shape, dtype=np.complex128)
+    for comp, sin_axis, cos_axis in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
+        for sign in (1, -1):
+            m = [0, 0, 0]
+            m[sin_axis] = sign
+            stack[comp][lat.mode_index(*m)] = -0.5j * sign
+            m = [0, 0, 0]
+            m[cos_axis] = sign
+            stack[comp][lat.mode_index(*m)] = 0.5
+    return VelocityField(tuple(ScalarSpectralField(lat, c) for c in stack))
+
+
+@pytest.mark.parametrize("dealias", ["two-thirds", "three-halves"])
+def test_abc_flow_decays_exactly_with_advection(lat16, dealias):
+    # u.grad u is a pure gradient for a Beltrami field, so the projected
+    # term vanishes and the flow decays as exp(-nu |k|^2 t) with advection on
+    u = abc_flow(lat16)
+    assert np.array_equal(curl_stack(u), stack_of(u))
+    assert np.max(np.abs(stack_of(nonlinear_term(u, dealias)))) <= 1e-14
+    nu = 0.1
+    config = SolverConfig(nu=nu, dt=0.01, t_end=0.2, dealias=dealias, integrator="imex")
+    traj = integrate(u, config)
+    l2_0 = traj.samples[0].norms.l2
+    for sample in traj.samples:
+        expected = l2_0 * math.exp(-nu * sample.t)
+        assert abs(sample.norms.l2 - expected) <= 1e-13 * expected
 
 
 def test_dealias_rules_agree_on_narrow_band_fields(lat16):
@@ -152,8 +223,6 @@ def test_strict_two_thirds_mask_excludes_boundary_shell():
 def test_nonlinear_term_validates_arguments(lat16, random16):
     with pytest.raises(ValueError):
         nonlinear_term(random16, dealias="fourth")
-    with pytest.raises(ValueError):
-        nonlinear_term(random16, form="skew")
 
 
 # ---------------------------------------------------------------------------
