@@ -13,6 +13,15 @@ otherwise).  Real-valued fields satisfy the Hermitian symmetry
 Derivatives use a copy of the wavenumber grid whose Nyquist component is
 zeroed, so odd-order derivatives of real fields stay real.  Norms and
 Fourier multipliers use the true wavenumbers.
+
+Fields hold the full ``(n, n, n)`` layout.  Because a real field's
+coefficients are Hermitian, the half ``(n, n, n//2 + 1)`` with
+``m_3 >= 0`` (:func:`half_spectrum`) determines them, and
+:func:`full_spectrum` rebuilds the rest by conjugate reflection.
+:func:`to_grid` and :func:`from_grid` are the package's one transform pair
+between coefficients and grid samples; they work on that half layout with
+real-to-complex FFTs, and the solver and the padded products run on it
+internally.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from functools import cached_property
 from itertools import product as _iter_product
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "TWO_PI",
@@ -35,6 +45,10 @@ __all__ = [
     "to_spectral",
     "hermitian_defect",
     "hermitianize",
+    "embed_coefficients",
+    "restrict_coefficients",
+    "to_grid",
+    "from_grid",
     "gradient",
     "divergence",
     "leray_project",
@@ -138,6 +152,14 @@ class Lattice:
         """|k|^2 under the derivative convention (Nyquist components zeroed)."""
         kx, ky, kz = self.k_deriv
         out = kx * kx + ky * ky + kz * kz
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def inv_ksq_deriv(self) -> np.ndarray:
+        """1/|k|^2 under the derivative convention, 0 where that |k| vanishes."""
+        ksq = self.ksq_deriv
+        out = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
         out.setflags(write=False)
         return out
 
@@ -296,18 +318,118 @@ class VelocityField:
 Field = ScalarSpectralField | VelocityField
 
 
+def half_spectrum(a: np.ndarray) -> np.ndarray:
+    """View of the m_3 >= 0 half of a full-layout (or broadcastable) array.
+
+    Lattice grids shaped for broadcasting slice to their half layout too:
+    an axis of length 1 stays whole.
+    """
+    return a[..., : a.shape[-1] // 2 + 1]
+
+
+def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
+    """Full-layout coefficients rebuilt from their half by conjugate reflection.
+
+    The last axis gains the m_3 < 0 modes, index j holding conj(c_{-k});
+    the m_3 = 0 and Nyquist planes are copied as they are.  Leading axes
+    (a component stack) are carried through.
+    """
+    h = n // 2 + 1
+    idx = (-np.arange(n)) % n
+    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    out[..., :h] = half
+    out[..., h:] = np.conj(half[..., idx[:, None], idx, n - h : 0 : -1])
+    return out
+
+
+def _blocks(n_small: int, n_big: int, half: bool):
+    """(small, big) index pairs of the blocks holding the modes two sizes share.
+
+    Full layout: 8 corner blocks, every label of the small lattice.  Half
+    layout: 4 blocks with m_3 >= 0, and the Nyquist planes of an even small
+    lattice are left out (their partner labels would be distinct modes on
+    the big one).
+    """
+    lead = (n_small + 1) // 2  # labels 0..lead-1 lead each axis
+    trail = (n_small - 1) // 2 if half else n_small // 2  # the negative ones trail
+    axis = (
+        (slice(0, lead), slice(0, lead)),
+        (slice(n_small - trail, n_small), slice(n_big - trail, n_big)),
+    )
+    for pairs in _iter_product(axis, axis, axis[:1] if half else axis):
+        yield tuple(zip(*pairs))
+
+
+def _embed(c: np.ndarray, n_big: int, half: bool) -> np.ndarray:
+    n = c.shape[0]
+    if n_big < n:
+        raise ValueError(f"cannot embed n={n} into smaller n_pad={n_big}")
+    out = np.zeros((n_big, n_big, n_big // 2 + 1 if half else n_big), dtype=np.complex128)
+    for small, big in _blocks(n, n_big, half):
+        out[big] = c[small]
+    return out
+
+
+def _restrict(c: np.ndarray, n_small: int, half: bool) -> np.ndarray:
+    n = c.shape[0]
+    if n_small > n:
+        raise ValueError(f"cannot restrict n={n} to larger n_small={n_small}")
+    out = np.zeros((n_small, n_small, n_small // 2 + 1 if half else n_small), dtype=c.dtype)
+    for small, big in _blocks(n_small, n, half):
+        out[small] = c[big]
+    return out
+
+
+def embed_coefficients(c: np.ndarray, n_pad: int) -> np.ndarray:
+    """Embed fft-layout coefficients into a larger lattice (zero padding)."""
+    return _embed(c, n_pad, half=False)
+
+
+def restrict_coefficients(c: np.ndarray, n_small: int) -> np.ndarray:
+    """Crop fft-layout coefficients to a smaller lattice (mode truncation)."""
+    return _restrict(c, n_small, half=False)
+
+
+def to_grid(c: np.ndarray, n_grid: int) -> np.ndarray:
+    """Real samples on an n_grid^3 grid of half-layout coefficients (n, n, n//2+1).
+
+    Zero-pads when n_grid > n; that embed drops the Nyquist planes of the
+    input, which the three-halves rule and the band-limited products hold
+    at zero anyway.
+    """
+    if n_grid != c.shape[0]:
+        c = _embed(c, n_grid, half=True)
+    return scipy.fft.irfftn(c, s=(n_grid,) * 3, axes=(0, 1, 2), norm="forward")
+
+
+def from_grid(values: np.ndarray, n_out: int) -> np.ndarray:
+    """Half-layout coefficients of real grid samples, truncated to n_out modes.
+
+    Truncation drops the Nyquist planes of the n_out lattice, like
+    :func:`to_grid`'s embed.
+    """
+    c = scipy.fft.rfftn(values, axes=(0, 1, 2), norm="forward")
+    if n_out != values.shape[0]:
+        c = _restrict(c, n_out, half=True)
+    return c
+
+
 def to_physical(f: ScalarSpectralField) -> np.ndarray:
     """Real grid samples of the field at the n^3 lattice points.
 
-    The imaginary residual of the inverse transform (roundoff for Hermitian
-    input) is discarded; use :func:`hermitian_defect` to measure it.
+    Reads the half layout only, so it relies on the Hermitian symmetry every
+    constructor keeps; use :func:`hermitian_defect` to measure it.
     """
-    n = f.lattice.n
-    return np.real(np.fft.ifftn(f.coefficients)) * float(n**3)
+    return to_grid(half_spectrum(f.coefficients), f.lattice.n)
 
 
 def hermitian_defect(f: ScalarSpectralField) -> float:
-    """max |Im f| / max |Re f| over the grid; 0 for the zero field."""
+    """max |Im f| / max |Re f| over the grid; 0 for the zero field.
+
+    The one complex n-d ``numpy.fft`` call in the package: it must see the
+    imaginary part of the inverse transform, which the real pair
+    (:func:`to_grid`) never forms.
+    """
     n = f.lattice.n
     values = np.fft.ifftn(f.coefficients) * float(n**3)
     scale = float(np.abs(values.real).max())
@@ -324,8 +446,7 @@ def to_spectral(samples: np.ndarray, period: float = TWO_PI) -> ScalarSpectralFi
     if not np.isfinite(arr).all():
         raise ValueError("samples contain non-finite values")
     lattice = Lattice(arr.shape[0], period)
-    coeff = np.fft.fftn(arr) / float(lattice.n**3)
-    return ScalarSpectralField(lattice, coeff)
+    return ScalarSpectralField(lattice, full_spectrum(from_grid(arr, lattice.n), lattice.n))
 
 
 def gradient(f: ScalarSpectralField) -> tuple[ScalarSpectralField, ...]:
@@ -374,17 +495,16 @@ def leray_project(candidate) -> VelocityField:
 
 
 def project_arrays(stack: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """Leray projection on a raw (3, n, n, n) coefficient stack.
+    """Leray projection on a raw (3, n, n, n) or half-layout (3, n, n, n//2+1) stack.
 
     Uses the derivative wavevector so that projecting a gradient gives 0
     and the divergence of the output vanishes mode by mode; pure-Nyquist
     modes (derivative wavevector zero) pass through untouched.
     """
-    kx, ky, kz = lattice.k_deriv
-    kdot = kx * stack[0] + ky * stack[1] + kz * stack[2]
-    ksq = lattice.ksq_deriv
-    safe_ksq = np.where(ksq > 0, ksq, 1.0)
-    factor = np.where(ksq > 0, kdot / safe_ksq, 0.0)
+    width = stack.shape[-1]
+    kx, ky, kz = (k[..., :width] for k in lattice.k_deriv)
+    factor = kx * stack[0] + ky * stack[1] + kz * stack[2]
+    factor *= lattice.inv_ksq_deriv[..., :width]
     out = np.empty_like(stack)
     out[0] = stack[0] - kx * factor
     out[1] = stack[1] - ky * factor

@@ -38,7 +38,8 @@ from .fields import (
 )
 from .norms import _power_sums, _radial_weight, _shell_fsum, _shell_sums
 from .norms import band_constant, l2_norm, leilin_norm, sobolev_norm
-from .products import advect, embed_coefficients, pad_lattice, require_band_limited
+from .products import _transport, _velocity_grids, advect, embed_coefficients, pad_lattice
+from .products import require_band_limited
 
 __all__ = [
     "CONSTANT_MODES",
@@ -368,42 +369,48 @@ def _padded_pairing(a_arrays, b_arrays, lat_pad: Lattice, weight) -> float:
     return _shell_fsum(_shell_sums(lat_pad, terms), weight)
 
 
+def _commutator(transported, second, lat_pad: Lattice, s: float) -> float:
+    first = _fractional_laplacian_arrays([c.coefficients for c in transported], lat_pad, s)
+    diff = [np.abs(a - b.coefficients) ** 2 for a, b in zip(first, second)]
+    return math.sqrt(_shell_fsum(_shell_sums(lat_pad, diff), 1.0))
+
+
+def _trilinear(transported, f: VelocityField, lat_pad: Lattice, s: float) -> float:
+    f_pad = [embed_coefficients(c.coefficients, lat_pad.n) for c in f.components]
+    weight = _radial_weight(lat_pad.shells[1], 2.0 * s)
+    return _padded_pairing([c.coefficients for c in transported], f_pad, lat_pad, weight)
+
+
+def _cancellation(transported, g: VelocityField, lat_pad: Lattice) -> float:
+    g_pad = [embed_coefficients(c.coefficients, lat_pad.n) for c in g.components]
+    return _padded_pairing([c.coefficients for c in transported], g_pad, lat_pad, 1.0)
+
+
+def _check_commutator_order(s: float) -> None:
+    if s < 0:
+        raise ValueError(f"commutator order must be >= 0, got {s}")
+
+
 def commutator_l2(f: VelocityField, s: float) -> float:
     """|| |D|^s (f.grad f) - f.grad(|D|^s f) ||_L2, exact on the padded lattice.
 
     Vanishes identically at s = 0.  Inputs must be band-limited to the
     exact-product radius (n/3 modes); otherwise AliasingError propagates.
     """
-    if s < 0:
-        raise ValueError(f"commutator order must be >= 0, got {s}")
-    lat = f.lattice
-    lat_pad = pad_lattice(lat)
-    transported = advect(f, f)  # tuple of padded scalars
-    first = _fractional_laplacian_arrays(
-        [c.coefficients for c in transported], lat_pad, s
-    )
+    _check_commutator_order(s)
     second = advect(f, _fractional_velocity(f, s))
-    diff = [np.abs(a - b.coefficients) ** 2 for a, b in zip(first, second)]
-    return math.sqrt(_shell_fsum(_shell_sums(lat_pad, diff), 1.0))
+    return _commutator(advect(f, f), second, pad_lattice(f.lattice), s)
 
 
 def trilinear_hs(f: VelocityField, s: float) -> float:
     """<f.grad f, f>_Hdot(s), signed, exact on the padded lattice."""
-    lat = f.lattice
-    lat_pad = pad_lattice(lat)
-    transported = advect(f, f)
-    f_pad = [embed_coefficients(c.coefficients, lat_pad.n) for c in f.components]
-    weight = _radial_weight(lat_pad.shells[1], 2.0 * s)
-    return _padded_pairing([c.coefficients for c in transported], f_pad, lat_pad, weight)
+    return _trilinear(advect(f, f), f, pad_lattice(f.lattice), s)
 
 
 def advection_cancellation(f: VelocityField, s: float) -> float:
     """<f.grad(|D|^s f), |D|^s f>_L2; zero analytically for div-free f."""
-    lat_pad = pad_lattice(f.lattice)
     g = _fractional_velocity(f, s)
-    transported = advect(f, g)
-    g_pad = [embed_coefficients(c.coefficients, lat_pad.n) for c in g.components]
-    return _padded_pairing([c.coefficients for c in transported], g_pad, lat_pad, 1.0)
+    return _cancellation(advect(f, g), g, pad_lattice(f.lattice))
 
 
 def commutator_report(f: VelocityField, s: float) -> dict[str, float]:
@@ -412,13 +419,23 @@ def commutator_report(f: VelocityField, s: float) -> dict[str, float]:
     Reports both normalizations in circulation for the trilinear bound:
     ``statement_constant`` = |T| / (X1 * Hs^2) and ``commutator_constant``
     = ||commutator|| / (X1 * Hs), together with the derivable chain
-    |T| <= ||commutator|| * Hs (``commutator_bound_ratio`` <= 1).
+    |T| <= ||commutator|| * Hs (``commutator_bound_ratio`` <= 1).  Each
+    padded product is formed once and shared by the three diagnostics,
+    which equal :func:`trilinear_hs`, :func:`commutator_l2` and
+    :func:`advection_cancellation` bit for bit.
     """
     hs = sobolev_norm(f, s)
     x1 = leilin_norm(f, 1.0)
-    tri = trilinear_hs(f, s)
-    comm = commutator_l2(f, s)
-    cancel = advection_cancellation(f, s)
+    lat = f.lattice
+    lat_pad = pad_lattice(lat)
+    f_grids = _velocity_grids(f)
+    transported = tuple(_transport(f_grids, c, lat) for c in f.components)
+    tri = _trilinear(transported, f, lat_pad, s)
+    _check_commutator_order(s)
+    g = _fractional_velocity(f, s)
+    second = tuple(_transport(f_grids, c, lat) for c in g.components)
+    comm = _commutator(transported, second, lat_pad, s)
+    cancel = _cancellation(second, g, lat_pad)
     tiny = 1e-300
     return {
         "s": s,

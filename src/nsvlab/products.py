@@ -8,14 +8,15 @@ complete convolution of the inputs: no aliasing, no truncation.  Inputs
 with broader support raise :class:`AliasingError` rather than silently
 returning a contaminated product.
 
-:func:`to_grid` and :func:`from_grid` are the package's one transform pair
-between fft-layout coefficients and grid samples; the solver's dealiased
-nonlinear term (:mod:`nsvlab.sim`) is built on it too, under both rules.
+:func:`to_grid` and :func:`from_grid` (defined in :mod:`nsvlab.fields`
+and re-exported here) are the package's one transform pair; products run on
+the half layout ``(n, n, n//2 + 1)`` through it and expand only their
+outputs to the full layout.  The padded embed drops the inputs' Nyquist
+planes, which band-limited factors hold at zero.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -24,8 +25,13 @@ from .fields import (
     Lattice,
     ScalarSpectralField,
     VelocityField,
-    gradient,
+    embed_coefficients,
+    from_grid,
+    full_spectrum,
+    half_spectrum,
+    restrict_coefficients,
     support_radius,
+    to_grid,
 )
 
 __all__ = [
@@ -78,52 +84,6 @@ def require_band_limited(f, limit: float | None = None) -> None:
         )
 
 
-def _corner_blocks(n_small: int, n_big: int):
-    """(small, big) index pairs of the 8 corner blocks holding the shared modes."""
-    h = (n_small + 1) // 2  # labels 0..h-1 lead each axis; the negative ones trail
-    axis = ((slice(0, h), slice(0, h)), (slice(h, n_small), slice(n_big - n_small + h, n_big)))
-    for pairs in itertools.product(axis, repeat=3):
-        yield tuple(zip(*pairs))
-
-
-def embed_coefficients(c: np.ndarray, n_pad: int) -> np.ndarray:
-    """Embed fft-layout coefficients into a larger lattice (zero padding)."""
-    n = c.shape[0]
-    if n_pad < n:
-        raise ValueError(f"cannot embed n={n} into smaller n_pad={n_pad}")
-    out = np.zeros((n_pad,) * 3, dtype=np.complex128)
-    for small, big in _corner_blocks(n, n_pad):
-        out[big] = c[small]
-    return out
-
-
-def restrict_coefficients(c: np.ndarray, n_small: int) -> np.ndarray:
-    """Crop fft-layout coefficients to a smaller lattice (mode truncation)."""
-    n = c.shape[0]
-    if n_small > n:
-        raise ValueError(f"cannot restrict n={n} to larger n_small={n_small}")
-    out = np.empty((n_small,) * 3, dtype=c.dtype)
-    for small, big in _corner_blocks(n_small, n):
-        out[small] = c[big]
-    return out
-
-
-def to_grid(c: np.ndarray, n_grid: int) -> np.ndarray:
-    """Real grid samples of fft-layout coefficients, zero-padded to n_grid^3."""
-    if n_grid != c.shape[0]:
-        c = embed_coefficients(c, n_grid)
-    return np.real(np.fft.ifftn(c)) * float(n_grid**3)
-
-
-def from_grid(values: np.ndarray, n_out: int) -> np.ndarray:
-    """Fft-layout coefficients of grid samples, truncated to n_out^3 modes."""
-    n_grid = values.shape[0]
-    c = np.fft.fftn(values)
-    if n_out != n_grid:
-        c = restrict_coefficients(c, n_out)
-    return c / float(n_grid**3)
-
-
 def multiply(f: ScalarSpectralField, g: ScalarSpectralField) -> ScalarSpectralField:
     """Exact product f*g, returned on the padded lattice."""
     if f.lattice != g.lattice:
@@ -132,8 +92,31 @@ def multiply(f: ScalarSpectralField, g: ScalarSpectralField) -> ScalarSpectralFi
     require_band_limited(g)
     lat_pad = pad_lattice(f.lattice)
     n_pad = lat_pad.n
-    values = to_grid(f.coefficients, n_pad) * to_grid(g.coefficients, n_pad)
-    return ScalarSpectralField(lat_pad, from_grid(values, n_pad))
+    values = to_grid(half_spectrum(f.coefficients), n_pad) * to_grid(
+        half_spectrum(g.coefficients), n_pad
+    )
+    return ScalarSpectralField(lat_pad, full_spectrum(from_grid(values, n_pad), n_pad))
+
+
+def _velocity_grids(u: VelocityField) -> list[np.ndarray]:
+    """u's components sampled on the padded grid, the transport velocity."""
+    require_band_limited(u)
+    n_pad = pad_lattice(u.lattice).n
+    return [to_grid(half_spectrum(c.coefficients), n_pad) for c in u.components]
+
+
+def _transport(u_grids: list[np.ndarray], scalar: ScalarSpectralField, lat: Lattice):
+    """u . grad(scalar) on the padded lattice, u given by its padded grids."""
+    if scalar.lattice != lat:
+        raise ValueError("fields live on different lattices")
+    require_band_limited(scalar)
+    lat_pad = pad_lattice(lat)
+    n_pad = lat_pad.n
+    c = half_spectrum(scalar.coefficients)
+    total = np.zeros((n_pad,) * 3)
+    for u_j, kd in zip(u_grids, lat.k_deriv):
+        total += u_j * to_grid(1j * half_spectrum(kd) * c, n_pad)
+    return ScalarSpectralField(lat_pad, full_spectrum(from_grid(total, n_pad), n_pad))
 
 
 def advect(u: VelocityField, g):
@@ -143,23 +126,9 @@ def advect(u: VelocityField, g):
     returns a tuple of three scalar fields (the transported components are
     not divergence-free, so they are not wrapped as a velocity).
     """
-    lat = u.lattice
-    require_band_limited(u)
-    lat_pad = pad_lattice(lat)
-    n_pad = lat_pad.n
-    u_phys = [to_grid(c.coefficients, n_pad) for c in u.components]
-
-    def one(scalar: ScalarSpectralField) -> ScalarSpectralField:
-        if scalar.lattice != lat:
-            raise ValueError("fields live on different lattices")
-        require_band_limited(scalar)
-        total = np.zeros((n_pad,) * 3)
-        for j, dg in enumerate(gradient(scalar)):
-            total += u_phys[j] * to_grid(dg.coefficients, n_pad)
-        return ScalarSpectralField(lat_pad, from_grid(total, n_pad))
-
+    u_grids = _velocity_grids(u)
     if isinstance(g, ScalarSpectralField):
-        return one(g)
+        return _transport(u_grids, g, u.lattice)
     if isinstance(g, VelocityField):
-        return tuple(one(c) for c in g.components)
+        return tuple(_transport(u_grids, c, u.lattice) for c in g.components)
     raise TypeError(f"expected a spectral field, got {type(g).__name__}")

@@ -11,12 +11,19 @@ periodic cube.  Two integrators:
   With advection disabled a single mode decays exactly (to roundoff).
 
 Advection is evaluated in divergence form, div(u (x) u), with its six
-distinct products formed on a grid through the transform pair of
-:mod:`nsvlab.products`.  The products are dealiased per config: the
+distinct products formed on a grid through the real transform pair of
+:mod:`nsvlab.fields`.  The products are dealiased per config: the
 two-thirds rule masks |k| strictly below (2/3) * Nyquist on the n-point
 grid (the strict inequality keeps wrapped images out of the retained band
 when 3 divides n); the three-halves rule zero-pads to the 3n/2-point grid
 and drops the Nyquist planes of state and term, which makes it exact.
+
+The solver state is the half layout ``(3, n, n, n//2 + 1)`` of the
+velocity's coefficients; the projection, the diffusion multiplier, the mask
+and the derivative wavenumbers are half-layout views of the lattice grids.
+It becomes a full-layout :class:`VelocityField` only where it leaves the
+solver: emitted samples, the result of :func:`step` and of
+:func:`nonlinear_term`.
 """
 
 from __future__ import annotations
@@ -34,10 +41,14 @@ from .fields import (
     NonzeroMeanError,
     ScalarSpectralField,
     VelocityField,
+    from_grid,
+    full_spectrum,
+    half_spectrum,
     project_arrays,
+    to_grid,
 )
 from .norms import full_report
-from .products import from_grid, padded_size, to_grid
+from .products import padded_size
 from .trajectory import Trajectory, TrajectorySample
 
 __all__ = [
@@ -119,7 +130,7 @@ class SchemeBlowupError(RuntimeError):
 @lru_cache(maxsize=None)
 def _dealias_mask(n: int, period: float) -> np.ndarray:
     lat = Lattice(n, period)
-    mask = lat.kmag < (2.0 / 3.0) * lat.nyquist
+    mask = half_spectrum(lat.kmag) < (2.0 / 3.0) * lat.nyquist
     mask.setflags(write=False)
     return mask
 
@@ -131,7 +142,7 @@ def _max_ksq(n: int, period: float) -> float:
 
 def max_velocity(u: VelocityField) -> float:
     """Maximum pointwise speed on the grid."""
-    total = sum(to_grid(c.coefficients, u.lattice.n) ** 2 for c in u.components)
+    total = sum(to_grid(half_spectrum(c.coefficients), u.lattice.n) ** 2 for c in u.components)
     return float(np.sqrt(total.max()))
 
 
@@ -170,25 +181,32 @@ def resolve_dt(u0: VelocityField, config: SolverConfig) -> float:
 
 
 def _zero_nyquist(stack: np.ndarray) -> None:
-    half = stack.shape[-1] // 2
+    half = stack.shape[1] // 2
     stack[:, half, :, :] = 0.0
     stack[:, :, half, :] = 0.0
     stack[:, :, :, half] = 0.0
 
 
 def _solver_stack(u: VelocityField, dealias: str) -> np.ndarray:
-    """A copy of u's coefficients as the solver advances them: the three-halves
-    rule is exact only without the Nyquist planes, so they are zeroed."""
-    stack = u.coefficient_stack()
+    """The half layout of u's coefficients as the solver advances them: the
+    three-halves rule is exact only without the Nyquist planes, so they are
+    zeroed."""
+    stack = np.stack([half_spectrum(c.coefficients) for c in u.components])
     if dealias == "three-halves":
         _zero_nyquist(stack)
     return stack
 
 
+def _velocity(stack: np.ndarray, lattice: Lattice) -> VelocityField:
+    """The full-layout field of a half-layout solver stack."""
+    full = full_spectrum(stack, lattice.n)
+    return VelocityField(tuple(ScalarSpectralField(lattice, c) for c in full))
+
+
 def _advection_arrays(stack: np.ndarray, lattice: Lattice, dealias: str) -> np.ndarray:
-    """div(u(x)u) as dealiased coefficients."""
+    """div(u(x)u) as dealiased half-layout coefficients."""
     n = lattice.n
-    kd = lattice.k_deriv
+    kd = [half_spectrum(k) for k in lattice.k_deriv]
     if dealias == "two-thirds":
         mask = _dealias_mask(n, lattice.period)
         stack = stack * mask
@@ -205,7 +223,7 @@ def _advection_arrays(stack: np.ndarray, lattice: Lattice, dealias: str) -> np.n
             flux[(i, j)] = t_ij if mask is None else t_ij * mask
     out = np.empty_like(stack)
     for i in range(3):
-        total = np.zeros(lattice.shape, dtype=np.complex128)
+        total = np.zeros(stack.shape[1:], dtype=np.complex128)
         for j in range(3):
             total += 1j * kd[j] * flux[(min(i, j), max(i, j))]
         out[i] = total
@@ -231,12 +249,11 @@ def nonlinear_term(u: VelocityField, dealias: str = "two-thirds") -> VelocityFie
     if dealias not in DEALIAS_RULES:
         raise ValueError(f"dealias must be one of {DEALIAS_RULES}, got {dealias!r}")
     lat = u.lattice
-    arrays = _nonlinear_arrays(_solver_stack(u, dealias), lat, dealias)
-    return VelocityField(tuple(ScalarSpectralField(lat, a) for a in arrays))
+    return _velocity(_nonlinear_arrays(_solver_stack(u, dealias), lat, dealias), lat)
 
 
 def _rhs(stack: np.ndarray, lattice: Lattice, config: SolverConfig) -> np.ndarray:
-    out = -config.nu * lattice.ksq * stack
+    out = -config.nu * half_spectrum(lattice.ksq) * stack
     if config.advection:
         out += _nonlinear_arrays(stack, lattice, config.dealias)
     return out
@@ -255,7 +272,7 @@ def _step_arrays(
         new = stack.copy()
         if config.advection:
             new += dt * _nonlinear_arrays(stack, lattice, config.dealias)
-        new *= np.exp(-config.nu * lattice.ksq * dt)
+        new *= np.exp(-config.nu * half_spectrum(lattice.ksq) * dt)
     new = project_arrays(new, lattice)
     new[:, 0, 0, 0] = 0.0
     return new
@@ -271,8 +288,7 @@ def step(state: SolverState, config: SolverConfig, dt: float | None = None) -> S
     new = _step_arrays(_solver_stack(state.u, config.dealias), lat, config, dt)
     if not np.isfinite(new).all():
         raise SchemeBlowupError(state.t + dt, 1)
-    u = VelocityField(tuple(ScalarSpectralField(lat, c) for c in new))
-    return SolverState(t=state.t + dt, u=u)
+    return SolverState(t=state.t + dt, u=_velocity(new, lat))
 
 
 def _validate_initial(u0: VelocityField) -> None:
@@ -307,7 +323,7 @@ def integrate(u0: VelocityField, config: SolverConfig, hooks=()) -> Trajectory:
     stack = _solver_stack(u0, config.dealias)
 
     def emit(step_index: int, t: float, arrays: np.ndarray) -> None:
-        u = VelocityField(tuple(ScalarSpectralField(lat, c) for c in arrays))
+        u = _velocity(arrays, lat)
         sample = TrajectorySample(t=t, step_index=step_index, dt=dt, norms=full_report(u))
         trajectory.samples.append(sample)
         state = SolverState(t=t, u=u)

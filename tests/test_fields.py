@@ -12,17 +12,24 @@ from nsvlab.fields import (
     ScalarSpectralField,
     VelocityField,
     divergence,
+    embed_coefficients,
+    from_grid,
+    full_spectrum,
     gradient,
+    half_spectrum,
     hermitian_defect,
     hermitianize,
     leray_project,
     random_band_limited,
     support_radius,
+    restrict_coefficients,
     taylor_green,
+    to_grid,
     to_physical,
     to_spectral,
     truncate,
 )
+from nsvlab.products import padded_size
 
 from conftest import dft_oracle
 
@@ -119,6 +126,64 @@ def test_hermitianize_yields_real_field(lat8):
     assert hermitian_defect(f) < 1e-15
     phys = np.fft.ifftn(f.coefficients) * 8**3
     assert np.max(np.abs(phys.imag)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Half layout and the real transform pair
+
+
+def random_hermitian(shape, seed):
+    rng = np.random.default_rng(seed)
+    return hermitianize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def drop_nyquist(c: np.ndarray) -> np.ndarray:
+    out = c.copy()
+    half = c.shape[0] // 2
+    out[half] = 0.0
+    out[:, half] = 0.0
+    out[:, :, half] = 0.0
+    return out
+
+
+@pytest.mark.parametrize(
+    "lat", [Lattice(8), Lattice(10), Lattice(16, period=3.0)], ids=["8", "10", "16-period3"]
+)
+def test_full_spectrum_rebuilds_hermitian_arrays_exactly(lat):
+    n = lat.n
+    c = random_hermitian(lat.shape, seed=n)
+    half = half_spectrum(c)
+    assert half.shape == (n, n, n // 2 + 1)
+    # the m3 = 0 and Nyquist planes carry content and come back untouched
+    assert np.abs(c[:, :, 0]).min() > 0.0
+    assert np.abs(c[:, :, n // 2]).min() > 0.0
+    assert np.array_equal(full_spectrum(half, n), c)
+    stack = np.stack([c, random_hermitian(lat.shape, seed=n + 1)])
+    assert np.array_equal(full_spectrum(half_spectrum(stack), n), stack)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_transform_pair_matches_complex_fft(n):
+    # oracle: the complex numpy.fft transforms on the full layout
+    m = padded_size(n)
+    c = random_hermitian((n,) * 3, seed=30 + n)
+    got = to_grid(half_spectrum(c), n)
+    oracle = np.real(np.fft.ifftn(c)) * n**3
+    assert np.max(np.abs(got - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+    # padded: the embed drops the Nyquist planes
+    got = to_grid(half_spectrum(c), m)
+    oracle = np.real(np.fft.ifftn(embed_coefficients(drop_nyquist(c), m))) * m**3
+    assert np.max(np.abs(got - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    rng = np.random.default_rng(40 + n)
+    for size in (n, m):
+        values = rng.standard_normal((size,) * 3)
+        full = np.fft.fftn(values) / size**3
+        oracle = full if size == n else drop_nyquist(restrict_coefficients(full, n))
+        got = from_grid(values, n)
+        assert got.shape == (n, n, n // 2 + 1)
+        scale = np.max(np.abs(oracle))
+        assert np.max(np.abs(got - half_spectrum(oracle))) <= 1e-14 * scale, size
 
 
 def test_hermitianize_is_idempotent(lat8):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.signal import convolve
 
 from nsvlab.fields import (
@@ -393,6 +394,27 @@ def test_cancellation_and_chain(lat16):
             # at the natural hs^2 * x1 scale of the pairing
             floor = 1e-12 * report["hs"] ** 2 * report["x1"]
             assert tri <= report["commutator"] * report["hs"] * (1.0 + 1e-10) + floor
+
+
+def test_commutator_report_forms_each_product_once(lat16, monkeypatch):
+    u = random_band_limited(lat16, 1.0, 4.0, 1.5, seed=53)
+    for s in (0.0, 1.5, 2.5):
+        report = commutator_report(u, s)
+        assert report["trilinear"] == trilinear_hs(u, s)
+        assert report["commutator"] == commutator_l2(u, s)
+        assert report["cancellation"] == advection_cancellation(u, s)
+    calls = {"irfftn": 0, "rfftn": 0}
+    for name in calls:
+        original = getattr(scipy.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    commutator_report(u, 1.5)
+    # f on the grid (3), then grad f and grad |D|^s f (9 + 9), one per product (3 + 3)
+    assert calls == {"irfftn": 21, "rfftn": 6}
 
 
 def test_trilinear_single_mode_vanishes(lat16):

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from scipy.signal import convolve
 
+from nsvlab import fields
 from nsvlab.fields import (
     Lattice,
     ScalarSpectralField,
     VelocityField,
+    half_spectrum,
+    hermitianize,
     random_band_limited,
     to_physical,
 )
@@ -16,10 +19,12 @@ from nsvlab.products import (
     advect,
     embed_coefficients,
     exactness_limit,
+    from_grid,
     multiply,
     pad_lattice,
     padded_size,
     restrict_coefficients,
+    to_grid,
 )
 
 
@@ -85,6 +90,25 @@ def test_embed_restrict_round_trip(lat8):
         at = [big_labels.index(m) for m in small_labels]
         assert np.array_equal(big[np.ix_(at, at, at)], c), (n, n_pad)
         assert np.count_nonzero(big) == np.count_nonzero(c), (n, n_pad)
+
+
+def test_padded_pair_drops_nyquist_planes(lat8):
+    # the half-layout embed and restrict leave the Nyquist planes out
+    assert (to_grid, from_grid) == (fields.to_grid, fields.from_grid)
+    n, m = lat8.n, padded_size(lat8.n)
+    for axis in range(3):
+        c = lat8.zeros()
+        mode = [1, 2, 3]
+        mode[axis] = -n // 2
+        c[lat8.mode_index(*mode)] = 1.0
+        half = half_spectrum(hermitianize(c))
+        assert np.max(np.abs(to_grid(half, n))) > 0.5
+        assert not to_grid(half, m).any(), axis
+    coefficients = from_grid(np.random.default_rng(9).standard_normal((m,) * 3), n)
+    assert not coefficients[n // 2].any()
+    assert not coefficients[:, n // 2].any()
+    assert not coefficients[:, :, n // 2].any()
+    assert np.abs(coefficients[: n // 2, : n // 2, : n // 2]).min() > 0.0
 
 
 def test_cosine_product_hand_value(lat8):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from nsvlab.fields import (
     Lattice,
@@ -12,8 +13,15 @@ from nsvlab.fields import (
     random_band_limited,
     taylor_green,
 )
+from nsvlab.inequalities import trilinear_hs
 from nsvlab.norms import NormReport, l2_norm, sobolev_norm
-from nsvlab.products import advect, restrict_coefficients
+from nsvlab.products import (
+    advect,
+    embed_coefficients,
+    multiply,
+    padded_size,
+    restrict_coefficients,
+)
 from nsvlab.sim import (
     RK4_DIFFUSIVE_LIMIT,
     SchemeBlowupError,
@@ -239,6 +247,85 @@ def test_step_matches_integrate(lat16):
     # identical arithmetic path, so the norms agree bitwise
     assert traj.samples[-1].norms.l2 == l2_norm(state.u)
     assert traj.samples[-1].norms.hdot[2.5] == sobolev_norm(state.u, 2.5)
+
+
+def oracle_rhs(stack: np.ndarray, lat: Lattice, nu: float, dealias: str) -> np.ndarray:
+    """-nu |k|^2 u - P[div(u(x)u)] in full-layout arithmetic on complex
+    numpy.fft transforms, the way the solver computed it before it moved
+    to the half layout."""
+    n = lat.n
+    if dealias == "two-thirds":
+        mask = lat.kmag < (2.0 / 3.0) * lat.nyquist
+        m = n
+    else:
+        mask = np.ones(lat.shape, dtype=bool)
+        mask[n // 2] = mask[:, n // 2] = mask[:, :, n // 2] = False
+        m = padded_size(n)
+    vel = [np.real(np.fft.ifftn(embed_coefficients(c * mask, m))) * m**3 for c in stack]
+    kd = lat.k_deriv
+    adv = np.zeros_like(stack)
+    for i in range(3):
+        for j in range(3):
+            flux = restrict_coefficients(np.fft.fftn(vel[i] * vel[j]), n) / m**3
+            adv[i] += 1j * kd[j] * (flux * mask)
+    return -nu * lat.ksq * stack - oracle_project(adv, lat)
+
+
+def oracle_project(stack: np.ndarray, lat: Lattice) -> np.ndarray:
+    kx, ky, kz = lat.k_deriv
+    ksq = lat.ksq_deriv
+    factor = np.where(ksq > 0, (kx * stack[0] + ky * stack[1] + kz * stack[2])
+                      / np.where(ksq > 0, ksq, 1.0), 0.0)
+    out = stack - np.stack([kx * factor, ky * factor, kz * factor])
+    out[:, 0, 0, 0] = 0.0
+    return out
+
+
+def oracle_step(u: VelocityField, config: SolverConfig, dt: float) -> np.ndarray:
+    lat = u.lattice
+    stack = stack_of(u)
+    if config.dealias == "three-halves":
+        half = lat.n // 2
+        stack[:, half] = stack[:, :, half] = stack[:, :, :, half] = 0.0
+    if config.integrator == "imex":
+        new = stack + dt * oracle_rhs(stack, lat, 0.0, config.dealias)
+        new *= np.exp(-config.nu * lat.ksq * dt)
+    else:
+        k1 = oracle_rhs(stack, lat, config.nu, config.dealias)
+        k2 = oracle_rhs(stack + (0.5 * dt) * k1, lat, config.nu, config.dealias)
+        k3 = oracle_rhs(stack + (0.5 * dt) * k2, lat, config.nu, config.dealias)
+        k4 = oracle_rhs(stack + dt * k3, lat, config.nu, config.dealias)
+        new = stack + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return oracle_project(new, lat)
+
+
+@pytest.mark.parametrize("integrator", ["imex", "rk4"])
+@pytest.mark.parametrize("dealias", ["two-thirds", "three-halves"])
+def test_step_matches_full_layout_oracle(lat16, dealias, integrator):
+    # kmax = 8 reaches the Nyquist planes, which each rule treats its own way
+    u = random_band_limited(lat16, 1.0, 8.0, 1.0, seed=95)
+    config = SolverConfig(nu=0.05, dealias=dealias, integrator=integrator)
+    dt = 0.01
+    oracle = oracle_step(u, config, dt)
+    got = stack_of(step(SolverState(0.0, u), config, dt).u)
+    assert np.max(np.abs(got - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
+def test_only_the_real_transform_pair_is_used(lat16, random16, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("complex n-d FFT called")
+
+    for module in (np.fft, scipy.fft):
+        for name in ("fftn", "ifftn"):
+            monkeypatch.setattr(module, name, forbidden)
+    for dealias in ("two-thirds", "three-halves"):
+        nonlinear_term(random16, dealias)
+        for integrator in ("imex", "rk4"):
+            config = SolverConfig(nu=0.05, dealias=dealias, integrator=integrator)
+            step(SolverState(0.0, random16), config, 0.01)
+    multiply(random16.components[0], random16.components[1])
+    advect(random16, random16)
+    trilinear_hs(random16, 1.5)
 
 
 def test_rk4_preserves_divergence_and_mean(lat16):
