@@ -3,8 +3,9 @@
 Every run is fully determined by its effective configuration plus the
 code version: defaults, then a JSON config file (--config), then
 explicitly set flags, merged in that order.  The effective config is
-echoed into the run directory, and all CSV/JSON outputs format floats
-with repr, so identical configs produce byte-identical reports.
+echoed into the run directory, and every CSV/JSON output goes through
+one table writer that formats floats with repr, so identical configs
+produce byte-identical reports.
 Timestamps live only in the run.log sidecar.
 
 The list flags (--checks, --t-star, --s-list, --band) may be repeated;
@@ -20,6 +21,7 @@ config error (including malformed input files), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import statistics
@@ -27,6 +29,7 @@ import sys
 import time
 from pathlib import Path
 
+from ._tables import append_text, table_text, write_json, write_text
 from ._version import __version__
 from .fields import (
     Lattice,
@@ -38,6 +41,7 @@ from .fields import (
 from .inequalities import (
     CONSTANT_MODES,
     CorpusConfig,
+    InequalityVerdict,
     REGISTERED_CHECKS,
     corpus_fields,
     split_x1,
@@ -51,7 +55,7 @@ from .monitor import (
     write_monitor_csv,
     xm1_gronwall_check,
 )
-from .norms import band_constant, l2_norm
+from .norms import DEFAULT_SOBOLEV_ORDERS, band_constant, l2_norm
 from .sim import SolverConfig, integrate
 from .snapshot import SnapshotFormatError, read_snapshot, write_snapshot
 from .trajectory import (
@@ -121,15 +125,13 @@ DEFAULTS: dict[str, dict] = {
 
 _DEALIAS_FLAGS = {"23": "two-thirds", "32": "three-halves"}
 
+VERDICT_COLUMNS = ("index", "seed", "decay", "inequality", "constant_mode",
+                   "lhs", "rhs", "ratio", "holds", "note")
+CONSTANTS_COLUMNS = ("exponent", "alpha", "beta", "band", "lattice", "continuum", "ratio", "note")
+
 
 class UsageError(ValueError):
     """Invalid configuration or malformed input; maps to exit code 2."""
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +181,6 @@ def _next_run_dir(out: str) -> Path:
     return run_dir
 
 
-def _write_effective_config(run_dir: Path, command: str, config: dict) -> None:
-    doc = {"command": command, "code_version": __version__, **config}
-    with open(run_dir / "effective_config.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 class _RunLog:
     """Timestamped sidecar; the only place wall-clock time is written."""
 
@@ -194,14 +189,7 @@ class _RunLog:
 
     def write(self, message: str) -> None:
         stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        with open(self._path, "a", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"{stamp} {message}\n")
-
-
-def _json_dump(path: Path, doc) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        append_text(self._path, f"{stamp} {message}\n")
 
 
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
@@ -212,6 +200,14 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
     if not values:
         raise UsageError(f"{flag}: at least one value required")
     return values
+
+
+def _config_number(config: dict, key: str, kind=float):
+    """config[key] converted by kind; a bad value is a usage error."""
+    try:
+        return kind(config[key])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"--{key.replace('_', '-')}: {exc}") from exc
 
 
 def _build_lattice(config: dict) -> Lattice:
@@ -235,21 +231,6 @@ def _check_mode(config: dict) -> str:
 def _split_pairs(lattice: Lattice) -> list[tuple[float, float]]:
     ny = lattice.nyquist
     return [(ny / 16.0, ny / 4.0), (ny / 8.0, ny / 2.0), (ny / 4.0, 0.75 * ny)]
-
-
-def _nan_row(entry, name: str, mode: str, note: str) -> dict:
-    return {
-        "index": entry.index,
-        "seed": entry.seed,
-        "decay": entry.decay,
-        "inequality": name,
-        "constant_mode": mode,
-        "lhs": math.nan,
-        "rhs": math.nan,
-        "ratio": math.nan,
-        "holds": False,
-        "note": note,
-    }
 
 
 def _verdict_row(entry, verdict, note: str = "") -> dict:
@@ -285,7 +266,7 @@ def _injected_entry(lattice: Lattice, corpus: CorpusConfig):
 def cmd_verify(config: dict, run_dir: Path, log: _RunLog) -> int:
     mode = _check_mode(config)
     lattice = _build_lattice(config)
-    size = int(config["corpus_size"])
+    size = _config_number(config, "corpus_size", int)
     if size < 0:
         raise UsageError(f"--corpus-size must be >= 0, got {size}")
     names = [part.strip() for part in str(config["checks"]).split(",") if part.strip()]
@@ -293,7 +274,7 @@ def cmd_verify(config: dict, run_dir: Path, log: _RunLog) -> int:
     for name in names:
         if name not in known:
             raise UsageError(f"unknown check {name!r}; available: {sorted(known)}")
-    corpus = CorpusConfig(size=size, base_seed=int(config["seed"]))
+    corpus = CorpusConfig(size=size, base_seed=_config_number(config, "seed", int))
     entries = list(corpus_fields(lattice, corpus))
     if config["inject_mean_violation"]:
         entries.append(_injected_entry(lattice, corpus))
@@ -301,49 +282,27 @@ def cmd_verify(config: dict, run_dir: Path, log: _RunLog) -> int:
 
     rows: list[dict] = []
     for entry in entries:
+        rejected = f"nonzero mean rejected (seed {entry.seed})"
         for name in names:
+            nan_verdict = InequalityVerdict(name, math.nan, math.nan, mode)
+            nan_row = _verdict_row(entry, nan_verdict, rejected)
             if name == "split_x1":
                 for alpha, beta in pairs:
-                    note = f"alpha={alpha:g} beta={beta:g}"
                     try:
                         report = split_x1(entry.field, alpha, beta, constant_mode=mode)
                     except NonzeroMeanError:
-                        rows.append(_nan_row(entry, name, mode,
-                                             f"nonzero mean rejected (seed {entry.seed})"))
+                        rows.append(nan_row)
                         continue
-                    for verdict in report.verdicts():
-                        rows.append(_verdict_row(entry, verdict, note))
+                    note = f"alpha={alpha:g} beta={beta:g}"
+                    rows += [_verdict_row(entry, verdict, note) for verdict in report.verdicts()]
             else:
                 try:
                     verdict = REGISTERED_CHECKS[name](entry.field, mode)
                 except NonzeroMeanError:
-                    rows.append(_nan_row(entry, name, mode,
-                                         f"nonzero mean rejected (seed {entry.seed})"))
+                    rows.append(nan_row)
                     continue
                 rows.append(_verdict_row(entry, verdict))
-
-    header = "index,seed,decay,inequality,constant_mode,lhs,rhs,ratio,holds,note"
-    with open(run_dir / "verdicts.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# nsvlab-verify v1\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    [
-                        str(row["index"]),
-                        str(row["seed"]),
-                        _fmt(row["decay"]),
-                        row["inequality"],
-                        row["constant_mode"],
-                        _fmt(row["lhs"]),
-                        _fmt(row["rhs"]),
-                        _fmt(row["ratio"]),
-                        "true" if row["holds"] else "false",
-                        row["note"],
-                    ]
-                )
-                + "\n"
-            )
+    write_text(run_dir / "verdicts.csv", table_text("nsvlab-verify v1", VERDICT_COLUMNS, rows))
 
     finite_ratios = [row["ratio"] for row in rows if math.isfinite(row["ratio"])]
     violations = [
@@ -375,7 +334,7 @@ def cmd_verify(config: dict, run_dir: Path, log: _RunLog) -> int:
         "witness_seed": witness_seed,
         "violations": violations,
     }
-    _json_dump(run_dir / "summary.json", summary)
+    write_json(run_dir / "summary.json", summary)
     log.write(f"verify: {len(rows)} verdicts, all_hold={summary['all_hold']}")
     return EXIT_PASS if summary["all_hold"] else EXIT_MATH_FAIL
 
@@ -443,7 +402,7 @@ def cmd_simulate(config: dict, run_dir: Path, log: _RunLog) -> int:
         raise UsageError(str(exc)) from exc
 
     hooks = []
-    snapshot_every = int(config["snapshot_every"])
+    snapshot_every = _config_number(config, "snapshot_every", int)
     if snapshot_every < 0:
         raise UsageError(f"--snapshot-every must be >= 0, got {snapshot_every}")
     if snapshot_every > 0:
@@ -481,21 +440,20 @@ def cmd_monitor(config: dict, run_dir: Path, log: _RunLog) -> int:
         raise UsageError("monitor needs a trajectory file (positional argument)")
     trajectory = read_trajectory(path)
     t_star = _parse_float_list(config["t_star"], "--t-star")
-    c_small = float(config["c_small"])
-    nu = config.get("nu")
-    nu = float(nu) if nu is not None else None
+    c_small = _config_number(config, "c_small")
+    nu = _config_number(config, "nu") if config.get("nu") is not None else None
+    s_list = DEFAULT_SOBOLEV_ORDERS
     if config.get("s_list"):
         s_list = _parse_float_list(config["s_list"], "--s-list")
-        monitor_config = MonitorConfig(t_star=t_star, c_small=c_small, s_list=s_list)
-    else:
-        monitor_config = MonitorConfig(t_star=t_star, c_small=c_small)
     try:
+        monitor_config = MonitorConfig(t_star=t_star, c_small=c_small, s_list=s_list)
         traces = evaluate_traces(trajectory, monitor_config, nu=nu)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    with open(run_dir / "monitor.csv", "w", encoding="utf-8", newline="\n") as fh:
-        write_monitor_csv(traces, fh)
+    table = io.StringIO()
+    write_monitor_csv(traces, table)
+    write_text(run_dir / "monitor.csv", table.getvalue())
 
     summary = monitor_summary(traces)
     summary["trajectory"] = {
@@ -524,7 +482,7 @@ def cmd_monitor(config: dict, run_dir: Path, log: _RunLog) -> int:
         }
         if not report.holds:
             failed_check = True
-    _json_dump(run_dir / "monitor_summary.json", summary)
+    write_json(run_dir / "monitor_summary.json", summary)
     log.write(f"monitor: {len(traces)} traces over {len(trajectory.samples)} samples")
     return EXIT_MATH_FAIL if failed_check else EXIT_PASS
 
@@ -565,33 +523,7 @@ def cmd_constants(config: dict, run_dir: Path, log: _RunLog) -> int:
             report = band_constant(lattice, exponent, alpha=alpha, beta=beta)
         except ValueError as exc:
             raise UsageError(f"band request {exponent:g}:{alpha}:{beta}: {exc}") from exc
-        rows.append(report)
-
-    with open(run_dir / "constants.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# nsvlab-constants v1\n")
-        fh.write("exponent,alpha,beta,band,lattice,continuum,ratio,note\n")
-        for report in rows:
-            note = "empty band" if report.empty else ""
-            fh.write(
-                ",".join(
-                    [
-                        _fmt(report.exponent),
-                        _fmt(report.alpha),
-                        _fmt(report.beta),
-                        report.band,
-                        _fmt(report.lattice_value),
-                        _fmt(report.continuum_value),
-                        _fmt(report.ratio),
-                        note,
-                    ]
-                )
-                + "\n"
-            )
-    doc = {
-        "format": "nsvlab-constants",
-        "version": 1,
-        "lattice_n": lattice.n,
-        "rows": [
+        rows.append(
             {
                 "exponent": report.exponent,
                 "alpha": report.alpha,
@@ -602,10 +534,13 @@ def cmd_constants(config: dict, run_dir: Path, log: _RunLog) -> int:
                 "ratio": report.ratio,
                 "empty": report.empty,
             }
-            for report in rows
-        ],
-    }
-    _json_dump(run_dir / "constants.json", doc)
+        )
+    csv_rows = [{**row, "note": "empty band" if row["empty"] else ""} for row in rows]
+    write_text(
+        run_dir / "constants.csv", table_text("nsvlab-constants v1", CONSTANTS_COLUMNS, csv_rows)
+    )
+    doc = {"format": "nsvlab-constants", "version": 1, "lattice_n": lattice.n, "rows": rows}
+    write_json(run_dir / "constants.json", doc)
     log.write(f"constants: {len(rows)} band constants on n={lattice.n}")
     return EXIT_PASS
 
@@ -706,7 +641,8 @@ def main(argv=None) -> int:
         return EXIT_IO
     log = _RunLog(run_dir)
     try:
-        _write_effective_config(run_dir, command, config)
+        doc = {"command": command, "code_version": __version__, **config}
+        write_json(run_dir / "effective_config.json", doc)
         log.write(f"start {command} (nsvlab {__version__})")
         status = _COMMANDS[command](config, run_dir, log)
         log.write(f"done {command} exit={status}")

@@ -514,10 +514,10 @@ def corpus_fields(lattice: Lattice, config: CorpusConfig = CorpusConfig()):
 
 
 REGISTERED_CHECKS = {
-    "x0_interpolation": lambda f, mode, **kw: check_x0_interpolation(f),
-    "x0_via_xm1_h52": lambda f, mode, **kw: check_x0_via_xm1_h52(f, mode),
-    "x0_via_h12_x1": lambda f, mode, **kw: check_x0_via_h12_x1(f, mode),
-    "h32_trilinear": lambda f, mode, **kw: check_h32_trilinear(f),
+    "x0_interpolation": lambda f, mode: check_x0_interpolation(f),
+    "x0_via_xm1_h52": lambda f, mode: check_x0_via_xm1_h52(f, mode),
+    "x0_via_h12_x1": lambda f, mode: check_x0_via_h12_x1(f, mode),
+    "h32_trilinear": lambda f, mode: check_h32_trilinear(f),
 }
 
 
@@ -537,7 +537,6 @@ def equality_probe(
     corpus: CorpusConfig | None = None,
     climb_steps: int = 24,
     climb_seed: int = 7_000,
-    **check_kwargs,
 ) -> ProbeResult:
     """Search for near-extremal fields of a registered inequality.
 
@@ -553,7 +552,7 @@ def equality_probe(
     best_field = None
     best_ratio = -math.inf
     for entry in corpus_fields(lattice, config):
-        r = check(entry.field, constant_mode, **check_kwargs).ratio
+        r = check(entry.field, constant_mode).ratio
         ratios.append(r)
         if r > best_ratio:
             best_ratio, best_field = r, entry.field
@@ -565,7 +564,7 @@ def equality_probe(
         bump = random_band_limited(lattice, config.kmin, kmax, 1.0, climb_seed + j)
         size = witness.max_abs_coefficient() / max(bump.max_abs_coefficient(), 1e-300)
         trial = witness + (scale * size) * bump
-        r = check(trial, constant_mode, **check_kwargs).ratio
+        r = check(trial, constant_mode).ratio
         if r > best_ratio:
             best_ratio, witness = r, trial
         else:

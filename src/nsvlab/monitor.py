@@ -28,6 +28,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 
+from ._tables import table_text
 from .norms import DEFAULT_SOBOLEV_ORDERS
 from .trajectory import Trajectory, TrajectorySample
 
@@ -497,19 +498,19 @@ def invert_rate(y: float) -> float:
 # Reporting
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def write_monitor_csv(traces, stream) -> None:
     """One row per trace sample: functional,t_star,t,value ('' = undefined)."""
-    stream.write("# nsvlab-monitor v1\n")
-    stream.write("functional,t_star,t,value\n")
-    for trace in traces:
-        for t, value in zip(trace.times, trace.values):
-            stream.write(
-                f"{trace.name},{_fmt(trace.t_star)},{_fmt(t)},{_fmt(value)}\n"
-            )
+    rows = [
+        {
+            "functional": trace.name,
+            "t_star": float(trace.t_star),
+            "t": float(t),
+            "value": None if value is None else float(value),
+        }
+        for trace in traces
+        for t, value in zip(trace.times, trace.values)
+    ]
+    stream.write(table_text("nsvlab-monitor v1", ("functional", "t_star", "t", "value"), rows))
 
 
 def monitor_summary(

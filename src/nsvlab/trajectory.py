@@ -2,9 +2,9 @@
 
 A trajectory is a header (config echo, lattice, code version, failure
 marker) plus one record per sample: time, step index, step size, and the
-flat norm record.  Both the CSV and JSON writers format floats with
-``repr``, so equal configurations produce byte-identical files and every
-value round-trips exactly.  Timestamps never enter these files.
+flat norm record.  Both writers go through ``_tables``, which formats
+floats with ``repr``, so equal configurations produce byte-identical
+files and every value round-trips exactly.  No timestamps enter them.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ._tables import table_text, write_json, write_text
 from .norms import NormReport
 
 __all__ = [
@@ -62,29 +63,30 @@ class Trajectory:
         return float(value) if value is not None else None
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    lines = [f"# {FORMAT_NAME} v{FORMAT_VERSION}"]
     lattice = {"n": trajectory.lattice_n, "period": trajectory.period}
-    lines.append(f"# lattice: {json.dumps(lattice)}")
-    lines.append(f"# config: {json.dumps(trajectory.config, sort_keys=True)}")
-    lines.append(f"# code_version: {trajectory.code_version}")
-    lines.append(f"# failed: {json.dumps(trajectory.failed)}")
-    lines.append(f"# failure_reason: {json.dumps(trajectory.failure_reason)}")
-    norm_keys: list[str] = []
-    if trajectory.samples:
-        norm_keys = list(trajectory.samples[0].norms.to_record().keys())
-    lines.append(",".join(["t", "step", "dt"] + norm_keys))
-    for sample in trajectory.samples:
-        record = sample.norms.to_record()
-        row = [_fmt(sample.t), str(sample.step_index), _fmt(sample.dt)]
-        row += [_fmt(record[key]) for key in norm_keys]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = (
+        f"lattice: {json.dumps(lattice)}",
+        f"config: {json.dumps(trajectory.config, sort_keys=True)}",
+        f"code_version: {trajectory.code_version}",
+        f"failed: {json.dumps(trajectory.failed)}",
+        f"failure_reason: {json.dumps(trajectory.failure_reason)}",
+    )
+    records = [sample.norms.to_record() for sample in trajectory.samples]
+    norm_keys = list(records[0]) if records else []
+    rows = [
+        {
+            "t": float(sample.t),
+            "step": int(sample.step_index),
+            "dt": float(sample.dt),
+            **{key: float(record[key]) for key in norm_keys},
+        }
+        for sample, record in zip(trajectory.samples, records)
+    ]
+    text = table_text(
+        f"{FORMAT_NAME} v{FORMAT_VERSION}", ["t", "step", "dt", *norm_keys], rows, header
+    )
+    write_text(path, text)
 
 
 def write_trajectory_json(trajectory: Trajectory, path) -> None:
@@ -106,9 +108,7 @@ def write_trajectory_json(trajectory: Trajectory, path) -> None:
             for sample in trajectory.samples
         ],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def _parse_header_line(line: str, expect_key: str, line_no: int):

@@ -297,10 +297,17 @@ def test_criterion_8_cli_determinism(tmp_path):
         "simulate", "--lattice-n", "16", "--nu", "0.1", "--dt", "0.01",
         "--t-end", "0.05", "--sample-every", "2",
     ]
+    monitor_args = [
+        "monitor", str(tmp_path / "simulate" / "run-0000" / "trajectory.csv"),
+        "--t-star", "0.5,1.0",
+    ]
+    constants_args = ["constants", "--lattice-n", "16", "--band", "1:0.5:,-2.5::5"]
     compared = 0
     for name, args, artifacts in (
         ("verify", verify_args, ("verdicts.csv", "summary.json")),
         ("simulate", simulate_args, ("trajectory.csv", "trajectory.json")),
+        ("monitor", monitor_args, ("monitor.csv", "monitor_summary.json")),
+        ("constants", constants_args, ("constants.csv", "constants.json")),
     ):
         out = tmp_path / name
         assert main([*args, "--out", str(out)]) == 0
@@ -312,4 +319,4 @@ def test_criterion_8_cli_determinism(tmp_path):
             assert a == b, f"{name}/{artifact} differs between runs"
             compared += 1
     report(8, f"{compared} CSV/JSON artifacts byte-identical across repeat runs "
-              "of verify and simulate")
+              "of verify, simulate, monitor and constants")

@@ -4,8 +4,23 @@ import math
 import pytest
 
 from nsvlab.cli import main
+from nsvlab.fields import Lattice
+from nsvlab.inequalities import CorpusConfig, check_x0_interpolation, corpus_fields
+from nsvlab.norms import band_constant
 from nsvlab.trajectory import read_trajectory, write_trajectory_csv
 from nsvlab.snapshot import read_snapshot
+
+
+def bad_config(tmp_path, **values):
+    """A config file holding the given keys; returns its path as a string."""
+    path = tmp_path / "bad_config.json"
+    path.write_text(json.dumps(values))
+    return str(path)
+
+
+def assert_usage_error(capsys, code):
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def run(tmp_path, *argv, out="out"):
@@ -46,6 +61,13 @@ def test_verify_small_corpus(tmp_path):
     assert effective["corpus_size"] == 4
     assert "code_version" in effective
     assert (run_dir / "run.log").exists()
+    # one row, exactly as the table writer formats it
+    entry = next(corpus_fields(Lattice(16), CorpusConfig(size=1)))
+    v = check_x0_interpolation(entry.field)
+    assert verdicts[2] == (
+        f"0,2024,{entry.decay!r},x0_interpolation,lattice,"
+        f"{v.lhs!r},{v.rhs!r},{v.ratio!r},true,"
+    )
 
 
 def test_verify_injected_violation_names_seed(tmp_path):
@@ -54,6 +76,11 @@ def test_verify_injected_violation_names_seed(tmp_path):
         "--inject-mean-violation",
     )
     assert code == 1
+    verdicts = (run_dir / "verdicts.csv").read_text().splitlines()
+    assert verdicts[2 + 2 * 15] == (
+        "2,2026,1.0,x0_interpolation,lattice,nan,nan,nan,false,"
+        "nonzero mean rejected (seed 2026)"
+    )
     summary = json.loads((run_dir / "summary.json").read_text())
     assert summary["all_hold"] is False
     assert summary["violations"]
@@ -75,9 +102,13 @@ def test_verify_rejects_unknown_check(tmp_path, capsys):
     assert "'x0_magic'" in capsys.readouterr().err
 
 
-def test_verify_rejects_negative_corpus(tmp_path):
+def test_verify_rejects_negative_corpus(tmp_path, capsys):
     code, _ = run(tmp_path, "verify", "--lattice-n", "16", "--corpus-size", "-3")
-    assert code == 2
+    assert_usage_error(capsys, code)
+    for values in ({"corpus_size": "abc"}, {"seed": "abc"}, {"corpus_size": None}):
+        config = bad_config(tmp_path, **values)
+        code, _ = run(tmp_path, "verify", "--lattice-n", "16", "--config", config)
+        assert_usage_error(capsys, code)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +216,12 @@ def test_simulate_blowup_exits_one(tmp_path, capsys):
     assert "non-finite" in traj.failure_reason
 
 
-def test_simulate_bad_values(tmp_path):
-    assert run(tmp_path, "simulate", "--nu", "-1", "--lattice-n", "16")[0] == 2
-    assert run(tmp_path, "simulate", "--dt", "soon", "--lattice-n", "16")[0] == 2
+def test_simulate_bad_values(tmp_path, capsys):
+    assert_usage_error(capsys, run(tmp_path, "simulate", "--nu", "-1", "--lattice-n", "16")[0])
+    assert_usage_error(capsys, run(tmp_path, "simulate", "--dt", "soon", "--lattice-n", "16")[0])
+    config = bad_config(tmp_path, snapshot_every="x")
+    code, _ = run(tmp_path, *SIM_ARGS, "--config", config)
+    assert_usage_error(capsys, code)
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +272,23 @@ def test_monitor_requires_positional(tmp_path):
     assert code == 2
 
 
-def test_monitor_t_star_must_clear_samples(tmp_path, trajectory_file):
+def test_monitor_t_star_must_clear_samples(tmp_path, trajectory_file, capsys):
     code, _ = run(
         tmp_path, "monitor", str(trajectory_file), "--t-star", "0.03",
         out="mon_bad",
     )
-    assert code == 2
+    assert_usage_error(capsys, code)
+    # the other bad monitor values, as flags and as config-file entries
+    for flags in (("--t-star", "inf"), ("--t-star", "nan"), ("--c-small", "-1"),
+                  ("--nu", "-1")):
+        code, _ = run(tmp_path, "monitor", str(trajectory_file), *flags, out="mon_bad")
+        assert_usage_error(capsys, code)
+    for values in ({"c_small": "abc"}, {"nu": "abc"}, {"c_small": [1]}):
+        config = bad_config(tmp_path, **values)
+        code, _ = run(
+            tmp_path, "monitor", str(trajectory_file), "--config", config, out="mon_bad"
+        )
+        assert_usage_error(capsys, code)
 
 
 def test_monitor_single_sample_marks_checks_unavailable(tmp_path):
@@ -363,7 +408,8 @@ def test_constants_empty_band_is_noted(tmp_path):
     )
     assert code == 0
     lines = (run_dir / "constants.csv").read_text().splitlines()
-    assert lines[2].endswith(",empty band")
+    continuum = band_constant(Lattice(16), 1.0, alpha=0.5).continuum_value
+    assert lines[2] == f"1.0,0.5,,low,0.0,{continuum!r},0.0,empty band"
     doc = json.loads((run_dir / "constants.json").read_text())
     assert doc["rows"][0]["empty"] is True
     assert doc["rows"][0]["ratio"] == 0.0

@@ -15,6 +15,7 @@ from nsvlab.fields import (
 )
 from nsvlab.inequalities import (
     CONSTANT_MODES,
+    REGISTERED_CHECKS,
     CorpusConfig,
     advection_cancellation,
     check_h32_trilinear,
@@ -467,3 +468,10 @@ def test_equality_probe_approaches_one(lat16):
     assert result.best_ratio <= 1.0 + 1e-10
     assert result.best_ratio >= result.start_ratio - 1e-15
     assert result.best_ratio > 0.8
+
+
+def test_equality_probe_rejects_unknown_keywords(lat8):
+    with pytest.raises(TypeError):
+        equality_probe("x0_interpolation", lat8, no_such_option=1)
+    with pytest.raises(TypeError):
+        REGISTERED_CHECKS["x0_interpolation"](None, "lattice", tolerance=-5)
