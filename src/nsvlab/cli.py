@@ -35,6 +35,7 @@ from .fields import (
     Lattice,
     NonzeroMeanError,
     VelocityField,
+    _require_zero_mean,
     random_band_limited,
     taylor_green,
 )
@@ -169,6 +170,8 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict:
 
 
 def _next_run_dir(out: str) -> Path:
+    if not isinstance(out, str):
+        raise UsageError(f"--out: expected a path string, got {out!r}")
     base = Path(out)
     base.mkdir(parents=True, exist_ok=True)
     index = -1
@@ -276,32 +279,33 @@ def cmd_verify(config: dict, run_dir: Path, log: _RunLog) -> int:
             raise UsageError(f"unknown check {name!r}; available: {sorted(known)}")
     corpus = CorpusConfig(size=size, base_seed=_config_number(config, "seed", int))
     entries = list(corpus_fields(lattice, corpus))
-    if config["inject_mean_violation"]:
+    inject = config["inject_mean_violation"]
+    if not isinstance(inject, bool):
+        raise UsageError(f"--inject-mean-violation: expected true or false, got {inject!r}")
+    if inject:
         entries.append(_injected_entry(lattice, corpus))
     pairs = _split_pairs(lattice)
 
     rows: list[dict] = []
     for entry in entries:
-        rejected = f"nonzero mean rejected (seed {entry.seed})"
+        u = entry.field
+        try:
+            _require_zero_mean([c.coefficients for c in u.components], f"seed {entry.seed}")
+        except NonzeroMeanError:
+            rejected = f"nonzero mean rejected (seed {entry.seed})"
+            for name in names:
+                nan_verdict = InequalityVerdict(name, math.nan, math.nan, mode)
+                nan_row = _verdict_row(entry, nan_verdict, rejected)
+                rows += [nan_row] * (len(pairs) if name == "split_x1" else 1)
+            continue
         for name in names:
-            nan_verdict = InequalityVerdict(name, math.nan, math.nan, mode)
-            nan_row = _verdict_row(entry, nan_verdict, rejected)
             if name == "split_x1":
                 for alpha, beta in pairs:
-                    try:
-                        report = split_x1(entry.field, alpha, beta, constant_mode=mode)
-                    except NonzeroMeanError:
-                        rows.append(nan_row)
-                        continue
+                    report = split_x1(u, alpha, beta, constant_mode=mode)
                     note = f"alpha={alpha:g} beta={beta:g}"
                     rows += [_verdict_row(entry, verdict, note) for verdict in report.verdicts()]
             else:
-                try:
-                    verdict = REGISTERED_CHECKS[name](entry.field, mode)
-                except NonzeroMeanError:
-                    rows.append(nan_row)
-                    continue
-                rows.append(_verdict_row(entry, verdict))
+                rows.append(_verdict_row(entry, REGISTERED_CHECKS[name](u, mode)))
     write_text(run_dir / "verdicts.csv", table_text("nsvlab-verify v1", VERDICT_COLUMNS, rows))
 
     finite_ratios = [row["ratio"] for row in rows if math.isfinite(row["ratio"])]

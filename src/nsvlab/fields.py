@@ -72,6 +72,14 @@ class EmptyBandError(ValueError):
     """A requested wavenumber band contains no lattice mode."""
 
 
+def _require_zero_mean(arrays, what: str) -> None:
+    """Raise NonzeroMeanError unless the k = 0 coefficients vanish to MEAN_TOLERANCE."""
+    scale = max(float(np.abs(a).max()) for a in arrays)
+    mean = max(abs(complex(a[0, 0, 0])) for a in arrays)
+    if mean > MEAN_TOLERANCE * max(scale, 1e-300):
+        raise NonzeroMeanError(f"{what}: nonzero mean (|c_0| = {mean:.3e})")
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Cubic periodic lattice: ``n`` modes per axis on a box of edge ``period``."""
@@ -182,6 +190,13 @@ class Lattice:
         index.setflags(write=False)
         radius.setflags(write=False)
         return index, radius
+
+    @cached_property
+    def half_shell_index(self) -> np.ndarray:
+        """The shell index of :attr:`shells` for each half-layout mode, flattened."""
+        index = half_spectrum(self.shells[0].reshape(self.shape)).ravel()
+        index.setflags(write=False)
+        return index
 
     def mode_index(self, m1: int, m2: int, m3: int) -> tuple[int, int, int]:
         """Array index of integer mode (m1, m2, m3)."""
@@ -484,12 +499,7 @@ def leray_project(candidate) -> VelocityField:
     The mean must already vanish; the k = 0 mode is left untouched.
     """
     lat, arrays = _as_component_arrays(candidate)
-    scale = max(float(np.abs(a).max()) for a in arrays)
-    mean_mag = max(abs(complex(a[0, 0, 0])) for a in arrays)
-    if mean_mag > MEAN_TOLERANCE * max(scale, 1e-300):
-        raise NonzeroMeanError(
-            f"velocity candidate has nonzero mean (|c_0| = {mean_mag:.3e})"
-        )
+    _require_zero_mean(arrays, "velocity candidate")
     projected = project_arrays(np.stack(arrays), lat)
     return VelocityField(tuple(ScalarSpectralField(lat, c) for c in projected))
 

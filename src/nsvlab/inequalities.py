@@ -30,16 +30,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import (
-    Lattice,
-    ScalarSpectralField,
-    VelocityField,
-    random_band_limited,
-)
+from .fields import Lattice, VelocityField, half_spectrum, random_band_limited
 from .norms import _power_sums, _radial_weight, _shell_fsum, _shell_sums
 from .norms import band_constant, l2_norm, leilin_norm, sobolev_norm
-from .products import _transport, _velocity_grids, advect, embed_coefficients, pad_lattice
-from .products import require_band_limited
+from .products import _flux_divergence, _padded
 
 __all__ = [
     "CONSTANT_MODES",
@@ -345,50 +339,36 @@ def split_x1(
 # Commutator and trilinear forms (exact padded products throughout)
 
 
-def _fractional_laplacian_arrays(stack, lattice: Lattice, s: float):
-    """|D|^s on coefficient arrays; the k = 0 mode is annihilated."""
-    mult = lattice.kmag**s if s != 0.0 else np.ones(lattice.shape)
-    mult = mult.copy()
+def _fractional_laplacian(stack: np.ndarray, lattice: Lattice, s: float) -> np.ndarray:
+    """|D|^s on a half-layout stack; the k = 0 mode is annihilated."""
+    mult = half_spectrum(lattice.kmag) ** s
     mult[0, 0, 0] = 0.0
-    return [mult * arr for arr in stack]
+    return mult * stack
 
 
-def _fractional_velocity(f: VelocityField, s: float) -> VelocityField:
-    lat = f.lattice
-    arrays = _fractional_laplacian_arrays([c.coefficients for c in f.components], lat, s)
-    return VelocityField(tuple(ScalarSpectralField(lat, a) for a in arrays))
-
-
-def _padded_pairing(a_arrays, b_arrays, lat_pad: Lattice, weight) -> float:
-    """sum_k weight(|k|) Re(a_k conj(b_k)), weight given per |k| shell.
+def _padded_pairing(a: np.ndarray, b: np.ndarray, lat_pad: Lattice, exponent: float) -> float:
+    """sum_{k != 0} |k|^exponent Re(a_k conj(b_k)) over half-layout stacks.
 
     Terms are summed per shell, then across shells with compensated
     summation, like the norms.
     """
-    terms = [np.real(a * np.conj(b)) for a, b in zip(a_arrays, b_arrays)]
-    return _shell_fsum(_shell_sums(lat_pad, terms), weight)
+    terms = np.real(a * np.conj(b))
+    return _shell_fsum(_shell_sums(lat_pad, terms), _radial_weight(lat_pad.shells[1], exponent))
 
 
 def _commutator(transported, second, lat_pad: Lattice, s: float) -> float:
-    first = _fractional_laplacian_arrays([c.coefficients for c in transported], lat_pad, s)
-    diff = [np.abs(a - b.coefficients) ** 2 for a, b in zip(first, second)]
+    diff = np.abs(_fractional_laplacian(transported, lat_pad, s) - second) ** 2
     return math.sqrt(_shell_fsum(_shell_sums(lat_pad, diff), 1.0))
 
 
-def _trilinear(transported, f: VelocityField, lat_pad: Lattice, s: float) -> float:
-    f_pad = [embed_coefficients(c.coefficients, lat_pad.n) for c in f.components]
-    weight = _radial_weight(lat_pad.shells[1], 2.0 * s)
-    return _padded_pairing([c.coefficients for c in transported], f_pad, lat_pad, weight)
-
-
-def _cancellation(transported, g: VelocityField, lat_pad: Lattice) -> float:
-    g_pad = [embed_coefficients(c.coefficients, lat_pad.n) for c in g.components]
-    return _padded_pairing([c.coefficients for c in transported], g_pad, lat_pad, 1.0)
-
-
-def _check_commutator_order(s: float) -> None:
+def _commutator_products(f: VelocityField, s: float):
+    """The padded lattice, f and g = |D|^s f on it, div(f (x) f) and div(f (x) g)."""
     if s < 0:
         raise ValueError(f"commutator order must be >= 0, got {s}")
+    lat_pad, f_pad = _padded(f.components)
+    g_pad = _fractional_laplacian(f_pad, lat_pad, s)
+    transported, second = _flux_divergence(f_pad, [f_pad, g_pad], lat_pad.n, lat_pad)
+    return lat_pad, f_pad, g_pad, transported, second
 
 
 def commutator_l2(f: VelocityField, s: float) -> float:
@@ -397,20 +377,23 @@ def commutator_l2(f: VelocityField, s: float) -> float:
     Vanishes identically at s = 0.  Inputs must be band-limited to the
     exact-product radius (n/3 modes); otherwise AliasingError propagates.
     """
-    _check_commutator_order(s)
-    second = advect(f, _fractional_velocity(f, s))
-    return _commutator(advect(f, f), second, pad_lattice(f.lattice), s)
+    lat_pad, _, _, transported, second = _commutator_products(f, s)
+    return _commutator(transported, second, lat_pad, s)
 
 
 def trilinear_hs(f: VelocityField, s: float) -> float:
     """<f.grad f, f>_Hdot(s), signed, exact on the padded lattice."""
-    return _trilinear(advect(f, f), f, pad_lattice(f.lattice), s)
+    lat_pad, f_pad = _padded(f.components)
+    [transported] = _flux_divergence(f_pad, [f_pad], lat_pad.n, lat_pad)
+    return _padded_pairing(transported, f_pad, lat_pad, 2.0 * s)
 
 
 def advection_cancellation(f: VelocityField, s: float) -> float:
     """<f.grad(|D|^s f), |D|^s f>_L2; zero analytically for div-free f."""
-    g = _fractional_velocity(f, s)
-    return _cancellation(advect(f, g), g, pad_lattice(f.lattice))
+    lat_pad, f_pad = _padded(f.components)
+    g_pad = _fractional_laplacian(f_pad, lat_pad, s)
+    [second] = _flux_divergence(f_pad, [g_pad], lat_pad.n, lat_pad)
+    return _padded_pairing(second, g_pad, lat_pad, 0.0)
 
 
 def commutator_report(f: VelocityField, s: float) -> dict[str, float]:
@@ -426,16 +409,10 @@ def commutator_report(f: VelocityField, s: float) -> dict[str, float]:
     """
     hs = sobolev_norm(f, s)
     x1 = leilin_norm(f, 1.0)
-    lat = f.lattice
-    lat_pad = pad_lattice(lat)
-    f_grids = _velocity_grids(f)
-    transported = tuple(_transport(f_grids, c, lat) for c in f.components)
-    tri = _trilinear(transported, f, lat_pad, s)
-    _check_commutator_order(s)
-    g = _fractional_velocity(f, s)
-    second = tuple(_transport(f_grids, c, lat) for c in g.components)
+    lat_pad, f_pad, g_pad, transported, second = _commutator_products(f, s)
+    tri = _padded_pairing(transported, f_pad, lat_pad, 2.0 * s)
     comm = _commutator(transported, second, lat_pad, s)
-    cancel = _cancellation(second, g, lat_pad)
+    cancel = _padded_pairing(second, g_pad, lat_pad, 0.0)
     tiny = 1e-300
     return {
         "s": s,

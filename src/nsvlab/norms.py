@@ -10,7 +10,11 @@ Vector fields sum over components.  Each sum first adds up the terms of
 every |k| shell (``Lattice.shells``), then weights the shell sums and adds
 them across shells and components with compensated summation
 (math.fsum).  Results are deterministic, independent of memory layout,
-and within 1e-14 relative of the per-mode compensated sum.  Orders below
+and within 1e-14 relative of the per-mode compensated sum.  The shell sums
+read the half layout ``(n, n, n//2 + 1)`` and count each mode with its
+Hermitian multiplicity (1 on the m_3 = 0 and Nyquist planes, 2 elsewhere),
+so, like :func:`~nsvlab.fields.to_physical`, they rely on the Hermitian
+symmetry every field constructor keeps.  Orders below
 -1 are outside the library's conventions and are rejected: with a nonzero
 mean those sums diverge, and the verification suite never needs them.
 """
@@ -23,11 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (
-    MEAN_TOLERANCE,
     Lattice,
-    NonzeroMeanError,
     ScalarSpectralField,
     VelocityField,
+    _require_zero_mean,
+    half_spectrum,
 )
 
 __all__ = [
@@ -48,34 +52,32 @@ DEFAULT_LEILIN_ORDERS = (-1.0, 0.0, 1.0)
 FOUR_PI = 4.0 * math.pi
 
 
-def _components(f) -> list[np.ndarray]:
+def _half_arrays(f) -> list[np.ndarray]:
     if isinstance(f, VelocityField):
-        return [c.coefficients for c in f.components]
+        return [half_spectrum(c.coefficients) for c in f.components]
     if isinstance(f, ScalarSpectralField):
-        return [f.coefficients]
+        return [half_spectrum(f.coefficients)]
     raise TypeError(f"expected a spectral field, got {type(f).__name__}")
 
 
-def _checked_order(f, order: float, name: str) -> float:
+def _checked_order(arrays, order: float, name: str) -> float:
     """Validate a norm order; a negative order also needs a zero-mean field."""
     order = float(order)
     if not math.isfinite(order) or order < -1.0:
         raise ValueError(f"{name} must be finite and >= -1, got {order}")
     if order < 0:
-        arrays = _components(f)
-        scale = max(float(np.abs(a).max()) for a in arrays)
-        mean = max(abs(complex(a[0, 0, 0])) for a in arrays)
-        if mean > MEAN_TOLERANCE * max(scale, 1e-300):
-            raise NonzeroMeanError(
-                f"norm of order {order} requires a zero-mean field (|c_0| = {mean:.3e})"
-            )
+        _require_zero_mean(arrays, f"norm of order {order}")
     return order
 
 
 def _shell_sums(lattice: Lattice, terms) -> list[np.ndarray]:
-    """Per component, the sum of its per-mode terms over each |k| shell."""
-    index = lattice.shells[0]
-    return [np.bincount(index, np.ravel(t)) for t in terms]
+    """Per component, the sum of its half-layout per-mode terms over each |k|
+    shell.  A mode counts twice, for itself and its conjugate partner -k,
+    except on the m_3 = 0 and Nyquist planes, whose partners are half-layout
+    modes too."""
+    multiplicity = np.full(lattice.n // 2 + 1, 2.0)
+    multiplicity[[0, -1]] = 1.0
+    return [np.bincount(lattice.half_shell_index, np.ravel(multiplicity * t)) for t in terms]
 
 
 def _shell_fsum(sums: list[np.ndarray], weight) -> float:
@@ -92,7 +94,7 @@ def _radial_weight(radius: np.ndarray, exponent: float) -> np.ndarray:
 
 def _power_sums(f, p: float) -> list[np.ndarray]:
     """Per component, sum of |c_k|^p over each |k| shell."""
-    return _shell_sums(f.lattice, [np.abs(a) ** p for a in _components(f)])
+    return _shell_sums(f.lattice, [np.abs(a) ** p for a in _half_arrays(f)])
 
 
 def l2_norm(f) -> float:
@@ -102,14 +104,14 @@ def l2_norm(f) -> float:
 
 def sobolev_norm(f, s: float) -> float:
     """Homogeneous Sobolev norm of order s >= -1."""
-    s = _checked_order(f, s, "Sobolev order")
+    s = _checked_order(_half_arrays(f), s, "Sobolev order")
     weight = _radial_weight(f.lattice.shells[1], 2.0 * s)
     return math.sqrt(_shell_fsum(_power_sums(f, 2.0), weight))
 
 
 def leilin_norm(f, sigma: float) -> float:
     """Summed-coefficient norm sum |k|^sigma |c_k|, sigma >= -1."""
-    sigma = _checked_order(f, sigma, "order")
+    sigma = _checked_order(_half_arrays(f), sigma, "order")
     return _shell_fsum(_power_sums(f, 1.0), _radial_weight(f.lattice.shells[1], sigma))
 
 
@@ -160,11 +162,17 @@ def full_report(
     leilin_orders=DEFAULT_LEILIN_ORDERS,
 ) -> NormReport:
     """Evaluate every tracked norm of one field from one pass per power."""
-    sobolev_orders = [_checked_order(f, s, "Sobolev order") for s in sobolev_orders]
-    leilin_orders = [_checked_order(f, sig, "order") for sig in leilin_orders]
-    radius = f.lattice.shells[1]
-    squares = _power_sums(f, 2.0)
-    moduli = _power_sums(f, 1.0)
+    return _half_report(f.lattice, _half_arrays(f), sobolev_orders, leilin_orders)
+
+
+def _half_report(lattice: Lattice, arrays, sobolev_orders, leilin_orders) -> NormReport:
+    """:func:`full_report` of the field whose half-layout components are arrays."""
+    sobolev_orders = [_checked_order(arrays, s, "Sobolev order") for s in sobolev_orders]
+    leilin_orders = [_checked_order(arrays, sig, "order") for sig in leilin_orders]
+    radius = lattice.shells[1]
+    mags = [np.abs(a) for a in arrays]
+    squares = _shell_sums(lattice, [m**2.0 for m in mags])
+    moduli = _shell_sums(lattice, mags)
     return NormReport(
         l2=math.sqrt(_shell_fsum(squares, 1.0)),
         hdot={

@@ -10,8 +10,9 @@ periodic cube.  Two integrators:
   exp(-nu |k|^2 dt) is applied exactly and only advection is explicit.
   With advection disabled a single mode decays exactly (to roundoff).
 
-Advection is evaluated in divergence form, div(u (x) u), with its six
-distinct products formed on a grid through the real transform pair of
+Advection is evaluated in divergence form, div(u (x) u), by the product
+kernel of :mod:`nsvlab.products` that the inequality lab shares; it forms
+the six distinct products on a grid through the real transform pair of
 :mod:`nsvlab.fields`.  The products are dealiased per config: the
 two-thirds rule masks |k| strictly below (2/3) * Nyquist on the n-point
 grid (the strict inequality keeps wrapped images out of the retained band
@@ -21,8 +22,9 @@ and drops the Nyquist planes of state and term, which makes it exact.
 The solver state is the half layout ``(3, n, n, n//2 + 1)`` of the
 velocity's coefficients; the projection, the diffusion multiplier, the mask
 and the derivative wavenumbers are half-layout views of the lattice grids.
-It becomes a full-layout :class:`VelocityField` only where it leaves the
-solver: emitted samples, the result of :func:`step` and of
+Sample norms are computed from the half layout.  The state becomes a
+full-layout :class:`VelocityField` only where it leaves the solver: the
+state passed to hooks, the result of :func:`step` and of
 :func:`nonlinear_term`.
 """
 
@@ -36,19 +38,17 @@ import numpy as np
 
 from ._version import __version__
 from .fields import (
-    MEAN_TOLERANCE,
     Lattice,
-    NonzeroMeanError,
     ScalarSpectralField,
     VelocityField,
-    from_grid,
+    _require_zero_mean,
     full_spectrum,
     half_spectrum,
     project_arrays,
     to_grid,
 )
-from .norms import full_report
-from .products import padded_size
+from .norms import DEFAULT_LEILIN_ORDERS, DEFAULT_SOBOLEV_ORDERS, _half_report
+from .products import _flux_divergence, padded_size
 from .trajectory import Trajectory, TrajectorySample
 
 __all__ = [
@@ -180,20 +180,14 @@ def resolve_dt(u0: VelocityField, config: SolverConfig) -> float:
     return min(candidates) if candidates else 1.0
 
 
-def _zero_nyquist(stack: np.ndarray) -> None:
-    half = stack.shape[1] // 2
-    stack[:, half, :, :] = 0.0
-    stack[:, :, half, :] = 0.0
-    stack[:, :, :, half] = 0.0
-
-
 def _solver_stack(u: VelocityField, dealias: str) -> np.ndarray:
     """The half layout of u's coefficients as the solver advances them: the
     three-halves rule is exact only without the Nyquist planes, so they are
     zeroed."""
     stack = np.stack([half_spectrum(c.coefficients) for c in u.components])
     if dealias == "three-halves":
-        _zero_nyquist(stack)
+        half = u.lattice.n // 2
+        stack[:, half] = stack[:, :, half] = stack[:, :, :, half] = 0.0
     return stack
 
 
@@ -203,37 +197,14 @@ def _velocity(stack: np.ndarray, lattice: Lattice) -> VelocityField:
     return VelocityField(tuple(ScalarSpectralField(lattice, c) for c in full))
 
 
-def _advection_arrays(stack: np.ndarray, lattice: Lattice, dealias: str) -> np.ndarray:
-    """div(u(x)u) as dealiased half-layout coefficients."""
-    n = lattice.n
-    kd = [half_spectrum(k) for k in lattice.k_deriv]
-    if dealias == "two-thirds":
-        mask = _dealias_mask(n, lattice.period)
-        stack = stack * mask
-        n_grid = n
-    else:  # three-halves: zero-padded products, exact for Nyquist-free states
-        mask = None
-        n_grid = padded_size(n)
-    vel = [to_grid(c, n_grid) for c in stack]
-    # d_j (u_i u_j): six distinct products
-    flux = {}
-    for i in range(3):
-        for j in range(i, 3):
-            t_ij = from_grid(vel[i] * vel[j], n)
-            flux[(i, j)] = t_ij if mask is None else t_ij * mask
-    out = np.empty_like(stack)
-    for i in range(3):
-        total = np.zeros(stack.shape[1:], dtype=np.complex128)
-        for j in range(3):
-            total += 1j * kd[j] * flux[(min(i, j), max(i, j))]
-        out[i] = total
-    if mask is None:
-        _zero_nyquist(out)
-    return out
-
-
 def _nonlinear_arrays(stack: np.ndarray, lattice: Lattice, dealias: str) -> np.ndarray:
-    adv = _advection_arrays(stack, lattice, dealias)
+    """-P[div(u(x)u)] as dealiased half-layout coefficients."""
+    if dealias == "two-thirds":
+        mask = _dealias_mask(lattice.n, lattice.period)
+        stack = stack * mask
+        adv = _flux_divergence(stack, [stack], lattice.n, lattice)[0] * mask
+    else:  # three-halves: zero-padded products, truncated without the Nyquist planes
+        adv = _flux_divergence(stack, [stack], padded_size(lattice.n), lattice)[0]
     term = project_arrays(adv, lattice)
     np.negative(term, out=term)
     term[:, 0, 0, 0] = 0.0
@@ -273,13 +244,16 @@ def _step_arrays(
         if config.advection:
             new += dt * _nonlinear_arrays(stack, lattice, config.dealias)
         new *= np.exp(-config.nu * half_spectrum(lattice.ksq) * dt)
-    new = project_arrays(new, lattice)
     new[:, 0, 0, 0] = 0.0
     return new
 
 
 def step(state: SolverState, config: SolverConfig, dt: float | None = None) -> SolverState:
-    """Advance one step; raises SchemeBlowupError on non-finite output."""
+    """Advance one step; raises SchemeBlowupError on non-finite output.
+
+    The state is advanced as given: a divergence-free state stays so to
+    roundoff, and a divergent part is not projected away.
+    """
     lat = state.u.lattice
     if dt is None:
         dt = resolve_dt(state.u, config)
@@ -291,14 +265,6 @@ def step(state: SolverState, config: SolverConfig, dt: float | None = None) -> S
     return SolverState(t=state.t + dt, u=_velocity(new, lat))
 
 
-def _validate_initial(u0: VelocityField) -> None:
-    if u0.mean_magnitude() > MEAN_TOLERANCE * max(u0.max_abs_coefficient(), 1e-300):
-        raise NonzeroMeanError("initial velocity has a nonzero mean")
-    defect = u0.divergence_defect()
-    if defect > 1e-8:
-        raise ValueError(f"initial velocity is not divergence-free (defect {defect:.3g})")
-
-
 def integrate(u0: VelocityField, config: SolverConfig, hooks=()) -> Trajectory:
     """Run from u0 to t_end, sampling norms every sample_every steps.
 
@@ -307,7 +273,10 @@ def integrate(u0: VelocityField, config: SolverConfig, hooks=()) -> Trajectory:
     scheme blow-up the trajectory is returned with ``failed`` set and the
     failure reason recorded; samples collected so far are kept.
     """
-    _validate_initial(u0)
+    _require_zero_mean([c.coefficients for c in u0.components], "initial velocity")
+    defect = u0.divergence_defect()
+    if defect > 1e-8:
+        raise ValueError(f"initial velocity is not divergence-free (defect {defect:.3g})")
     lat = u0.lattice
     dt = resolve_dt(u0, config)
     n_steps = int(math.ceil(config.t_end / dt - 1e-9)) if config.t_end > 0 else 0
@@ -321,14 +290,17 @@ def integrate(u0: VelocityField, config: SolverConfig, hooks=()) -> Trajectory:
         samples=[],
     )
     stack = _solver_stack(u0, config.dealias)
+    if defect > 1e-13:  # a step keeps the defect below this; project other data once
+        stack = project_arrays(stack, lat)
 
     def emit(step_index: int, t: float, arrays: np.ndarray) -> None:
-        u = _velocity(arrays, lat)
-        sample = TrajectorySample(t=t, step_index=step_index, dt=dt, norms=full_report(u))
+        norms = _half_report(lat, arrays, DEFAULT_SOBOLEV_ORDERS, DEFAULT_LEILIN_ORDERS)
+        sample = TrajectorySample(t=t, step_index=step_index, dt=dt, norms=norms)
         trajectory.samples.append(sample)
-        state = SolverState(t=t, u=u)
-        for hook in hooks:
-            hook(sample, state)
+        if hooks:
+            state = SolverState(t=t, u=_velocity(arrays, lat))
+            for hook in hooks:
+                hook(sample, state)
 
     emit(0, 0.0, stack)
     for i in range(1, n_steps + 1):

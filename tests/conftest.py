@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from nsvlab.fields import Lattice, random_band_limited, taylor_green
+from nsvlab.fields import (
+    Lattice,
+    from_grid,
+    full_spectrum,
+    half_spectrum,
+    random_band_limited,
+    taylor_green,
+    to_grid,
+)
+from nsvlab.products import padded_size
 
 
 @pytest.fixture(scope="session")
@@ -37,4 +46,25 @@ def dft_oracle(coefficients: np.ndarray, period: float) -> np.ndarray:
     x = np.arange(n) * (period / n)
     phase = np.exp(2j * np.pi / period * np.outer(modes, x))  # (mode, point)
     out = np.einsum("abc,ax,by,cz->xyz", coefficients, phase, phase, phase)
+    return out
+
+
+def transport_oracle(u, components) -> list[np.ndarray]:
+    """u . grad(g) for each scalar field g of components, in convective form.
+
+    u and the three derivatives of g are sampled on the padded grid (3
+    inverse transforms per transported component), multiplied, summed and
+    transformed back: full-layout coefficients on the padded lattice,
+    independent of the div(u (x) g) kernel of the package.
+    """
+    lat = u.lattice
+    n_pad = padded_size(lat.n)
+    u_grids = [to_grid(half_spectrum(c.coefficients), n_pad) for c in u.components]
+    out = []
+    for g in components:
+        c = half_spectrum(g.coefficients)
+        total = np.zeros((n_pad,) * 3)
+        for u_j, kd in zip(u_grids, lat.k_deriv):
+            total += u_j * to_grid(1j * half_spectrum(kd) * c, n_pad)
+        out.append(full_spectrum(from_grid(total, n_pad), n_pad))
     return out

@@ -89,6 +89,22 @@ def test_verify_injected_violation_names_seed(tmp_path):
     assert "nonzero mean rejected" in notes
 
 
+def test_verify_injected_field_gives_only_nan_rows(tmp_path):
+    # the mean is checked once per entry: every check on the injected field,
+    # including those that never read the mean, reports a NaN row
+    code, run_dir = run(
+        tmp_path, "verify", "--lattice-n", "16", "--corpus-size", "0",
+        "--inject-mean-violation",
+    )
+    assert code == 1
+    rows = (run_dir / "verdicts.csv").read_text().splitlines()[2:]
+    names = ["x0_interpolation", "x0_via_xm1_h52", "x0_via_h12_x1"] + ["split_x1"] * 3
+    assert rows == [
+        f"0,2024,1.0,{name},lattice,nan,nan,nan,false,nonzero mean rejected (seed 2024)"
+        for name in names
+    ]
+
+
 def test_verify_rejects_unknown_check(tmp_path, capsys):
     code, _ = run(tmp_path, "verify", "--lattice-n", "16", "--checks", "x0_magic")
     assert code == 2
@@ -105,7 +121,12 @@ def test_verify_rejects_unknown_check(tmp_path, capsys):
 def test_verify_rejects_negative_corpus(tmp_path, capsys):
     code, _ = run(tmp_path, "verify", "--lattice-n", "16", "--corpus-size", "-3")
     assert_usage_error(capsys, code)
-    for values in ({"corpus_size": "abc"}, {"seed": "abc"}, {"corpus_size": None}):
+    for values in (
+        {"corpus_size": "abc"},
+        {"seed": "abc"},
+        {"corpus_size": None},
+        {"inject_mean_violation": "no"},  # must be a JSON bool
+    ):
         config = bad_config(tmp_path, **values)
         code, _ = run(tmp_path, "verify", "--lattice-n", "16", "--config", config)
         assert_usage_error(capsys, code)
@@ -380,6 +401,14 @@ def test_config_file_must_be_valid_json(tmp_path, capsys):
     code, _ = run(tmp_path, "simulate", "--config", str(cfg))
     assert code == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_config_file_out_must_be_a_string(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = bad_config(tmp_path, out=5)
+    assert main(["constants", "--lattice-n", "16", "--config", config]) == 2
+    assert capsys.readouterr().err.startswith("error: --out")
+    assert not (tmp_path / "5").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 import scipy.fft
 from scipy.signal import convolve
 
+from conftest import transport_oracle
 from nsvlab.fields import (
     Lattice,
     ScalarSpectralField,
@@ -30,7 +31,7 @@ from nsvlab.inequalities import (
     trilinear_hs,
 )
 from nsvlab.norms import band_constant, full_report, leilin_norm, sobolev_norm
-from nsvlab.products import AliasingError, advect, embed_coefficients, pad_lattice
+from nsvlab.products import AliasingError, embed_coefficients, pad_lattice
 
 
 def shell_velocity(lattice, modes_amplitudes):
@@ -69,10 +70,13 @@ def oracle_sum(terms, weight):
     return math.fsum(x for t in terms for x in (weight * t).ravel().tolist())
 
 
-def test_shell_sums_match_per_mode_oracle(corpus16):
+def test_shell_sums_match_per_mode_oracle(lat16, corpus16):
     odd = Lattice(16, period=3.0)
     fields = [entry.field for entry in corpus16]
     fields.append(random_band_limited(odd, odd.k_unit, 4.0 * odd.k_unit, 1.5, seed=7))
+    # kmax = 8 puts content on the Nyquist planes, where the half layout
+    # counts each mode once
+    fields.append(random_band_limited(lat16, 1.0, 8.0, 1.0, seed=8))
     for u in fields:
         lat = u.lattice
         km = lat.kmag
@@ -108,7 +112,7 @@ def test_shell_sums_match_per_mode_oracle(corpus16):
     lat_pad = pad_lattice(lat8)
     for seed in (41, 42):
         u = random_band_limited(lat8, 1.0, 8.0 / 3.0, 1.0, seed=seed)
-        transported = [c.coefficients for c in advect(u, u)]
+        transported = transport_oracle(u, u.components)
         u_pad = [embed_coefficients(c.coefficients, lat_pad.n) for c in u.components]
         for s in (1.5, 2.5):
             hs, x1 = sobolev_norm(u, s), leilin_norm(u, 1.0)
@@ -122,7 +126,7 @@ def test_shell_sums_match_per_mode_oracle(corpus16):
                     for c in u.components
                 )
             )
-            second = [c.coefficients for c in advect(u, ds_u)]
+            second = transport_oracle(u, ds_u.components)
             diff = [
                 np.abs(oracle_weight(lat_pad, s) * a - b) ** 2
                 for a, b in zip(transported, second)
@@ -414,8 +418,9 @@ def test_commutator_report_forms_each_product_once(lat16, monkeypatch):
 
         monkeypatch.setattr(scipy.fft, name, counted)
     commutator_report(u, 1.5)
-    # f on the grid (3), then grad f and grad |D|^s f (9 + 9), one per product (3 + 3)
-    assert calls == {"irfftn": 21, "rfftn": 6}
+    # f and |D|^s f on the grid (3 + 3), then one per distinct product:
+    # the 6 symmetric f_i f_j and the 9 f_j (|D|^s f)_i
+    assert calls == {"irfftn": 6, "rfftn": 15}
 
 
 def test_trilinear_single_mode_vanishes(lat16):

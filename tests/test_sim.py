@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from conftest import transport_oracle
 from nsvlab.fields import (
     Lattice,
     NonzeroMeanError,
@@ -13,7 +14,7 @@ from nsvlab.fields import (
     random_band_limited,
     taylor_green,
 )
-from nsvlab.inequalities import trilinear_hs
+from nsvlab.inequalities import commutator_report, trilinear_hs
 from nsvlab.norms import NormReport, l2_norm, sobolev_norm
 from nsvlab.products import (
     advect,
@@ -128,8 +129,8 @@ def test_nonlinear_term_matches_padded_advect_oracle(lat16):
     # lattice, restricted to n, projected, negated and cut to the retained modes
     u = random_band_limited(lat16, 1.0, 4.0, 1.5, seed=77)
     transported = [
-        ScalarSpectralField(lat16, restrict_coefficients(c.coefficients, lat16.n))
-        for c in advect(u, u)
+        ScalarSpectralField(lat16, restrict_coefficients(c, lat16.n))
+        for c in transport_oracle(u, u.components)
     ]
     projected = -stack_of(leray_project(transported))
     scale = np.max(np.abs(projected))
@@ -326,6 +327,25 @@ def test_only_the_real_transform_pair_is_used(lat16, random16, monkeypatch):
     multiply(random16.components[0], random16.components[1])
     advect(random16, random16)
     trilinear_hs(random16, 1.5)
+    commutator_report(random16, 1.5)
+
+
+def test_step_forms_each_product_once(lat16, random16, monkeypatch):
+    calls = {"irfftn": 0, "rfftn": 0}
+    for name in calls:
+        original = getattr(scipy.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+    # per right-hand side: u on the grid (3), one per distinct product u_i u_j (6)
+    for dealias, integrator, rhs in (("three-halves", "imex", 1), ("two-thirds", "rk4", 4)):
+        calls.update(irfftn=0, rfftn=0)
+        config = SolverConfig(nu=0.05, dealias=dealias, integrator=integrator)
+        step(SolverState(0.0, random16), config, 0.01)
+        assert calls == {"irfftn": 3 * rhs, "rfftn": 6 * rhs}, (dealias, integrator)
 
 
 def test_rk4_preserves_divergence_and_mean(lat16):
@@ -417,6 +437,23 @@ def test_integrate_rejects_bad_initial_data(lat16):
     not_solenoidal = VelocityField((ScalarSpectralField(lat16, d), zero, zero))
     with pytest.raises(ValueError, match="divergence"):
         integrate(not_solenoidal, SolverConfig(nu=0.1, dt=0.01, t_end=0.01))
+
+
+def test_integrate_projects_slightly_divergent_initial_data(lat16):
+    # accepted initial data with a defect above roundoff are projected once;
+    # the steps keep the state divergence-free without a projection of their own
+    kx, ky, kz = lat16.k_deriv
+    phi = lat16.zeros()
+    phi[lat16.mode_index(1, 2, 0)] = 1e-10j
+    phi[lat16.mode_index(-1, -2, 0)] = -1e-10j
+    stack = stack_of(taylor_green(lat16)) + 1j * np.stack([kx * phi, ky * phi, kz * phi])
+    u0 = VelocityField(tuple(ScalarSpectralField(lat16, c) for c in stack))
+    assert 1e-10 < u0.divergence_defect() < 1e-8
+    defects = []
+    config = SolverConfig(nu=0.1, dt=0.01, t_end=0.5, sample_every=10)
+    integrate(u0, config, hooks=[lambda sample, state: defects.append(state.u.divergence_defect())])
+    assert len(defects) == 6
+    assert max(defects) <= 1e-13
 
 
 def test_hooks_see_every_sample(lat16):
