@@ -2,7 +2,10 @@
 
 Every run is fully determined by its effective configuration plus the
 code version: defaults, then a JSON config file (--config), then
-explicitly set flags, merged in that order.  The effective config is
+explicitly set flags, merged in that order.  ``_OPTIONS`` declares each
+key of each command once (JSON type, default, flag); argparse, the merge
+and its checks derive from it, and a config-file value of another type
+exits 2 before any run directory exists.  The effective config is
 echoed into the run directory, and every CSV/JSON output goes through
 one table writer that formats floats with repr, so identical configs
 produce byte-identical reports.
@@ -27,6 +30,7 @@ import math
 import statistics
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 from ._tables import append_text, table_text, write_json, write_text
@@ -57,14 +61,9 @@ from .monitor import (
     xm1_gronwall_check,
 )
 from .norms import DEFAULT_SOBOLEV_ORDERS, band_constant, l2_norm
-from .sim import SolverConfig, integrate
-from .snapshot import SnapshotFormatError, read_snapshot, write_snapshot
-from .trajectory import (
-    TrajectoryFormatError,
-    read_trajectory,
-    write_trajectory_csv,
-    write_trajectory_json,
-)
+from .sim import INTEGRATORS, SolverConfig, integrate
+from .snapshot import read_snapshot, write_snapshot
+from .trajectory import read_trajectory, write_trajectory_csv, write_trajectory_json
 
 __all__ = [
     "main",
@@ -83,56 +82,131 @@ EXIT_IO = 3
 DEFAULT_CHECKS = "x0_interpolation,x0_via_xm1_h52,x0_via_h12_x1,split_x1"
 DEFAULT_BANDS = "1:4:,0.5:4:,-0.5:4:,-1.5:2:8,-2.5::8"
 
-_COMMON_DEFAULTS = {
-    "out": "out",
-    "lattice_n": 32,
-    "seed": 2024,
-    "constant_mode": "lattice",
+
+class UsageError(ValueError):
+    """Invalid configuration or malformed input; maps to exit code 2."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_dt(value) -> bool:
+    if value == "auto" or _is_number(value):
+        return True
+    try:
+        float(value)
+    except (TypeError, ValueError):
+        return False
+    return isinstance(value, str)  # the flag form, e.g. "0.01"
+
+
+# kind -> (what a config-file value must be, its test, argparse keywords)
+_KINDS = {
+    "int": ("an integer", _is_int, {"type": int}),
+    "float": ("a number", _is_number, {"type": float}),
+    "str": ("a string", _is_str, {}),
+    "list": ("a comma-separated string", _is_str, {"action": "append"}),
+    "bool": ("true or false", lambda value: isinstance(value, bool),
+             {"action": "store_const", "const": True}),
+    "dt": ("'auto' or a number", _is_dt, {}),
+    "positional": ("a path string", _is_str, {"nargs": "?"}),
 }
 
-DEFAULTS: dict[str, dict] = {
-    "verify": {
-        **_COMMON_DEFAULTS,
-        "corpus_size": 100,
-        "checks": DEFAULT_CHECKS,
-        "inject_mean_violation": False,
-    },
-    "simulate": {
-        **_COMMON_DEFAULTS,
-        "nu": 0.1,
-        "dt": "auto",
-        "t_end": 1.0,
-        "initial": "taylor-green",
-        "dealias": "23",
-        "integrator": "rk4",
-        "sample_every": 10,
-        "cfl": 0.4,
-        "snapshot_every": 0,
-        "restart": None,
-    },
-    "monitor": {
-        **_COMMON_DEFAULTS,
-        "trajectory": None,
-        "t_star": "2.0",
-        "c_small": 1.0,
-        "nu": None,
-        "s_list": None,
-    },
-    "constants": {
-        **_COMMON_DEFAULTS,
-        "band": DEFAULT_BANDS,
-    },
-}
+
+@dataclass(frozen=True)
+class _Option:
+    """One config key: its kind, default, command-line spelling and help.
+
+    A key whose default is None also accepts null; one with choices accepts
+    only those; ``minimum`` is a bound that only the CLI imposes.
+    """
+
+    key: str
+    kind: str
+    default: object
+    help: str
+    choices: tuple = ()
+    minimum: int | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        name = self.key if self.kind == "positional" else self.flag
+        extra = {"choices": self.choices} if self.choices else {}
+        parser.add_argument(name, help=self.help, **_KINDS[self.kind][2], **extra)
+
+    def check(self, value) -> None:
+        if value is None and self.default is None:
+            return
+        what, accepts, _ = _KINDS[self.kind]
+        if not accepts(value):
+            raise UsageError(f"{self.flag}: expected {what}, got {json.dumps(value)}")
+        if self.choices and value not in self.choices:
+            raise UsageError(
+                f"{self.flag}: expected one of {json.dumps(self.choices)}, got {json.dumps(value)}"
+            )
+        if self.minimum is not None and value < self.minimum:
+            raise UsageError(f"{self.flag}: must be >= {self.minimum}, got {value}")
+
 
 _DEALIAS_FLAGS = {"23": "two-thirds", "32": "three-halves"}
+
+_COMMON = (
+    _Option("seed", "int", 2024, "base seed for random fields"),
+    _Option("out", "str", "out", "output root; runs go to OUT/run-NNNN"),
+    _Option("lattice_n", "int", 32, "modes per axis (even, >= 8)"),
+    _Option("constant_mode", "str", "lattice", "which constants gate the inequalities",
+            CONSTANT_MODES),
+)
+
+# command -> (help, options): the one declaration of every key
+_OPTIONS: dict[str, tuple[str, tuple[_Option, ...]]] = {
+    "verify": ("run the inequality suite over a random corpus", _COMMON + (
+        _Option("corpus_size", "int", 100, "number of fields", minimum=0),
+        _Option("checks", "list", DEFAULT_CHECKS, f"comma list (default {DEFAULT_CHECKS})"),
+        _Option("inject_mean_violation", "bool", False,
+                "append a nonzero-mean field (error-path test hook)"),
+    )),
+    "simulate": ("integrate a velocity field and record norms", _COMMON + (
+        _Option("nu", "float", 0.1, "viscosity (> 0)"),
+        _Option("dt", "dt", "auto", "step size or 'auto'"),
+        _Option("t_end", "float", 1.0, "final time"),
+        _Option("initial", "str", "taylor-green", "initial condition", ("taylor-green", "random")),
+        _Option("dealias", "str", "23", "2/3 mask or 3/2 padding", tuple(_DEALIAS_FLAGS)),
+        _Option("integrator", "str", "rk4", "time integrator", INTEGRATORS),
+        _Option("sample_every", "int", 10, "steps per sample"),
+        _Option("cfl", "float", 0.4, "advective CFL number for dt='auto'"),
+        _Option("snapshot_every", "int", 0,
+                "write a restart snapshot every Nth sample (0 = never)", minimum=0),
+        _Option("restart", "str", None, "start from a snapshot file instead of --initial"),
+    )),
+    "monitor": ("evaluate blow-up functionals along a trajectory", _COMMON + (
+        _Option("trajectory", "positional", None, "trajectory CSV or JSON file"),
+        _Option("t_star", "list", "2.0", "comma list of candidate singular times"),
+        _Option("c_small", "float", 1.0, "smallness constant c"),
+        _Option("nu", "float", None, "viscosity override for external trajectories"),
+        _Option("s_list", "list", None, "comma list of Sobolev orders for rates"),
+    )),
+    "constants": ("tabulate lattice vs continuum band constants", _COMMON + (
+        _Option("band", "list", DEFAULT_BANDS,
+                "comma list of EXPONENT:ALPHA:BETA requests (empty side = low/high band)"),
+    )),
+}
 
 VERDICT_COLUMNS = ("index", "seed", "decay", "inequality", "constant_mode",
                    "lhs", "rhs", "ratio", "holds", "note")
 CONSTANTS_COLUMNS = ("exponent", "alpha", "beta", "band", "lattice", "continuum", "ratio", "note")
-
-
-class UsageError(ValueError):
-    """Invalid configuration or malformed input; maps to exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +219,7 @@ def _load_config_file(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(loaded, dict):
         raise UsageError(f"config file {path}: expected a JSON object")
@@ -153,25 +227,26 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _merge_config(command: str, args: argparse.Namespace) -> dict:
-    defaults = DEFAULTS[command]
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    unknown = sorted(set(file_cfg) - set(defaults))
+    """Defaults < config file < flags; every file and flag value is checked."""
+    options = _OPTIONS[command][1]
+    file_cfg = _load_config_file(args.config)
+    unknown = sorted(set(file_cfg) - {opt.key for opt in options})
     if unknown:
         raise UsageError(f"config file has unknown keys for '{command}': {unknown}")
-    effective = dict(defaults)
-    effective.update(file_cfg)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if isinstance(value, list):  # a list flag: one string per use
-            value = ",".join(value)
-        if value is not None:
-            effective[key] = value
+    effective = {}
+    for opt in options:
+        value = file_cfg.get(opt.key, opt.default)
+        opt.check(value)
+        flag = getattr(args, opt.key)
+        if flag is not None:
+            # a list flag holds one string per use
+            value = ",".join(flag) if isinstance(flag, list) else flag
+            opt.check(value)
+        effective[opt.key] = value
     return effective
 
 
 def _next_run_dir(out: str) -> Path:
-    if not isinstance(out, str):
-        raise UsageError(f"--out: expected a path string, got {out!r}")
     base = Path(out)
     base.mkdir(parents=True, exist_ok=True)
     index = -1
@@ -197,34 +272,12 @@ class _RunLog:
 
 def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in str(text).split(",") if part.strip())
+        values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise UsageError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
     if not values:
         raise UsageError(f"{flag}: at least one value required")
     return values
-
-
-def _config_number(config: dict, key: str, kind=float):
-    """config[key] converted by kind; a bad value is a usage error."""
-    try:
-        return kind(config[key])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"--{key.replace('_', '-')}: {exc}") from exc
-
-
-def _build_lattice(config: dict) -> Lattice:
-    try:
-        return Lattice(int(config["lattice_n"]))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"--lattice-n: {exc}") from exc
-
-
-def _check_mode(config: dict) -> str:
-    mode = config["constant_mode"]
-    if mode not in CONSTANT_MODES:
-        raise UsageError(f"--constant-mode must be one of {CONSTANT_MODES}, got {mode!r}")
-    return mode
 
 
 # ---------------------------------------------------------------------------
@@ -267,22 +320,17 @@ def _injected_entry(lattice: Lattice, corpus: CorpusConfig):
 
 
 def cmd_verify(config: dict, run_dir: Path, log: _RunLog) -> int:
-    mode = _check_mode(config)
-    lattice = _build_lattice(config)
-    size = _config_number(config, "corpus_size", int)
-    if size < 0:
-        raise UsageError(f"--corpus-size must be >= 0, got {size}")
-    names = [part.strip() for part in str(config["checks"]).split(",") if part.strip()]
+    mode = config["constant_mode"]
+    lattice = Lattice(config["lattice_n"])
+    size = config["corpus_size"]
+    names = [part.strip() for part in config["checks"].split(",") if part.strip()]
     known = set(REGISTERED_CHECKS) | {"split_x1"}
     for name in names:
         if name not in known:
             raise UsageError(f"unknown check {name!r}; available: {sorted(known)}")
-    corpus = CorpusConfig(size=size, base_seed=_config_number(config, "seed", int))
+    corpus = CorpusConfig(size=size, base_seed=config["seed"])
     entries = list(corpus_fields(lattice, corpus))
-    inject = config["inject_mean_violation"]
-    if not isinstance(inject, bool):
-        raise UsageError(f"--inject-mean-violation: expected true or false, got {inject!r}")
-    if inject:
+    if config["inject_mean_violation"]:
         entries.append(_injected_entry(lattice, corpus))
     pairs = _split_pairs(lattice)
 
@@ -348,7 +396,7 @@ def cmd_verify(config: dict, run_dir: Path, log: _RunLog) -> int:
 
 
 def _initial_field(config: dict, lattice: Lattice) -> VelocityField:
-    restart = config.get("restart")
+    restart = config["restart"]
     if restart:
         field = read_snapshot(restart)
         if not isinstance(field, VelocityField):
@@ -358,57 +406,30 @@ def _initial_field(config: dict, lattice: Lattice) -> VelocityField:
                 f"snapshot lattice n={field.lattice.n} does not match --lattice-n {lattice.n}"
             )
         return field
-    kind = config["initial"]
-    if kind == "taylor-green":
+    if config["initial"] == "taylor-green":
         return taylor_green(lattice)
-    if kind == "random":
-        u = random_band_limited(
-            lattice, 1.0, lattice.k_unit * (lattice.n // 4), 2.0, int(config["seed"])
-        )
-        scale = l2_norm(u)
-        if scale == 0:
-            raise UsageError("random initial field is identically zero")
-        return u * (0.5 / scale)
-    raise UsageError(f"--initial must be 'taylor-green' or 'random', got {kind!r}")
-
-
-def _solver_config(config: dict) -> SolverConfig:
-    dt = config["dt"]
-    if isinstance(dt, str) and dt != "auto":
-        try:
-            dt = float(dt)
-        except ValueError as exc:
-            raise UsageError(f"--dt must be a number or 'auto', got {dt!r}") from exc
-    dealias = config["dealias"]
-    dealias = _DEALIAS_FLAGS.get(str(dealias), dealias)
-    try:
-        return SolverConfig(
-            nu=float(config["nu"]),
-            dt=dt,
-            t_end=float(config["t_end"]),
-            dealias=dealias,
-            integrator=config["integrator"],
-            sample_every=int(config["sample_every"]),
-            cfl=float(config["cfl"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    u = random_band_limited(lattice, 1.0, lattice.k_unit * (lattice.n // 4), 2.0, config["seed"])
+    scale = l2_norm(u)
+    if scale == 0:
+        raise UsageError("random initial field is identically zero")
+    return u * (0.5 / scale)
 
 
 def cmd_simulate(config: dict, run_dir: Path, log: _RunLog) -> int:
-    lattice = _build_lattice(config)
-    solver = _solver_config(config)
-    try:
-        u0 = _initial_field(config, lattice)
-    except (SnapshotFormatError, NonzeroMeanError, ValueError) as exc:
-        if isinstance(exc, UsageError):
-            raise
-        raise UsageError(str(exc)) from exc
+    lattice = Lattice(config["lattice_n"])
+    solver = SolverConfig(
+        nu=float(config["nu"]),
+        dt=config["dt"],
+        t_end=float(config["t_end"]),
+        dealias=_DEALIAS_FLAGS[config["dealias"]],
+        integrator=config["integrator"],
+        sample_every=config["sample_every"],
+        cfl=float(config["cfl"]),
+    )
+    u0 = _initial_field(config, lattice)
 
     hooks = []
-    snapshot_every = _config_number(config, "snapshot_every", int)
-    if snapshot_every < 0:
-        raise UsageError(f"--snapshot-every must be >= 0, got {snapshot_every}")
+    snapshot_every = config["snapshot_every"]
     if snapshot_every > 0:
         counter = {"samples": 0}
 
@@ -419,10 +440,7 @@ def cmd_simulate(config: dict, run_dir: Path, log: _RunLog) -> int:
 
         hooks.append(snap_hook)
 
-    try:
-        trajectory = integrate(u0, solver, hooks=hooks)
-    except (NonzeroMeanError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    trajectory = integrate(u0, solver, hooks=hooks)
     write_trajectory_csv(trajectory, run_dir / "trajectory.csv")
     write_trajectory_json(trajectory, run_dir / "trajectory.json")
     log.write(
@@ -439,21 +457,17 @@ def cmd_simulate(config: dict, run_dir: Path, log: _RunLog) -> int:
 
 
 def cmd_monitor(config: dict, run_dir: Path, log: _RunLog) -> int:
-    path = config.get("trajectory")
+    path = config["trajectory"]
     if not path:
         raise UsageError("monitor needs a trajectory file (positional argument)")
     trajectory = read_trajectory(path)
     t_star = _parse_float_list(config["t_star"], "--t-star")
-    c_small = _config_number(config, "c_small")
-    nu = _config_number(config, "nu") if config.get("nu") is not None else None
+    c_small, nu = config["c_small"], config["nu"]
     s_list = DEFAULT_SOBOLEV_ORDERS
-    if config.get("s_list"):
+    if config["s_list"]:
         s_list = _parse_float_list(config["s_list"], "--s-list")
-    try:
-        monitor_config = MonitorConfig(t_star=t_star, c_small=c_small, s_list=s_list)
-        traces = evaluate_traces(trajectory, monitor_config, nu=nu)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    monitor_config = MonitorConfig(t_star=t_star, c_small=c_small, s_list=s_list)
+    traces = evaluate_traces(trajectory, monitor_config, nu=nu)
 
     table = io.StringIO()
     write_monitor_csv(traces, table)
@@ -497,7 +511,7 @@ def cmd_monitor(config: dict, run_dir: Path, log: _RunLog) -> int:
 
 def _parse_band_requests(text: str) -> list[tuple[float, float | None, float | None]]:
     requests = []
-    for chunk in str(text).split(","):
+    for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -519,7 +533,7 @@ def _parse_band_requests(text: str) -> list[tuple[float, float | None, float | N
 
 
 def cmd_constants(config: dict, run_dir: Path, log: _RunLog) -> int:
-    lattice = _build_lattice(config)
+    lattice = Lattice(config["lattice_n"])
     requests = _parse_band_requests(config["band"])
     rows = []
     for exponent, alpha, beta in requests:
@@ -553,19 +567,6 @@ def cmd_constants(config: dict, run_dir: Path, log: _RunLog) -> int:
 # Argument parsing and dispatch
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its keys")
-    parser.add_argument("--seed", type=int, help="base seed for random fields")
-    parser.add_argument("--out", help="output root; runs go to OUT/run-NNNN")
-    parser.add_argument("--lattice-n", dest="lattice_n", type=int, help="modes per axis (even, >= 8)")
-    parser.add_argument(
-        "--constant-mode",
-        dest="constant_mode",
-        choices=CONSTANT_MODES,
-        help="which constants gate the inequalities",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nsvlab",
@@ -573,52 +574,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"nsvlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run the inequality suite over a random corpus")
-    _add_common(p_verify)
-    p_verify.add_argument("--corpus-size", dest="corpus_size", type=int, help="number of fields")
-    p_verify.add_argument("--checks", action="append", help=f"comma list (default {DEFAULT_CHECKS})")
-    p_verify.add_argument(
-        "--inject-mean-violation",
-        dest="inject_mean_violation",
-        action="store_const",
-        const=True,
-        help="append a nonzero-mean field (error-path test hook)",
-    )
-
-    p_sim = sub.add_parser("simulate", help="integrate a velocity field and record norms")
-    _add_common(p_sim)
-    p_sim.add_argument("--nu", type=float, help="viscosity (> 0)")
-    p_sim.add_argument("--dt", help="step size or 'auto'")
-    p_sim.add_argument("--t-end", dest="t_end", type=float, help="final time")
-    p_sim.add_argument("--initial", choices=("taylor-green", "random"), help="initial condition")
-    p_sim.add_argument("--dealias", choices=("23", "32"), help="2/3 mask or 3/2 padding")
-    p_sim.add_argument("--integrator", choices=("rk4", "imex"), help="time integrator")
-    p_sim.add_argument("--sample-every", dest="sample_every", type=int, help="steps per sample")
-    p_sim.add_argument("--cfl", type=float, help="advective CFL number for dt='auto'")
-    p_sim.add_argument(
-        "--snapshot-every",
-        dest="snapshot_every",
-        type=int,
-        help="write a restart snapshot every Nth sample (0 = never)",
-    )
-    p_sim.add_argument("--restart", help="start from a snapshot file instead of --initial")
-
-    p_mon = sub.add_parser("monitor", help="evaluate blow-up functionals along a trajectory")
-    _add_common(p_mon)
-    p_mon.add_argument("trajectory", nargs="?", help="trajectory CSV or JSON file")
-    p_mon.add_argument("--t-star", action="append", help="comma list of candidate singular times")
-    p_mon.add_argument("--c-small", dest="c_small", type=float, help="smallness constant c")
-    p_mon.add_argument("--nu", type=float, help="viscosity override for external trajectories")
-    p_mon.add_argument("--s-list", action="append", help="comma list of Sobolev orders for rates")
-
-    p_const = sub.add_parser("constants", help="tabulate lattice vs continuum band constants")
-    _add_common(p_const)
-    p_const.add_argument(
-        "--band",
-        action="append",
-        help="comma list of EXPONENT:ALPHA:BETA requests (empty side = low/high band)",
-    )
+    for command, (summary, options) in _OPTIONS.items():
+        p_cmd = sub.add_parser(command, help=summary)
+        p_cmd.add_argument("--config", help="JSON config file; flags override its keys")
+        for opt in options:
+            opt.add_to(p_cmd)
     return parser
 
 
@@ -652,7 +612,7 @@ def main(argv=None) -> int:
         log.write(f"done {command} exit={status}")
         print(run_dir)
         return status
-    except (UsageError, TrajectoryFormatError, SnapshotFormatError) as exc:
+    except ValueError as exc:  # UsageError, a malformed input file or an out-of-range value
         print(f"error: {exc}", file=sys.stderr)
         log.write(f"usage error: {exc}")
         return EXIT_USAGE

@@ -11,6 +11,10 @@ Layout (little-endian):
     complex128   components x n^3 coefficients, row-major over integer
                  wavenumbers m1, m2, m3 each running -n/2 ... n/2-1
 
+Nothing follows the last component; a reader rejects leftover bytes, so a
+header whose n disagrees with its payload is an error, not a silent
+misread.
+
 The on-disk mode order is the centered (shifted) order, not the fft
 layout, so the file is self-describing without knowing numpy conventions.
 """
@@ -76,6 +80,10 @@ def read_snapshot(path):
                 )
             coeff = np.fft.ifftshift(data.reshape((n, n, n)).astype(np.complex128))
             fields.append(ScalarSpectralField(lattice, coeff))
+        if fh.read(1):
+            raise SnapshotFormatError(
+                f"bytes left after {ncomp} components of n={n}; header and payload disagree"
+            )
     if ncomp == 1:
         return fields[0]
     return VelocityField(tuple(fields))

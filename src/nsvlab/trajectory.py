@@ -222,8 +222,9 @@ def _read_json(path) -> Trajectory:
 
 def read_trajectory(path) -> Trajectory:
     """Read either serialization; the format is sniffed from content."""
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.read(1)
-    if head == "{":
-        return _read_json(path)
-    return _read_csv(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            head = fh.read(1)
+        return _read_json(path) if head == "{" else _read_csv(path)
+    except UnicodeDecodeError as exc:
+        raise TrajectoryFormatError(f"not a utf-8 text file: {exc}") from exc

@@ -1,9 +1,11 @@
+import argparse
 import json
 import math
 
 import pytest
 
-from nsvlab.cli import main
+from nsvlab import __version__
+from nsvlab.cli import build_parser, main
 from nsvlab.fields import Lattice
 from nsvlab.inequalities import CorpusConfig, check_x0_interpolation, corpus_fields
 from nsvlab.norms import band_constant
@@ -121,15 +123,6 @@ def test_verify_rejects_unknown_check(tmp_path, capsys):
 def test_verify_rejects_negative_corpus(tmp_path, capsys):
     code, _ = run(tmp_path, "verify", "--lattice-n", "16", "--corpus-size", "-3")
     assert_usage_error(capsys, code)
-    for values in (
-        {"corpus_size": "abc"},
-        {"seed": "abc"},
-        {"corpus_size": None},
-        {"inject_mean_violation": "no"},  # must be a JSON bool
-    ):
-        config = bad_config(tmp_path, **values)
-        code, _ = run(tmp_path, "verify", "--lattice-n", "16", "--config", config)
-        assert_usage_error(capsys, code)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +233,6 @@ def test_simulate_blowup_exits_one(tmp_path, capsys):
 def test_simulate_bad_values(tmp_path, capsys):
     assert_usage_error(capsys, run(tmp_path, "simulate", "--nu", "-1", "--lattice-n", "16")[0])
     assert_usage_error(capsys, run(tmp_path, "simulate", "--dt", "soon", "--lattice-n", "16")[0])
-    config = bad_config(tmp_path, snapshot_every="x")
-    code, _ = run(tmp_path, *SIM_ARGS, "--config", config)
-    assert_usage_error(capsys, code)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +278,22 @@ def test_monitor_malformed_file(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_binary_and_relabelled_snapshots_are_usage_errors(tmp_path, capsys):
+    _, run_dir = run(tmp_path, *SIM_ARGS, "--snapshot-every", "2")
+    snap = run_dir / "state_000000.nsv"
+    code, _ = run(tmp_path, "monitor", str(snap), out="mon_bin")
+    assert_usage_error(capsys, code)
+    # an n=16 payload behind a header that says n=8
+    raw = snap.read_bytes()
+    relabelled = tmp_path / "relabelled.nsv"
+    relabelled.write_bytes(raw[:16] + (8).to_bytes(4, "little") + raw[20:])
+    code, _ = run(
+        tmp_path, "simulate", "--lattice-n", "8", "--nu", "0.1", "--dt", "0.01",
+        "--t-end", "0.01", "--restart", str(relabelled), out="relabelled",
+    )
+    assert_usage_error(capsys, code)
+
+
 def test_monitor_requires_positional(tmp_path):
     code, _ = run(tmp_path, "monitor")
     assert code == 2
@@ -299,16 +305,11 @@ def test_monitor_t_star_must_clear_samples(tmp_path, trajectory_file, capsys):
         out="mon_bad",
     )
     assert_usage_error(capsys, code)
-    # the other bad monitor values, as flags and as config-file entries
+    # the other bad monitor values as flags; config-file entries are in
+    # test_config_value_of_the_wrong_type
     for flags in (("--t-star", "inf"), ("--t-star", "nan"), ("--c-small", "-1"),
                   ("--nu", "-1")):
         code, _ = run(tmp_path, "monitor", str(trajectory_file), *flags, out="mon_bad")
-        assert_usage_error(capsys, code)
-    for values in ({"c_small": "abc"}, {"nu": "abc"}, {"c_small": [1]}):
-        config = bad_config(tmp_path, **values)
-        code, _ = run(
-            tmp_path, "monitor", str(trajectory_file), "--config", config, out="mon_bad"
-        )
         assert_usage_error(capsys, code)
 
 
@@ -401,6 +402,10 @@ def test_config_file_must_be_valid_json(tmp_path, capsys):
     code, _ = run(tmp_path, "simulate", "--config", str(cfg))
     assert code == 2
     assert "invalid JSON" in capsys.readouterr().err
+    cfg.write_bytes(b'{"nu": "\xff"}')  # not utf-8
+    code, _ = run(tmp_path, "simulate", "--config", str(cfg))
+    assert code == 2
+    assert "invalid JSON" in capsys.readouterr().err
 
 
 def test_config_file_out_must_be_a_string(tmp_path, capsys, monkeypatch):
@@ -409,6 +414,178 @@ def test_config_file_out_must_be_a_string(tmp_path, capsys, monkeypatch):
     assert main(["constants", "--lattice-n", "16", "--config", config]) == 2
     assert capsys.readouterr().err.startswith("error: --out")
     assert not (tmp_path / "5").exists()
+
+
+# One wrong config-file value per case: every key of every command, with
+# the wrongly typed values the CLI once accepted or mangled.
+_COMMON_BAD = (
+    {"out": 5}, {"lattice_n": 16.7}, {"lattice_n": "16"}, {"seed": True}, {"seed": "abc"},
+    {"constant_mode": "sharp"},
+)
+BAD_CONFIG_VALUES = [
+    *(("verify", values) for values in _COMMON_BAD),
+    ("verify", {"corpus_size": 2.9}),
+    ("verify", {"corpus_size": "abc"}),
+    ("verify", {"corpus_size": None}),
+    ("verify", {"corpus_size": -1}),
+    ("verify", {"checks": ["x0_interpolation"]}),
+    ("verify", {"inject_mean_violation": "no"}),
+    ("verify", {"inject_mean_violation": 1}),
+    *(("simulate", values) for values in _COMMON_BAD),
+    ("simulate", {"nu": "0.1"}),
+    ("simulate", {"nu": True}),
+    ("simulate", {"nu": None}),
+    ("simulate", {"dt": True}),
+    ("simulate", {"dt": "soon"}),
+    ("simulate", {"dt": [0.01]}),
+    ("simulate", {"t_end": True}),
+    ("simulate", {"initial": "vortex"}),
+    ("simulate", {"dealias": 23}),
+    ("simulate", {"dealias": "two-thirds"}),
+    ("simulate", {"integrator": "euler"}),
+    ("simulate", {"sample_every": 1.5}),
+    ("simulate", {"cfl": "0.4"}),
+    ("simulate", {"snapshot_every": 1.9}),
+    ("simulate", {"snapshot_every": "x"}),
+    ("simulate", {"snapshot_every": -1}),
+    ("simulate", {"restart": 7}),
+    *(("monitor", values) for values in _COMMON_BAD),
+    ("monitor", {"trajectory": 7}),
+    ("monitor", {"t_star": 2.0}),
+    ("monitor", {"c_small": "abc"}),
+    ("monitor", {"c_small": [1]}),
+    ("monitor", {"nu": "abc"}),
+    ("monitor", {"s_list": [0.5]}),
+    *(("constants", values) for values in _COMMON_BAD),
+    ("constants", {"band": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "command,values", BAD_CONFIG_VALUES,
+    ids=[f"{command}-{json.dumps(values)}" for command, values in BAD_CONFIG_VALUES],
+)
+def test_config_value_of_the_wrong_type(tmp_path, capsys, command, values):
+    [key] = values
+    code, run_dir = run(tmp_path, command, "--config", bad_config(tmp_path, **values))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --{key.replace('_', '-')}"), err
+    assert "Traceback" not in err
+    assert run_dir is None
+
+
+OPTION_STRINGS = {
+    "verify": {"-h", "--help", "--config", "--seed", "--out", "--lattice-n",
+               "--constant-mode", "--corpus-size", "--checks", "--inject-mean-violation"},
+    "simulate": {"-h", "--help", "--config", "--seed", "--out", "--lattice-n",
+                 "--constant-mode", "--nu", "--dt", "--t-end", "--initial", "--dealias",
+                 "--integrator", "--sample-every", "--cfl", "--snapshot-every", "--restart"},
+    "monitor": {"-h", "--help", "--config", "--seed", "--out", "--lattice-n",
+                "--constant-mode", "trajectory", "--t-star", "--c-small", "--nu", "--s-list"},
+    "constants": {"-h", "--help", "--config", "--seed", "--out", "--lattice-n",
+                  "--constant-mode", "--band"},
+}
+
+
+def test_each_subcommand_keeps_its_option_strings():
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(OPTION_STRINGS)
+    for command, expected in OPTION_STRINGS.items():
+        actions = sub.choices[command]._actions
+        assert {s for a in actions for s in (a.option_strings or [a.dest])} == expected
+
+
+# effective_config.json of one flag-only run per command, and of a correctly
+# typed config file overridden by one flag, byte for byte
+ECHOES = [
+    (["verify", "--lattice-n", "16", "--corpus-size", "1"], """{
+  "checks": "x0_interpolation,x0_via_xm1_h52,x0_via_h12_x1,split_x1",
+  "code_version": "VERSION",
+  "command": "verify",
+  "constant_mode": "lattice",
+  "corpus_size": 1,
+  "inject_mean_violation": false,
+  "lattice_n": 16,
+  "out": "out",
+  "seed": 2024
+}
+"""),
+    (list(SIM_ARGS), """{
+  "cfl": 0.4,
+  "code_version": "VERSION",
+  "command": "simulate",
+  "constant_mode": "lattice",
+  "dealias": "23",
+  "dt": "0.01",
+  "initial": "taylor-green",
+  "integrator": "rk4",
+  "lattice_n": 16,
+  "nu": 0.1,
+  "out": "out",
+  "restart": null,
+  "sample_every": 2,
+  "seed": 2024,
+  "snapshot_every": 0,
+  "t_end": 0.05
+}
+"""),
+    (["monitor", "out/run-0001/trajectory.csv", "--t-star", "0.5,1.0"], """{
+  "c_small": 1.0,
+  "code_version": "VERSION",
+  "command": "monitor",
+  "constant_mode": "lattice",
+  "lattice_n": 32,
+  "nu": null,
+  "out": "out",
+  "s_list": null,
+  "seed": 2024,
+  "t_star": "0.5,1.0",
+  "trajectory": "out/run-0001/trajectory.csv"
+}
+"""),
+    (["constants", "--lattice-n", "16", "--band", "1:0.5:", "--band=-2.5::5"], """{
+  "band": "1:0.5:,-2.5::5",
+  "code_version": "VERSION",
+  "command": "constants",
+  "constant_mode": "lattice",
+  "lattice_n": 16,
+  "out": "out",
+  "seed": 2024
+}
+"""),
+    (["simulate", "--config", "sim.json", "--nu", "0.2"], """{
+  "cfl": 0.4,
+  "code_version": "VERSION",
+  "command": "simulate",
+  "constant_mode": "lattice",
+  "dealias": "23",
+  "dt": 0.01,
+  "initial": "taylor-green",
+  "integrator": "rk4",
+  "lattice_n": 16,
+  "nu": 0.2,
+  "out": "out",
+  "restart": null,
+  "sample_every": 10,
+  "seed": 2024,
+  "snapshot_every": 0,
+  "t_end": 0.02
+}
+"""),
+]
+
+
+def test_effective_config_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sim.json").write_text(
+        json.dumps({"nu": 0.05, "t_end": 0.02, "lattice_n": 16, "dt": 0.01})
+    )
+    for index, (argv, expected) in enumerate(ECHOES):
+        assert main([argv[0], "--out", "out", *argv[1:]]) == 0
+        echo = (tmp_path / "out" / f"run-{index:04d}" / "effective_config.json").read_bytes()
+        assert echo == expected.replace("VERSION", __version__).encode(), argv
 
 
 # ---------------------------------------------------------------------------

@@ -253,3 +253,21 @@ def test_snapshot_format_errors(tmp_path, lat8):
     bad_count.write_bytes(raw[:12] + (2).to_bytes(4, "little") + raw[16:])
     with pytest.raises(SnapshotFormatError, match="component count"):
         read_snapshot(bad_count)
+
+
+def test_snapshot_rejects_bytes_after_the_payload(tmp_path, lat16):
+    u = random_band_limited(lat16, 1.0, 5.0, 1.5, seed=11)
+    path = tmp_path / "state.nsv"
+    write_snapshot(path, u)
+    raw = path.read_bytes()
+
+    # a header claiming n=8 in front of the n=16 payload
+    relabelled = tmp_path / "relabelled.nsv"
+    relabelled.write_bytes(raw[:16] + (8).to_bytes(4, "little") + raw[20:])
+    with pytest.raises(SnapshotFormatError, match="bytes left"):
+        read_snapshot(relabelled)
+
+    trailing = tmp_path / "trailing.nsv"
+    trailing.write_bytes(raw + b"\0")
+    with pytest.raises(SnapshotFormatError, match="bytes left"):
+        read_snapshot(trailing)
