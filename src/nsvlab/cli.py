@@ -4,11 +4,12 @@ Every run is fully determined by its effective configuration plus the
 code version: defaults, then a JSON config file (--config), then
 explicitly set flags, merged in that order.  ``_OPTIONS`` declares each
 key of each command once (JSON type, default, flag); argparse, the merge
-and its checks derive from it, and a config-file value of another type
-exits 2 before any run directory exists.  The effective config is
-echoed into the run directory, and every CSV/JSON output goes through
-one table writer that formats floats with repr, so identical configs
-produce byte-identical reports.
+and its checks derive from it.  A config-file value of another type, and
+a value out of its range (a lattice size, a solver or monitor setting, a
+band request), exit 2 before any run directory exists.  The effective
+config is echoed into the run directory, and every CSV/JSON output goes
+through one table writer that formats floats with repr, so identical
+configs produce byte-identical reports.
 Timestamps live only in the run.log sidecar.
 
 The list flags (--checks, --t-star, --s-list, --band) may be repeated;
@@ -38,6 +39,7 @@ from ._version import __version__
 from .fields import (
     Lattice,
     NonzeroMeanError,
+    ScalarSpectralField,
     VelocityField,
     _require_zero_mean,
     random_band_limited,
@@ -46,6 +48,7 @@ from .fields import (
 from .inequalities import (
     CONSTANT_MODES,
     CorpusConfig,
+    CorpusField,
     InequalityVerdict,
     REGISTERED_CHECKS,
     corpus_fields,
@@ -60,7 +63,7 @@ from .monitor import (
     write_monitor_csv,
     xm1_gronwall_check,
 )
-from .norms import DEFAULT_SOBOLEV_ORDERS, band_constant, l2_norm
+from .norms import DEFAULT_SOBOLEV_ORDERS, BandConstant, band_constant, l2_norm
 from .sim import INTEGRATORS, SolverConfig, integrate
 from .snapshot import read_snapshot, write_snapshot
 from .trajectory import read_trajectory, write_trajectory_csv, write_trajectory_json
@@ -306,9 +309,6 @@ def _verdict_row(entry, verdict, note: str = "") -> dict:
 
 def _injected_entry(lattice: Lattice, corpus: CorpusConfig):
     """A corpus entry whose velocity has a nonzero mean (test hook)."""
-    from .fields import ScalarSpectralField
-    from .inequalities import CorpusField
-
     seed = corpus.base_seed + corpus.size
     clean = random_band_limited(lattice, corpus.kmin, corpus.resolved_kmax(lattice), 1.0, seed)
     coeffs = clean.components[0].coefficients.copy()
@@ -319,15 +319,19 @@ def _injected_entry(lattice: Lattice, corpus: CorpusConfig):
     return CorpusField(index=corpus.size, seed=seed, decay=1.0, field=bad)
 
 
-def cmd_verify(config: dict, run_dir: Path, log: _RunLog) -> int:
-    mode = config["constant_mode"]
-    lattice = Lattice(config["lattice_n"])
-    size = config["corpus_size"]
+def _verify_inputs(config: dict) -> tuple[Lattice, list[str]]:
     names = [part.strip() for part in config["checks"].split(",") if part.strip()]
     known = set(REGISTERED_CHECKS) | {"split_x1"}
     for name in names:
         if name not in known:
             raise UsageError(f"unknown check {name!r}; available: {sorted(known)}")
+    return Lattice(config["lattice_n"]), names
+
+
+def cmd_verify(config: dict, run_dir: Path, log: _RunLog) -> int:
+    mode = config["constant_mode"]
+    lattice, names = _verify_inputs(config)
+    size = config["corpus_size"]
     corpus = CorpusConfig(size=size, base_seed=config["seed"])
     entries = list(corpus_fields(lattice, corpus))
     if config["inject_mean_violation"]:
@@ -415,8 +419,7 @@ def _initial_field(config: dict, lattice: Lattice) -> VelocityField:
     return u * (0.5 / scale)
 
 
-def cmd_simulate(config: dict, run_dir: Path, log: _RunLog) -> int:
-    lattice = Lattice(config["lattice_n"])
+def _simulate_inputs(config: dict) -> tuple[Lattice, SolverConfig]:
     solver = SolverConfig(
         nu=float(config["nu"]),
         dt=config["dt"],
@@ -426,6 +429,11 @@ def cmd_simulate(config: dict, run_dir: Path, log: _RunLog) -> int:
         sample_every=config["sample_every"],
         cfl=float(config["cfl"]),
     )
+    return Lattice(config["lattice_n"]), solver
+
+
+def cmd_simulate(config: dict, run_dir: Path, log: _RunLog) -> int:
+    lattice, solver = _simulate_inputs(config)
     u0 = _initial_field(config, lattice)
 
     hooks = []
@@ -456,17 +464,19 @@ def cmd_simulate(config: dict, run_dir: Path, log: _RunLog) -> int:
 # monitor
 
 
-def cmd_monitor(config: dict, run_dir: Path, log: _RunLog) -> int:
-    path = config["trajectory"]
-    if not path:
+def _monitor_inputs(config: dict) -> MonitorConfig:
+    if not config["trajectory"]:
         raise UsageError("monitor needs a trajectory file (positional argument)")
-    trajectory = read_trajectory(path)
     t_star = _parse_float_list(config["t_star"], "--t-star")
-    c_small, nu = config["c_small"], config["nu"]
-    s_list = DEFAULT_SOBOLEV_ORDERS
-    if config["s_list"]:
-        s_list = _parse_float_list(config["s_list"], "--s-list")
-    monitor_config = MonitorConfig(t_star=t_star, c_small=c_small, s_list=s_list)
+    s_list = config["s_list"]
+    s_list = _parse_float_list(s_list, "--s-list") if s_list else DEFAULT_SOBOLEV_ORDERS
+    return MonitorConfig(t_star=t_star, c_small=config["c_small"], s_list=s_list)
+
+
+def cmd_monitor(config: dict, run_dir: Path, log: _RunLog) -> int:
+    monitor_config = _monitor_inputs(config)
+    path, c_small, nu = config["trajectory"], config["c_small"], config["nu"]
+    trajectory = read_trajectory(path)
     traces = evaluate_traces(trajectory, monitor_config, nu=nu)
 
     table = io.StringIO()
@@ -532,27 +542,32 @@ def _parse_band_requests(text: str) -> list[tuple[float, float | None, float | N
     return requests
 
 
-def cmd_constants(config: dict, run_dir: Path, log: _RunLog) -> int:
+def _constants_inputs(config: dict) -> tuple[Lattice, list[BandConstant]]:
     lattice = Lattice(config["lattice_n"])
-    requests = _parse_band_requests(config["band"])
-    rows = []
-    for exponent, alpha, beta in requests:
+    reports = []
+    for exponent, alpha, beta in _parse_band_requests(config["band"]):
         try:
-            report = band_constant(lattice, exponent, alpha=alpha, beta=beta)
+            reports.append(band_constant(lattice, exponent, alpha=alpha, beta=beta))
         except ValueError as exc:
             raise UsageError(f"band request {exponent:g}:{alpha}:{beta}: {exc}") from exc
-        rows.append(
-            {
-                "exponent": report.exponent,
-                "alpha": report.alpha,
-                "beta": report.beta,
-                "band": report.band,
-                "lattice": report.lattice_value,
-                "continuum": report.continuum_value,
-                "ratio": report.ratio,
-                "empty": report.empty,
-            }
-        )
+    return lattice, reports
+
+
+def cmd_constants(config: dict, run_dir: Path, log: _RunLog) -> int:
+    lattice, reports = _constants_inputs(config)
+    rows = [
+        {
+            "exponent": report.exponent,
+            "alpha": report.alpha,
+            "beta": report.beta,
+            "band": report.band,
+            "lattice": report.lattice_value,
+            "continuum": report.continuum_value,
+            "ratio": report.ratio,
+            "empty": report.empty,
+        }
+        for report in reports
+    ]
     csv_rows = [{**row, "note": "empty band" if row["empty"] else ""} for row in rows]
     write_text(
         run_dir / "constants.csv", table_text("nsvlab-constants v1", CONSTANTS_COLUMNS, csv_rows)
@@ -582,11 +597,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# command -> (input check, run); the check raises before a run directory exists
 _COMMANDS = {
-    "verify": cmd_verify,
-    "simulate": cmd_simulate,
-    "monitor": cmd_monitor,
-    "constants": cmd_constants,
+    "verify": (_verify_inputs, cmd_verify),
+    "simulate": (_simulate_inputs, cmd_simulate),
+    "monitor": (_monitor_inputs, cmd_monitor),
+    "constants": (_constants_inputs, cmd_constants),
 }
 
 
@@ -594,10 +610,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     command = args.command
+    check_inputs, run_command = _COMMANDS[command]
     try:
         config = _merge_config(command, args)
+        check_inputs(config)
         run_dir = _next_run_dir(config["out"])
-    except UsageError as exc:
+    except ValueError as exc:  # UsageError or an out-of-range value
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
@@ -608,7 +626,7 @@ def main(argv=None) -> int:
         doc = {"command": command, "code_version": __version__, **config}
         write_json(run_dir / "effective_config.json", doc)
         log.write(f"start {command} (nsvlab {__version__})")
-        status = _COMMANDS[command](config, run_dir, log)
+        status = run_command(config, run_dir, log)
         log.write(f"done {command} exit={status}")
         print(run_dir)
         return status

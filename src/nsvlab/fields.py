@@ -27,6 +27,7 @@ internally.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _iter_product
@@ -72,12 +73,22 @@ class EmptyBandError(ValueError):
     """A requested wavenumber band contains no lattice mode."""
 
 
+def _check_mean(mean: float, scale: float, what: str) -> None:
+    """Raise NonzeroMeanError when |c_0| (mean) exceeds MEAN_TOLERANCE * max|c| (scale)."""
+    if mean > MEAN_TOLERANCE * max(scale, 1e-300):
+        raise NonzeroMeanError(f"{what}: nonzero mean (|c_0| = {mean:.3e})")
+
+
 def _require_zero_mean(arrays, what: str) -> None:
     """Raise NonzeroMeanError unless the k = 0 coefficients vanish to MEAN_TOLERANCE."""
     scale = max(float(np.abs(a).max()) for a in arrays)
-    mean = max(abs(complex(a[0, 0, 0])) for a in arrays)
-    if mean > MEAN_TOLERANCE * max(scale, 1e-300):
-        raise NonzeroMeanError(f"{what}: nonzero mean (|c_0| = {mean:.3e})")
+    _check_mean(max(abs(complex(a[0, 0, 0])) for a in arrays), scale, what)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only in place."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -119,9 +130,7 @@ class Lattice:
     @cached_property
     def modes(self) -> np.ndarray:
         """Integer mode numbers along one axis in fft layout."""
-        m = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
-        m.setflags(write=False)
-        return m
+        return _frozen(np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64))
 
     def _axis_k(self, zero_nyquist: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         m = self.modes.astype(np.float64)
@@ -129,14 +138,8 @@ class Lattice:
             m = m.copy()
             m[self.n // 2] = 0.0
         k1d = self.k_unit * m
-        out = (
-            k1d.reshape(self.n, 1, 1),
-            k1d.reshape(1, self.n, 1),
-            k1d.reshape(1, 1, self.n),
-        )
-        for a in out:
-            a.setflags(write=False)
-        return out
+        n = self.n
+        return tuple(_frozen(k1d.reshape(shape)) for shape in ((n, 1, 1), (1, n, 1), (1, 1, n)))
 
     @cached_property
     def k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -151,31 +154,23 @@ class Lattice:
     @cached_property
     def ksq(self) -> np.ndarray:
         kx, ky, kz = self.k
-        out = kx * kx + ky * ky + kz * kz
-        out.setflags(write=False)
-        return out
+        return _frozen(kx * kx + ky * ky + kz * kz)
 
     @cached_property
     def ksq_deriv(self) -> np.ndarray:
         """|k|^2 under the derivative convention (Nyquist components zeroed)."""
         kx, ky, kz = self.k_deriv
-        out = kx * kx + ky * ky + kz * kz
-        out.setflags(write=False)
-        return out
+        return _frozen(kx * kx + ky * ky + kz * kz)
 
     @cached_property
     def inv_ksq_deriv(self) -> np.ndarray:
         """1/|k|^2 under the derivative convention, 0 where that |k| vanishes."""
         ksq = self.ksq_deriv
-        out = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
-        out.setflags(write=False)
-        return out
+        return _frozen(np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0))
 
     @cached_property
     def kmag(self) -> np.ndarray:
-        out = np.sqrt(self.ksq)
-        out.setflags(write=False)
-        return out
+        return _frozen(np.sqrt(self.ksq))
 
     @cached_property
     def shells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -187,16 +182,17 @@ class Lattice:
         onto its shell and sum across shells.
         """
         radius, index = np.unique(self.kmag.ravel(), return_inverse=True)
-        index.setflags(write=False)
-        radius.setflags(write=False)
-        return index, radius
+        return _frozen(index), _frozen(radius)
 
     @cached_property
     def half_shell_index(self) -> np.ndarray:
         """The shell index of :attr:`shells` for each half-layout mode, flattened."""
-        index = half_spectrum(self.shells[0].reshape(self.shape)).ravel()
-        index.setflags(write=False)
-        return index
+        return _frozen(half_spectrum(self.shells[0].reshape(self.shape)).ravel())
+
+    @cached_property
+    def _shell_counts(self) -> np.ndarray:
+        """Number of lattice modes on each shell of :attr:`shells`."""
+        return _frozen(np.bincount(self.shells[0]))
 
     def mode_index(self, m1: int, m2: int, m3: int) -> tuple[int, int, int]:
         """Array index of integer mode (m1, m2, m3)."""
@@ -208,6 +204,30 @@ class Lattice:
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape, dtype=np.complex128)
+
+
+def _shell_sums(lattice: Lattice, terms) -> list[np.ndarray]:
+    """Per component, the sum of its half-layout per-mode terms over each |k|
+    shell.  A mode counts twice, for itself and its conjugate partner -k,
+    except on the m_3 = 0 and Nyquist planes, whose partners are half-layout
+    modes too."""
+    multiplicity = np.full(lattice.n // 2 + 1, 2.0)
+    multiplicity[[0, -1]] = 1.0
+    return [np.bincount(lattice.half_shell_index, np.ravel(multiplicity * t)) for t in terms]
+
+
+# one component's shell sums of |c|^2 and of |c|, and its max |c|
+_ShellMoments = namedtuple("_ShellMoments", "squares moduli peak")
+
+
+def _shell_moments(lattice: Lattice, half: np.ndarray) -> _ShellMoments:
+    """The one per-shell pass over a half-layout component; every norm reads it.
+
+    Shell 0 holds only the zero mode, so ``moduli[0]`` is |c_0|.
+    """
+    mags = np.abs(half)
+    squares, moduli = _shell_sums(lattice, [mags**2.0, mags])
+    return _ShellMoments(squares, moduli, float(mags.max()))
 
 
 def _conj_reflect(coefficients: np.ndarray) -> np.ndarray:
@@ -237,13 +257,17 @@ class ScalarSpectralField:
             )
         if not np.isfinite(arr).all():
             raise ValueError("coefficients contain non-finite values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", arr)
+        object.__setattr__(self, "coefficients", _frozen(arr))
 
     @property
     def mean(self) -> complex:
         """Series mean, the k = 0 coefficient."""
         return complex(self.coefficients[0, 0, 0])
+
+    @cached_property
+    def _moments(self) -> _ShellMoments:
+        """Shell moments of the half layout, cached: the coefficients are read-only."""
+        return _shell_moments(self.lattice, half_spectrum(self.coefficients))
 
     def max_abs_coefficient(self) -> float:
         return float(np.abs(self.coefficients).max())

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import Lattice, VelocityField, half_spectrum, random_band_limited
-from .norms import _power_sums, _radial_weight, _shell_fsum, _shell_sums
+from .fields import Lattice, VelocityField, _shell_sums, half_spectrum, random_band_limited
+from .norms import _moments, _radial_weight, _shell_fsum
 from .norms import band_constant, l2_norm, leilin_norm, sobolev_norm
 from .products import _flux_divergence, _padded
 
@@ -236,33 +236,21 @@ class SplitReport:
         return abs(total - self.x1) / max(self.x1, 1e-300)
 
     def verdicts(self) -> list[InequalityVerdict]:
-        common = {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "variant": self.variant,
-        }
+        common = {"alpha": self.alpha, "beta": self.beta, "variant": self.variant}
+        bands = (
+            ("split_x1_low", self.i_alpha, self.bound_i),
+            ("split_x1_mid", self.j_alpha_beta, self.bound_j),
+            ("split_x1_high", self.k_beta, self.bound_k),
+        )
         out = [
-            InequalityVerdict(
-                "split_x1_low", self.i_alpha, self.bound_i, self.constant_mode,
-                self.tolerance, dict(common),
-            ),
-            InequalityVerdict(
-                "split_x1_mid", self.j_alpha_beta, self.bound_j, self.constant_mode,
-                self.tolerance, dict(common),
-            ),
-            InequalityVerdict(
-                "split_x1_high", self.k_beta, self.bound_k, self.constant_mode,
-                self.tolerance, dict(common),
-            ),
-            InequalityVerdict(
-                "split_x1_partition",
-                self.partition_defect,
-                1e-12,
-                "lattice",
-                0.0,
-                dict(common),
-            ),
+            InequalityVerdict(name, lhs, rhs, self.constant_mode, self.tolerance, dict(common))
+            for name, lhs, rhs in bands
         ]
+        out.append(
+            InequalityVerdict(
+                "split_x1_partition", self.partition_defect, 1e-12, "lattice", 0.0, dict(common)
+            )
+        )
         return out
 
     @property
@@ -288,7 +276,7 @@ def split_x1(
     if beta > lat.nyquist:
         raise ValueError(f"beta {beta} exceeds the lattice Nyquist {lat.nyquist}")
     radius = lat.shells[1]
-    moduli = _power_sums(f, 1.0)
+    moduli = [m.moduli for m in _moments(f)]
     weight = _radial_weight(radius, 1.0)
     i_alpha = _shell_fsum(moduli, np.where(radius <= alpha, weight, 0.0))
     j_ab = _shell_fsum(moduli, np.where((radius > alpha) & (radius <= beta), weight, 0.0))
@@ -297,27 +285,19 @@ def split_x1(
 
     lattice_mode = constant_mode == "lattice"
     mult = _cs_multiplicity(f) if lattice_mode else 1.0
+
+    def constant(exponent: float, **band) -> float:
+        bc = band_constant(lat, exponent, **band)
+        return mult * (bc.lattice_value if lattice_mode else bc.continuum_value)
+
     if variant == "L2":
-        bc_i = band_constant(lat, 1.0, alpha=alpha)
-        bound_i = mult * (bc_i.lattice_value if lattice_mode else bc_i.continuum_value) * l2_norm(f)
+        bound_i = constant(1.0, alpha=alpha) * l2_norm(f)
     elif variant == "H1/2":
-        bc_i = band_constant(lat, 0.5, alpha=alpha)
-        bound_i = (
-            mult
-            * (bc_i.lattice_value if lattice_mode else bc_i.continuum_value)
-            * sobolev_norm(f, 0.5)
-        )
+        bound_i = constant(0.5, alpha=alpha) * sobolev_norm(f, 0.5)
     else:  # Xm1: pointwise |k| <= alpha, |k|^2 / |k| step; constant exactly 1
         bound_i = alpha**2 * leilin_norm(f, -1.0)
-
-    bc_j = band_constant(lat, -1.5, alpha=alpha, beta=beta)
-    bc_k = band_constant(lat, -2.5, beta=beta)
-    bound_j = (
-        mult * (bc_j.lattice_value if lattice_mode else bc_j.continuum_value) * sobolev_norm(f, 2.5)
-    )
-    bound_k = (
-        mult * (bc_k.lattice_value if lattice_mode else bc_k.continuum_value) * sobolev_norm(f, 3.5)
-    )
+    bound_j = constant(-1.5, alpha=alpha, beta=beta) * sobolev_norm(f, 2.5)
+    bound_k = constant(-2.5, beta=beta) * sobolev_norm(f, 3.5)
 
     return SplitReport(
         alpha=float(alpha),

@@ -6,17 +6,20 @@ All norms are series-coefficient norms:
     ||f||_Hdot(s)   = sqrt( sum_{k != 0} |k|^(2s) |c_k|^2 )
     ||f||_X(sigma)  = sum_{k != 0} |k|^sigma |c_k|
 
-Vector fields sum over components.  Each sum first adds up the terms of
-every |k| shell (``Lattice.shells``), then weights the shell sums and adds
-them across shells and components with compensated summation
-(math.fsum).  Results are deterministic, independent of memory layout,
-and within 1e-14 relative of the per-mode compensated sum.  The shell sums
-read the half layout ``(n, n, n//2 + 1)`` and count each mode with its
-Hermitian multiplicity (1 on the m_3 = 0 and Nyquist planes, 2 elsewhere),
-so, like :func:`~nsvlab.fields.to_physical`, they rely on the Hermitian
-symmetry every field constructor keeps.  Orders below
--1 are outside the library's conventions and are rejected: with a nonzero
-mean those sums diverge, and the verification suite never needs them.
+Vector fields sum over components.  One pass per component adds up |c_k|^2
+and |c_k| over every |k| shell (``Lattice.shells``); each norm then weights
+those shell sums and adds them across shells and components with
+compensated summation (math.fsum).  A field's shell sums are computed on
+first use and reused by every norm and check that reads the field, which
+is valid because its coefficients are read-only.  Results are
+deterministic, independent of memory layout, and within 1e-14 relative of
+the per-mode compensated sum.  The shell sums read the half layout
+``(n, n, n//2 + 1)`` and count each mode with its Hermitian multiplicity
+(1 on the m_3 = 0 and Nyquist planes, 2 elsewhere), so, like
+:func:`~nsvlab.fields.to_physical`, they rely on the Hermitian symmetry
+every field constructor keeps.  Orders below -1 are outside the library's
+conventions and are rejected: with a nonzero mean those sums diverge, and
+the verification suite never needs them.
 """
 
 from __future__ import annotations
@@ -26,13 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (
-    Lattice,
-    ScalarSpectralField,
-    VelocityField,
-    _require_zero_mean,
-    half_spectrum,
-)
+from .fields import Lattice, ScalarSpectralField, VelocityField, _check_mean
 
 __all__ = [
     "DEFAULT_SOBOLEV_ORDERS",
@@ -52,32 +49,24 @@ DEFAULT_LEILIN_ORDERS = (-1.0, 0.0, 1.0)
 FOUR_PI = 4.0 * math.pi
 
 
-def _half_arrays(f) -> list[np.ndarray]:
+def _moments(f) -> list:
+    """Per component, the field's cached shell moments."""
     if isinstance(f, VelocityField):
-        return [half_spectrum(c.coefficients) for c in f.components]
+        return [c._moments for c in f.components]
     if isinstance(f, ScalarSpectralField):
-        return [half_spectrum(f.coefficients)]
+        return [f._moments]
     raise TypeError(f"expected a spectral field, got {type(f).__name__}")
 
 
-def _checked_order(arrays, order: float, name: str) -> float:
+def _checked_order(moments, order: float, name: str) -> float:
     """Validate a norm order; a negative order also needs a zero-mean field."""
     order = float(order)
     if not math.isfinite(order) or order < -1.0:
         raise ValueError(f"{name} must be finite and >= -1, got {order}")
     if order < 0:
-        _require_zero_mean(arrays, f"norm of order {order}")
+        mean = max(m.moduli[0] for m in moments)
+        _check_mean(mean, max(m.peak for m in moments), f"norm of order {order}")
     return order
-
-
-def _shell_sums(lattice: Lattice, terms) -> list[np.ndarray]:
-    """Per component, the sum of its half-layout per-mode terms over each |k|
-    shell.  A mode counts twice, for itself and its conjugate partner -k,
-    except on the m_3 = 0 and Nyquist planes, whose partners are half-layout
-    modes too."""
-    multiplicity = np.full(lattice.n // 2 + 1, 2.0)
-    multiplicity[[0, -1]] = 1.0
-    return [np.bincount(lattice.half_shell_index, np.ravel(multiplicity * t)) for t in terms]
 
 
 def _shell_fsum(sums: list[np.ndarray], weight) -> float:
@@ -92,27 +81,29 @@ def _radial_weight(radius: np.ndarray, exponent: float) -> np.ndarray:
     return weight
 
 
-def _power_sums(f, p: float) -> list[np.ndarray]:
-    """Per component, sum of |c_k|^p over each |k| shell."""
-    return _shell_sums(f.lattice, [np.abs(a) ** p for a in _half_arrays(f)])
+def _sobolev(radius: np.ndarray, moments, s: float) -> float:
+    return math.sqrt(_shell_fsum([m.squares for m in moments], _radial_weight(radius, 2.0 * s)))
+
+
+def _leilin(radius: np.ndarray, moments, sigma: float) -> float:
+    return _shell_fsum([m.moduli for m in moments], _radial_weight(radius, sigma))
 
 
 def l2_norm(f) -> float:
     """Coefficient l2 norm including the zero mode."""
-    return math.sqrt(_shell_fsum(_power_sums(f, 2.0), 1.0))
+    return _report(f.lattice, _moments(f), (), ()).l2
 
 
 def sobolev_norm(f, s: float) -> float:
     """Homogeneous Sobolev norm of order s >= -1."""
-    s = _checked_order(_half_arrays(f), s, "Sobolev order")
-    weight = _radial_weight(f.lattice.shells[1], 2.0 * s)
-    return math.sqrt(_shell_fsum(_power_sums(f, 2.0), weight))
+    moments = _moments(f)
+    return _sobolev(f.lattice.shells[1], moments, _checked_order(moments, s, "Sobolev order"))
 
 
 def leilin_norm(f, sigma: float) -> float:
     """Summed-coefficient norm sum |k|^sigma |c_k|, sigma >= -1."""
-    sigma = _checked_order(_half_arrays(f), sigma, "order")
-    return _shell_fsum(_power_sums(f, 1.0), _radial_weight(f.lattice.shells[1], sigma))
+    moments = _moments(f)
+    return _leilin(f.lattice.shells[1], moments, _checked_order(moments, sigma, "order"))
 
 
 def _order_key(prefix: str, order: float) -> str:
@@ -161,25 +152,19 @@ def full_report(
     sobolev_orders=DEFAULT_SOBOLEV_ORDERS,
     leilin_orders=DEFAULT_LEILIN_ORDERS,
 ) -> NormReport:
-    """Evaluate every tracked norm of one field from one pass per power."""
-    return _half_report(f.lattice, _half_arrays(f), sobolev_orders, leilin_orders)
+    """Evaluate every tracked norm of one field from its shell moments."""
+    return _report(f.lattice, _moments(f), sobolev_orders, leilin_orders)
 
 
-def _half_report(lattice: Lattice, arrays, sobolev_orders, leilin_orders) -> NormReport:
-    """:func:`full_report` of the field whose half-layout components are arrays."""
-    sobolev_orders = [_checked_order(arrays, s, "Sobolev order") for s in sobolev_orders]
-    leilin_orders = [_checked_order(arrays, sig, "order") for sig in leilin_orders]
+def _report(lattice: Lattice, moments, sobolev_orders, leilin_orders) -> NormReport:
+    """:func:`full_report` of the field whose components have these shell moments."""
+    sobolev_orders = [_checked_order(moments, s, "Sobolev order") for s in sobolev_orders]
+    leilin_orders = [_checked_order(moments, sig, "order") for sig in leilin_orders]
     radius = lattice.shells[1]
-    mags = [np.abs(a) for a in arrays]
-    squares = _shell_sums(lattice, [m**2.0 for m in mags])
-    moduli = _shell_sums(lattice, mags)
     return NormReport(
-        l2=math.sqrt(_shell_fsum(squares, 1.0)),
-        hdot={
-            s: math.sqrt(_shell_fsum(squares, _radial_weight(radius, 2.0 * s)))
-            for s in sobolev_orders
-        },
-        leilin={sig: _shell_fsum(moduli, _radial_weight(radius, sig)) for sig in leilin_orders},
+        l2=math.sqrt(_shell_fsum([m.squares for m in moments], 1.0)),
+        hdot={s: _sobolev(radius, moments, s) for s in sobolev_orders},
+        leilin={sig: _leilin(radius, moments, sig) for sig in leilin_orders},
     )
 
 
@@ -229,7 +214,7 @@ def band_constant(
         )
     a = float(exponent)
     p = 2.0 * a + 3.0  # continuum integrand 4*pi r^(p-1)
-    index, radius = lattice.shells
+    radius = lattice.shells[1]
     if alpha is not None and beta is None:
         alpha = float(alpha)
         if not (alpha > 0):
@@ -265,8 +250,7 @@ def band_constant(
     else:
         raise ValueError("band_constant needs alpha, beta, or both")
     keep = mask & (radius > 0)
-    counts = np.bincount(index)[keep]
-    lattice_value = math.sqrt(_shell_fsum([counts], radius[keep] ** (2.0 * a)))
+    lattice_value = math.sqrt(_shell_fsum([lattice._shell_counts[keep]], radius[keep] ** (2.0 * a)))
     return BandConstant(
         exponent=a,
         alpha=alpha,

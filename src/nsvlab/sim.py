@@ -22,10 +22,10 @@ and drops the Nyquist planes of state and term, which makes it exact.
 The solver state is the half layout ``(3, n, n, n//2 + 1)`` of the
 velocity's coefficients; the projection, the diffusion multiplier, the mask
 and the derivative wavenumbers are half-layout views of the lattice grids.
-Sample norms are computed from the half layout.  The state becomes a
-full-layout :class:`VelocityField` only where it leaves the solver: the
-state passed to hooks, the result of :func:`step` and of
-:func:`nonlinear_term`.
+Sample norms come from the half layout, through the shell-moment pass the
+norms use.  The state becomes a full-layout :class:`VelocityField` only
+where it leaves the solver: the state passed to hooks, the result of
+:func:`step` and of :func:`nonlinear_term`.
 """
 
 from __future__ import annotations
@@ -41,13 +41,15 @@ from .fields import (
     Lattice,
     ScalarSpectralField,
     VelocityField,
+    _frozen,
     _require_zero_mean,
+    _shell_moments,
     full_spectrum,
     half_spectrum,
     project_arrays,
     to_grid,
 )
-from .norms import DEFAULT_LEILIN_ORDERS, DEFAULT_SOBOLEV_ORDERS, _half_report
+from .norms import DEFAULT_LEILIN_ORDERS, DEFAULT_SOBOLEV_ORDERS, _report
 from .products import _flux_divergence, padded_size
 from .trajectory import Trajectory, TrajectorySample
 
@@ -130,9 +132,7 @@ class SchemeBlowupError(RuntimeError):
 @lru_cache(maxsize=None)
 def _dealias_mask(n: int, period: float) -> np.ndarray:
     lat = Lattice(n, period)
-    mask = half_spectrum(lat.kmag) < (2.0 / 3.0) * lat.nyquist
-    mask.setflags(write=False)
-    return mask
+    return _frozen(half_spectrum(lat.kmag) < (2.0 / 3.0) * lat.nyquist)
 
 
 @lru_cache(maxsize=None)
@@ -294,7 +294,8 @@ def integrate(u0: VelocityField, config: SolverConfig, hooks=()) -> Trajectory:
         stack = project_arrays(stack, lat)
 
     def emit(step_index: int, t: float, arrays: np.ndarray) -> None:
-        norms = _half_report(lat, arrays, DEFAULT_SOBOLEV_ORDERS, DEFAULT_LEILIN_ORDERS)
+        moments = [_shell_moments(lat, a) for a in arrays]
+        norms = _report(lat, moments, DEFAULT_SOBOLEV_ORDERS, DEFAULT_LEILIN_ORDERS)
         sample = TrajectorySample(t=t, step_index=step_index, dt=dt, norms=norms)
         trajectory.samples.append(sample)
         if hooks:

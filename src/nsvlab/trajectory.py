@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ._tables import table_text, write_json, write_text
 from .norms import NormReport
@@ -32,12 +33,23 @@ class TrajectoryFormatError(ValueError):
     """A trajectory file failed to parse; the message names the spot."""
 
 
+class _MissingColumnError(ValueError, KeyError):
+    """A norm column the samples lack; still a KeyError, as it was before."""
+
+    __str__ = BaseException.__str__  # the message itself, not KeyError's repr of it
+
+
 @dataclass(frozen=True)
 class TrajectorySample:
     t: float
     step_index: int
     dt: float
     norms: NormReport
+
+    @cached_property
+    def _record(self) -> dict[str, float]:
+        """The flat norm record, built once for the writers and :meth:`Trajectory.series`."""
+        return self.norms.to_record()
 
 
 @dataclass
@@ -56,7 +68,10 @@ class Trajectory:
 
     def series(self, key: str) -> list[float]:
         """One norm column across samples, by record key ('l2', 'h2.5', ...)."""
-        return [s.norms.to_record()[key] for s in self.samples]
+        try:
+            return [s._record[key] for s in self.samples]
+        except KeyError:
+            raise _MissingColumnError(f"trajectory has no {key!r} norm column") from None
 
     def nu(self) -> float | None:
         value = self.config.get("nu")
@@ -64,24 +79,22 @@ class Trajectory:
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    lattice = {"n": trajectory.lattice_n, "period": trajectory.period}
     header = (
-        f"lattice: {json.dumps(lattice)}",
+        f"lattice: {json.dumps({'n': trajectory.lattice_n, 'period': trajectory.period})}",
         f"config: {json.dumps(trajectory.config, sort_keys=True)}",
         f"code_version: {trajectory.code_version}",
         f"failed: {json.dumps(trajectory.failed)}",
         f"failure_reason: {json.dumps(trajectory.failure_reason)}",
     )
-    records = [sample.norms.to_record() for sample in trajectory.samples]
-    norm_keys = list(records[0]) if records else []
+    norm_keys = list(trajectory.samples[0]._record) if trajectory.samples else []
     rows = [
         {
             "t": float(sample.t),
             "step": int(sample.step_index),
             "dt": float(sample.dt),
-            **{key: float(record[key]) for key in norm_keys},
+            **{key: float(sample._record[key]) for key in norm_keys},
         }
-        for sample, record in zip(trajectory.samples, records)
+        for sample in trajectory.samples
     ]
     text = table_text(
         f"{FORMAT_NAME} v{FORMAT_VERSION}", ["t", "step", "dt", *norm_keys], rows, header
@@ -103,7 +116,7 @@ def write_trajectory_json(trajectory: Trajectory, path) -> None:
                 "t": sample.t,
                 "step": sample.step_index,
                 "dt": sample.dt,
-                "norms": sample.norms.to_record(),
+                "norms": sample._record,
             }
             for sample in trajectory.samples
         ],

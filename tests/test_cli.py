@@ -329,7 +329,7 @@ def test_monitor_single_sample_marks_checks_unavailable(tmp_path):
         assert "reason" in summary[key]
 
 
-def external_trajectory(tmp_path):
+def external_trajectory(tmp_path, config=None, orders=(0.5, 1.0, 1.5, 2.5, 3.5)):
     """A trajectory file as another tool might produce it: no nu recorded."""
     from nsvlab.norms import NormReport
     from nsvlab.trajectory import Trajectory, TrajectorySample
@@ -342,12 +342,13 @@ def external_trajectory(tmp_path):
                 t=t, step_index=i, dt=0.1,
                 norms=NormReport(
                     l2=decay,
-                    hdot={0.5: decay, 1.0: decay, 1.5: decay, 2.5: decay, 3.5: decay},
+                    hdot={s: decay for s in orders},
                     leilin={-1.0: decay, 0.0: decay, 1.0: decay},
                 ),
             )
         )
-    traj = Trajectory(16, 2.0 * math.pi, {"source": "external"}, "other-tool", samples)
+    config = {"source": "external"} if config is None else config
+    traj = Trajectory(16, 2.0 * math.pi, config, "other-tool", samples)
     path = tmp_path / "external.csv"
     write_trajectory_csv(traj, path)
     return path
@@ -365,6 +366,18 @@ def test_monitor_external_trajectory_needs_nu(tmp_path, capsys):
     assert code2 == 0
     summary = json.loads((run_dir / "monitor_summary.json").read_text())
     assert summary["h52_energy"]["available"] is True
+
+
+def test_monitor_missing_norm_column_marks_check_unavailable(tmp_path):
+    path = external_trajectory(tmp_path, {"nu": 0.1}, orders=(0.5, 1.0, 1.5, 2.5))
+    code, run_dir = run(tmp_path, "monitor", str(path), "--t-star", "1.0", "--s-list", "1")
+    assert code == 0
+    summary = json.loads((run_dir / "monitor_summary.json").read_text())
+    assert summary["h52_energy"] == {
+        "available": False, "reason": "trajectory has no 'h3.5' norm column",
+    }
+    assert summary["h12_log_growth"]["available"] is True
+    assert summary["xm1_gronwall"]["available"] is True
 
 
 def test_monitor_needs_unknown_config_key_rejected(tmp_path, trajectory_file):
@@ -473,6 +486,25 @@ def test_config_value_of_the_wrong_type(tmp_path, capsys, command, values):
     assert err.startswith(f"error: --{key.replace('_', '-')}"), err
     assert "Traceback" not in err
     assert run_dir is None
+
+
+# Out-of-range values that only the library rejects: still exit 2 before a
+# run directory exists.
+RANGE_ERRORS = [
+    ("verify", "--lattice-n", "7"),
+    ("simulate", "--nu", "-1"),
+    ("simulate", "--dt", "0"),
+    ("constants", "--band", "1:-1:"),
+]
+
+
+@pytest.mark.parametrize("argv", RANGE_ERRORS, ids=[" ".join(argv) for argv in RANGE_ERRORS])
+def test_range_error_leaves_no_run_directory(tmp_path, capsys, argv):
+    (tmp_path / "out" / "run-0003").mkdir(parents=True)
+    code, run_dir = run(tmp_path, *argv)
+    assert_usage_error(capsys, code)
+    assert run_dir.name == "run-0003"
+    assert list(run_dir.iterdir()) == []
 
 
 OPTION_STRINGS = {

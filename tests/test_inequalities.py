@@ -6,10 +6,12 @@ import scipy.fft
 from scipy.signal import convolve
 
 from conftest import transport_oracle
+from nsvlab.cli import _split_pairs
 from nsvlab.fields import (
     Lattice,
     ScalarSpectralField,
     VelocityField,
+    _shell_moments,
     leray_project,
     random_band_limited,
     taylor_green,
@@ -30,7 +32,7 @@ from nsvlab.inequalities import (
     split_x1,
     trilinear_hs,
 )
-from nsvlab.norms import band_constant, full_report, leilin_norm, sobolev_norm
+from nsvlab.norms import band_constant, full_report, l2_norm, leilin_norm, sobolev_norm
 from nsvlab.products import AliasingError, embed_coefficients, pad_lattice
 
 
@@ -107,6 +109,35 @@ def test_shell_sums_match_per_mode_oracle(lat16, corpus16):
             expected = math.sqrt(oracle_sum(ones, oracle_weight(lat, 2.0 * exponent, band)))
             value = band_constant(lat, exponent, **bounds).lattice_value
             assert value == pytest.approx(expected, rel=1e-14), exponent
+
+
+def test_public_norms_equal_their_full_report_entries(corpus16):
+    odd = Lattice(16, period=3.0)
+    fields = [entry.field for entry in corpus16]
+    fields.append(random_band_limited(odd, odd.k_unit, 4.0 * odd.k_unit, 1.5, seed=7))
+    for u in fields:
+        report = full_report(u)
+        assert l2_norm(u) == report.l2
+        for s, value in report.hdot.items():
+            assert sobolev_norm(u, s) == value, s
+        for sigma, value in report.leilin.items():
+            assert leilin_norm(u, sigma) == value, sigma
+
+
+def test_verify_checks_make_one_shell_pass_per_component(lat16, monkeypatch):
+    shapes = []
+
+    def counted(lattice, half):
+        shapes.append(half.shape)
+        return _shell_moments(lattice, half)
+
+    monkeypatch.setattr("nsvlab.fields._shell_moments", counted)
+    u = next(corpus_fields(lat16, SMALL_CORPUS)).field
+    for check in REGISTERED_CHECKS.values():
+        assert check(u, "lattice").holds
+    for alpha, beta in _split_pairs(lat16):
+        assert split_x1(u, alpha, beta).holds
+    assert shapes == [(16, 16, 9)] * 3
 
     lat8 = Lattice(8)
     lat_pad = pad_lattice(lat8)

@@ -15,7 +15,7 @@ from nsvlab.fields import (
     taylor_green,
 )
 from nsvlab.inequalities import commutator_report, trilinear_hs
-from nsvlab.norms import NormReport, l2_norm, sobolev_norm
+from nsvlab.norms import NormReport, full_report, l2_norm, sobolev_norm
 from nsvlab.products import (
     advect,
     embed_coefficients,
@@ -24,6 +24,7 @@ from nsvlab.products import (
     restrict_coefficients,
 )
 from nsvlab.sim import (
+    DEALIAS_RULES,
     RK4_DIFFUSIVE_LIMIT,
     SchemeBlowupError,
     SolverConfig,
@@ -466,6 +467,20 @@ def test_hooks_see_every_sample(lat16):
 
     integrate(tg, SolverConfig(nu=0.1, dt=0.01, t_end=0.03), hooks=[hook])
     assert [s for s, _ in seen] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("dealias", DEALIAS_RULES)
+def test_sample_norms_equal_full_report_of_the_hook_state(random16, dealias):
+    pairs = []
+
+    def hook(sample, state):
+        pairs.append((sample.norms, full_report(state.u)))
+
+    config = SolverConfig(nu=0.1, dt=0.01, t_end=0.03, dealias=dealias)
+    integrate(random16, config, hooks=[hook])
+    assert len(pairs) == 4
+    for norms, report in pairs:
+        assert norms == report
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
