@@ -39,7 +39,6 @@ from ._version import __version__
 from .fields import (
     Lattice,
     NonzeroMeanError,
-    ScalarSpectralField,
     VelocityField,
     _require_zero_mean,
     random_band_limited,
@@ -48,7 +47,6 @@ from .fields import (
 from .inequalities import (
     CONSTANT_MODES,
     CorpusConfig,
-    CorpusField,
     InequalityVerdict,
     REGISTERED_CHECKS,
     corpus_fields,
@@ -63,7 +61,7 @@ from .monitor import (
     write_monitor_csv,
     xm1_gronwall_check,
 )
-from .norms import DEFAULT_SOBOLEV_ORDERS, BandConstant, band_constant, l2_norm
+from .norms import DEFAULT_SOBOLEV_ORDERS, band_constant, l2_norm
 from .sim import INTEGRATORS, SolverConfig, integrate
 from .snapshot import read_snapshot, write_snapshot
 from .trajectory import read_trajectory, write_trajectory_csv, write_trajectory_json
@@ -309,6 +307,9 @@ def _verdict_row(entry, verdict, note: str = "") -> dict:
 
 def _injected_entry(lattice: Lattice, corpus: CorpusConfig):
     """A corpus entry whose velocity has a nonzero mean (test hook)."""
+    from .fields import ScalarSpectralField
+    from .inequalities import CorpusField
+
     seed = corpus.base_seed + corpus.size
     clean = random_band_limited(lattice, corpus.kmin, corpus.resolved_kmax(lattice), 1.0, seed)
     coeffs = clean.components[0].coefficients.copy()
@@ -328,9 +329,9 @@ def _verify_inputs(config: dict) -> tuple[Lattice, list[str]]:
     return Lattice(config["lattice_n"]), names
 
 
-def cmd_verify(config: dict, run_dir: Path, log: _RunLog) -> int:
+def cmd_verify(config: dict, inputs, run_dir: Path, log: _RunLog) -> int:
     mode = config["constant_mode"]
-    lattice, names = _verify_inputs(config)
+    lattice, names = inputs
     size = config["corpus_size"]
     corpus = CorpusConfig(size=size, base_seed=config["seed"])
     entries = list(corpus_fields(lattice, corpus))
@@ -432,8 +433,8 @@ def _simulate_inputs(config: dict) -> tuple[Lattice, SolverConfig]:
     return Lattice(config["lattice_n"]), solver
 
 
-def cmd_simulate(config: dict, run_dir: Path, log: _RunLog) -> int:
-    lattice, solver = _simulate_inputs(config)
+def cmd_simulate(config: dict, inputs, run_dir: Path, log: _RunLog) -> int:
+    lattice, solver = inputs
     u0 = _initial_field(config, lattice)
 
     hooks = []
@@ -468,15 +469,16 @@ def _monitor_inputs(config: dict) -> MonitorConfig:
     if not config["trajectory"]:
         raise UsageError("monitor needs a trajectory file (positional argument)")
     t_star = _parse_float_list(config["t_star"], "--t-star")
-    s_list = config["s_list"]
-    s_list = _parse_float_list(s_list, "--s-list") if s_list else DEFAULT_SOBOLEV_ORDERS
+    s_list = DEFAULT_SOBOLEV_ORDERS
+    if config["s_list"]:
+        s_list = _parse_float_list(config["s_list"], "--s-list")
     return MonitorConfig(t_star=t_star, c_small=config["c_small"], s_list=s_list)
 
 
-def cmd_monitor(config: dict, run_dir: Path, log: _RunLog) -> int:
-    monitor_config = _monitor_inputs(config)
-    path, c_small, nu = config["trajectory"], config["c_small"], config["nu"]
+def cmd_monitor(config: dict, monitor_config: MonitorConfig, run_dir: Path, log: _RunLog) -> int:
+    path = config["trajectory"]
     trajectory = read_trajectory(path)
+    c_small, nu = config["c_small"], config["nu"]
     traces = evaluate_traces(trajectory, monitor_config, nu=nu)
 
     table = io.StringIO()
@@ -542,32 +544,32 @@ def _parse_band_requests(text: str) -> list[tuple[float, float | None, float | N
     return requests
 
 
-def _constants_inputs(config: dict) -> tuple[Lattice, list[BandConstant]]:
+def _constants_inputs(config: dict) -> tuple[Lattice, list[dict]]:
     lattice = Lattice(config["lattice_n"])
-    reports = []
-    for exponent, alpha, beta in _parse_band_requests(config["band"]):
+    requests = _parse_band_requests(config["band"])
+    rows = []
+    for exponent, alpha, beta in requests:
         try:
-            reports.append(band_constant(lattice, exponent, alpha=alpha, beta=beta))
+            report = band_constant(lattice, exponent, alpha=alpha, beta=beta)
         except ValueError as exc:
             raise UsageError(f"band request {exponent:g}:{alpha}:{beta}: {exc}") from exc
-    return lattice, reports
+        rows.append(
+            {
+                "exponent": report.exponent,
+                "alpha": report.alpha,
+                "beta": report.beta,
+                "band": report.band,
+                "lattice": report.lattice_value,
+                "continuum": report.continuum_value,
+                "ratio": report.ratio,
+                "empty": report.empty,
+            }
+        )
+    return lattice, rows
 
 
-def cmd_constants(config: dict, run_dir: Path, log: _RunLog) -> int:
-    lattice, reports = _constants_inputs(config)
-    rows = [
-        {
-            "exponent": report.exponent,
-            "alpha": report.alpha,
-            "beta": report.beta,
-            "band": report.band,
-            "lattice": report.lattice_value,
-            "continuum": report.continuum_value,
-            "ratio": report.ratio,
-            "empty": report.empty,
-        }
-        for report in reports
-    ]
+def cmd_constants(config: dict, inputs, run_dir: Path, log: _RunLog) -> int:
+    lattice, rows = inputs
     csv_rows = [{**row, "note": "empty band" if row["empty"] else ""} for row in rows]
     write_text(
         run_dir / "constants.csv", table_text("nsvlab-constants v1", CONSTANTS_COLUMNS, csv_rows)
@@ -598,6 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # command -> (input check, run); the check raises before a run directory exists
+# and its result is the run's second argument
 _COMMANDS = {
     "verify": (_verify_inputs, cmd_verify),
     "simulate": (_simulate_inputs, cmd_simulate),
@@ -613,7 +616,7 @@ def main(argv=None) -> int:
     check_inputs, run_command = _COMMANDS[command]
     try:
         config = _merge_config(command, args)
-        check_inputs(config)
+        inputs = check_inputs(config)
         run_dir = _next_run_dir(config["out"])
     except ValueError as exc:  # UsageError or an out-of-range value
         print(f"error: {exc}", file=sys.stderr)
@@ -626,7 +629,7 @@ def main(argv=None) -> int:
         doc = {"command": command, "code_version": __version__, **config}
         write_json(run_dir / "effective_config.json", doc)
         log.write(f"start {command} (nsvlab {__version__})")
-        status = run_command(config, run_dir, log)
+        status = run_command(config, inputs, run_dir, log)
         log.write(f"done {command} exit={status}")
         print(run_dir)
         return status

@@ -85,12 +85,6 @@ def _require_zero_mean(arrays, what: str) -> None:
     _check_mean(max(abs(complex(a[0, 0, 0])) for a in arrays), scale, what)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """a, made read-only in place."""
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Cubic periodic lattice: ``n`` modes per axis on a box of edge ``period``."""
@@ -130,7 +124,9 @@ class Lattice:
     @cached_property
     def modes(self) -> np.ndarray:
         """Integer mode numbers along one axis in fft layout."""
-        return _frozen(np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64))
+        m = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
+        m.setflags(write=False)
+        return m
 
     def _axis_k(self, zero_nyquist: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         m = self.modes.astype(np.float64)
@@ -138,8 +134,14 @@ class Lattice:
             m = m.copy()
             m[self.n // 2] = 0.0
         k1d = self.k_unit * m
-        n = self.n
-        return tuple(_frozen(k1d.reshape(shape)) for shape in ((n, 1, 1), (1, n, 1), (1, 1, n)))
+        out = (
+            k1d.reshape(self.n, 1, 1),
+            k1d.reshape(1, self.n, 1),
+            k1d.reshape(1, 1, self.n),
+        )
+        for a in out:
+            a.setflags(write=False)
+        return out
 
     @cached_property
     def k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,23 +156,31 @@ class Lattice:
     @cached_property
     def ksq(self) -> np.ndarray:
         kx, ky, kz = self.k
-        return _frozen(kx * kx + ky * ky + kz * kz)
+        out = kx * kx + ky * ky + kz * kz
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def ksq_deriv(self) -> np.ndarray:
         """|k|^2 under the derivative convention (Nyquist components zeroed)."""
         kx, ky, kz = self.k_deriv
-        return _frozen(kx * kx + ky * ky + kz * kz)
+        out = kx * kx + ky * ky + kz * kz
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def inv_ksq_deriv(self) -> np.ndarray:
         """1/|k|^2 under the derivative convention, 0 where that |k| vanishes."""
         ksq = self.ksq_deriv
-        return _frozen(np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0))
+        out = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def kmag(self) -> np.ndarray:
-        return _frozen(np.sqrt(self.ksq))
+        out = np.sqrt(self.ksq)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def shells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -182,17 +192,23 @@ class Lattice:
         onto its shell and sum across shells.
         """
         radius, index = np.unique(self.kmag.ravel(), return_inverse=True)
-        return _frozen(index), _frozen(radius)
+        index.setflags(write=False)
+        radius.setflags(write=False)
+        return index, radius
 
     @cached_property
     def half_shell_index(self) -> np.ndarray:
         """The shell index of :attr:`shells` for each half-layout mode, flattened."""
-        return _frozen(half_spectrum(self.shells[0].reshape(self.shape)).ravel())
+        index = half_spectrum(self.shells[0].reshape(self.shape)).ravel()
+        index.setflags(write=False)
+        return index
 
     @cached_property
     def _shell_counts(self) -> np.ndarray:
         """Number of lattice modes on each shell of :attr:`shells`."""
-        return _frozen(np.bincount(self.shells[0]))
+        counts = np.bincount(self.shells[0])
+        counts.setflags(write=False)
+        return counts
 
     def mode_index(self, m1: int, m2: int, m3: int) -> tuple[int, int, int]:
         """Array index of integer mode (m1, m2, m3)."""
@@ -257,7 +273,8 @@ class ScalarSpectralField:
             )
         if not np.isfinite(arr).all():
             raise ValueError("coefficients contain non-finite values")
-        object.__setattr__(self, "coefficients", _frozen(arr))
+        arr.setflags(write=False)
+        object.__setattr__(self, "coefficients", arr)
 
     @property
     def mean(self) -> complex:

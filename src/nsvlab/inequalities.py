@@ -236,21 +236,33 @@ class SplitReport:
         return abs(total - self.x1) / max(self.x1, 1e-300)
 
     def verdicts(self) -> list[InequalityVerdict]:
-        common = {"alpha": self.alpha, "beta": self.beta, "variant": self.variant}
-        bands = (
-            ("split_x1_low", self.i_alpha, self.bound_i),
-            ("split_x1_mid", self.j_alpha_beta, self.bound_j),
-            ("split_x1_high", self.k_beta, self.bound_k),
-        )
+        common = {
+            "alpha": self.alpha,
+            "beta": self.beta,
+            "variant": self.variant,
+        }
         out = [
-            InequalityVerdict(name, lhs, rhs, self.constant_mode, self.tolerance, dict(common))
-            for name, lhs, rhs in bands
-        ]
-        out.append(
             InequalityVerdict(
-                "split_x1_partition", self.partition_defect, 1e-12, "lattice", 0.0, dict(common)
-            )
-        )
+                "split_x1_low", self.i_alpha, self.bound_i, self.constant_mode,
+                self.tolerance, dict(common),
+            ),
+            InequalityVerdict(
+                "split_x1_mid", self.j_alpha_beta, self.bound_j, self.constant_mode,
+                self.tolerance, dict(common),
+            ),
+            InequalityVerdict(
+                "split_x1_high", self.k_beta, self.bound_k, self.constant_mode,
+                self.tolerance, dict(common),
+            ),
+            InequalityVerdict(
+                "split_x1_partition",
+                self.partition_defect,
+                1e-12,
+                "lattice",
+                0.0,
+                dict(common),
+            ),
+        ]
         return out
 
     @property
@@ -285,19 +297,27 @@ def split_x1(
 
     lattice_mode = constant_mode == "lattice"
     mult = _cs_multiplicity(f) if lattice_mode else 1.0
-
-    def constant(exponent: float, **band) -> float:
-        bc = band_constant(lat, exponent, **band)
-        return mult * (bc.lattice_value if lattice_mode else bc.continuum_value)
-
     if variant == "L2":
-        bound_i = constant(1.0, alpha=alpha) * l2_norm(f)
+        bc_i = band_constant(lat, 1.0, alpha=alpha)
+        bound_i = mult * (bc_i.lattice_value if lattice_mode else bc_i.continuum_value) * l2_norm(f)
     elif variant == "H1/2":
-        bound_i = constant(0.5, alpha=alpha) * sobolev_norm(f, 0.5)
+        bc_i = band_constant(lat, 0.5, alpha=alpha)
+        bound_i = (
+            mult
+            * (bc_i.lattice_value if lattice_mode else bc_i.continuum_value)
+            * sobolev_norm(f, 0.5)
+        )
     else:  # Xm1: pointwise |k| <= alpha, |k|^2 / |k| step; constant exactly 1
         bound_i = alpha**2 * leilin_norm(f, -1.0)
-    bound_j = constant(-1.5, alpha=alpha, beta=beta) * sobolev_norm(f, 2.5)
-    bound_k = constant(-2.5, beta=beta) * sobolev_norm(f, 3.5)
+
+    bc_j = band_constant(lat, -1.5, alpha=alpha, beta=beta)
+    bc_k = band_constant(lat, -2.5, beta=beta)
+    bound_j = (
+        mult * (bc_j.lattice_value if lattice_mode else bc_j.continuum_value) * sobolev_norm(f, 2.5)
+    )
+    bound_k = (
+        mult * (bc_k.lattice_value if lattice_mode else bc_k.continuum_value) * sobolev_norm(f, 3.5)
+    )
 
     return SplitReport(
         alpha=float(alpha),

@@ -62,13 +62,22 @@ RATE_DOMAIN_START = 4.0
 RATE_RANGE_START = RATE_DOMAIN_START * math.sqrt(math.log(RATE_DOMAIN_START))
 
 
-def _norm(sample: TrajectorySample, prefix: str, order: float) -> float:
-    """The sample's Sobolev (prefix "h") or X (prefix "x") norm of that order."""
+def _sobolev(sample: TrajectorySample, s: float) -> float:
     try:
-        return (sample.norms.hdot if prefix == "h" else sample.norms.leilin)[order]
+        return sample.norms.hdot[s]
     except KeyError:
         raise ValueError(
-            f"sample at t = {sample.t:g} has no {prefix}{order:g} norm; "
+            f"sample at t = {sample.t:g} has no h{s:g} norm; "
+            "re-run the simulation with that order tracked"
+        ) from None
+
+
+def _leilin(sample: TrajectorySample, sigma: float) -> float:
+    try:
+        return sample.norms.leilin[sigma]
+    except KeyError:
+        raise ValueError(
+            f"sample at t = {sample.t:g} has no x{sigma:g} norm; "
             "re-run the simulation with that order tracked"
         ) from None
 
@@ -93,7 +102,7 @@ def theorem1_functional(sample: TrajectorySample, t_star: float) -> float | None
     tau = _tau(sample, t_star)
     if tau == 1.0:
         return None
-    return tau * math.sqrt(abs(math.log(tau))) * _norm(sample, "h", 2.5)
+    return tau * math.sqrt(abs(math.log(tau))) * _sobolev(sample, 2.5)
 
 
 def theorem2_functional(
@@ -113,14 +122,14 @@ def theorem2_functional(
     _check_variant(variant)
     if c_small <= 0 or nu <= 0:
         raise ValueError("c_small and nu must be positive")
-    h12 = _norm(sample, "h", 0.5)
+    h12 = _sobolev(sample, 0.5)
     if h12 == 0:
         raise ValueError("zero h1/2 norm: the log argument vanishes")
     if variant == "eq":
         arg = 4.0 * h12 / (c_small * nu)
     else:
         arg = h12**2 / (c_small * nu)
-    return tau * math.sqrt(abs(math.log(arg))) * _norm(sample, "h", 2.5)
+    return tau * math.sqrt(abs(math.log(arg))) * _sobolev(sample, 2.5)
 
 
 def theorem3_functional(
@@ -139,14 +148,14 @@ def theorem3_functional(
     _check_variant(variant)
     if c_small <= 0 or nu <= 0:
         raise ValueError("c_small and nu must be positive")
-    xm1 = _norm(sample, "x", -1.0)
+    xm1 = _leilin(sample, -1.0)
     if xm1 == 0:
         raise ValueError("zero x-1 norm: the log argument vanishes")
     if variant == "eq":
         arg = 8.0 * xm1 / nu
     else:
         arg = xm1 / (c_small * nu)
-    return tau * math.sqrt(abs(math.log(arg))) * _norm(sample, "h", 2.5)
+    return tau * math.sqrt(abs(math.log(arg))) * _sobolev(sample, 2.5)
 
 
 def rate_catalog(
@@ -172,23 +181,23 @@ def rate_catalog(
     """
     tau = _tau(sample, t_star)
     out: dict[str, float | None] = {}
-    out["leray_h1"] = tau**0.25 * _norm(sample, "h", 1.0)
+    out["leray_h1"] = tau**0.25 * _sobolev(sample, 1.0)
     for s in s_list:
         if 0.5 < s < 2.5 and s != 1.5:
-            out[f"rss_h{s:g}"] = tau ** ((2.0 * s - 1.0) / 4.0) * _norm(sample, "h", s)
+            out[f"rss_h{s:g}"] = tau ** ((2.0 * s - 1.0) / 4.0) * _sobolev(sample, s)
         elif s > 2.5:
-            out[f"high_h{s:g}"] = tau ** (s / 5.0) * _norm(sample, "h", s)
+            out[f"high_h{s:g}"] = tau ** (s / 5.0) * _sobolev(sample, s)
     if nu is not None:
         if nu <= 0:
             raise ValueError("nu must be positive")
-        out["h32_strong_nu"] = math.sqrt(tau) * _norm(sample, "h", 1.5) / math.sqrt(nu)
+        out["h32_strong_nu"] = math.sqrt(tau) * _sobolev(sample, 1.5) / math.sqrt(nu)
     if tau == 1.0:
         out["log_h32"] = None
         out["log_h52"] = None
     else:
         log_tau = abs(math.log(tau))
-        out["log_h32"] = math.sqrt(tau * log_tau) * _norm(sample, "h", 1.5)
-        out["log_h52"] = tau * log_tau * _norm(sample, "h", 2.5)
+        out["log_h32"] = math.sqrt(tau * log_tau) * _sobolev(sample, 1.5)
+        out["log_h52"] = tau * log_tau * _sobolev(sample, 2.5)
     return out
 
 
@@ -283,8 +292,8 @@ def evaluate_traces(
             raise ValueError(
                 f"t_star = {t_star:g} must exceed the final sample time {t_max:g}"
             )
-    h12_flags = [_norm(s, "h", 0.5) < config.c_small * nu for s in samples]
-    xm1_flags = [_norm(s, "x", -1.0) < nu for s in samples]
+    h12_flags = [_sobolev(s, 0.5) < config.c_small * nu for s in samples]
+    xm1_flags = [_leilin(s, -1.0) < nu for s in samples]
     h12_crossings = _crossings(times, h12_flags)
     xm1_crossings = _crossings(times, xm1_flags)
 
@@ -298,18 +307,32 @@ def evaluate_traces(
                 values=tuple(theorem1_functional(s, t_star) for s in samples),
             )
         )
-        thresholded = (
-            ("theorem2", h12_crossings,
-             lambda s, variant: theorem2_functional(s, t_star, config.c_small, nu, variant)),
-            ("theorem3", xm1_crossings,
-             lambda s, variant: theorem3_functional(s, t_star, nu, config.c_small, variant)),
-        )
-        for name, crossings, functional in thresholded:
-            for variant in LOG_VARIANTS:
-                values = tuple(functional(s, variant) for s in samples)
-                traces.append(
-                    FunctionalTrace(f"{name}_{variant}", t_star, times, values, crossings)
+        for variant in LOG_VARIANTS:
+            traces.append(
+                FunctionalTrace(
+                    name=f"theorem2_{variant}",
+                    t_star=t_star,
+                    times=times,
+                    values=tuple(
+                        theorem2_functional(s, t_star, config.c_small, nu, variant)
+                        for s in samples
+                    ),
+                    crossings=h12_crossings,
                 )
+            )
+        for variant in LOG_VARIANTS:
+            traces.append(
+                FunctionalTrace(
+                    name=f"theorem3_{variant}",
+                    t_star=t_star,
+                    times=times,
+                    values=tuple(
+                        theorem3_functional(s, t_star, nu, config.c_small, variant)
+                        for s in samples
+                    ),
+                    crossings=xm1_crossings,
+                )
+            )
         catalogs = [rate_catalog(s, t_star, config.s_list, nu) for s in samples]
         for key in catalogs[0]:
             traces.append(
@@ -397,8 +420,6 @@ class GrowthReport:
 
 
 def _growth_report(name: str, times, tracked, weight) -> GrowthReport:
-    if len(times) < 2:
-        raise ValueError("need at least 2 samples")
     t = np.asarray(times)
     values = np.asarray(tracked)
     if np.any(values <= 0):
@@ -432,6 +453,8 @@ def h12_log_growth_check(
     only the ratio to the initial value matters; C0 is the smallest
     constant making the bound hold (0 on decaying runs).
     """
+    if len(trajectory.samples) < 2:
+        raise ValueError("need at least 2 samples")
     h12 = np.array(trajectory.series("h0.5"))
     h52 = np.array(trajectory.series("h2.5"))
     return _growth_report("h12_log_growth", trajectory.times, h12**2, h52)
@@ -439,6 +462,8 @@ def h12_log_growth_check(
 
 def xm1_gronwall_check(trajectory: Trajectory) -> GrowthReport:
     """||u(t)||_x-1 <= ||u0||_x-1 * exp(C' * int_0^t ||u||_h5/2)."""
+    if len(trajectory.samples) < 2:
+        raise ValueError("need at least 2 samples")
     xm1 = np.array(trajectory.series("x-1"))
     h52 = np.array(trajectory.series("h2.5"))
     return _growth_report("xm1_gronwall", trajectory.times, xm1, h52)

@@ -81,6 +81,10 @@ def _radial_weight(radius: np.ndarray, exponent: float) -> np.ndarray:
     return weight
 
 
+def _l2(moments) -> float:
+    return math.sqrt(_shell_fsum([m.squares for m in moments], 1.0))
+
+
 def _sobolev(radius: np.ndarray, moments, s: float) -> float:
     return math.sqrt(_shell_fsum([m.squares for m in moments], _radial_weight(radius, 2.0 * s)))
 
@@ -91,7 +95,7 @@ def _leilin(radius: np.ndarray, moments, sigma: float) -> float:
 
 def l2_norm(f) -> float:
     """Coefficient l2 norm including the zero mode."""
-    return _report(f.lattice, _moments(f), (), ()).l2
+    return _l2(_moments(f))
 
 
 def sobolev_norm(f, s: float) -> float:
@@ -162,7 +166,7 @@ def _report(lattice: Lattice, moments, sobolev_orders, leilin_orders) -> NormRep
     leilin_orders = [_checked_order(moments, sig, "order") for sig in leilin_orders]
     radius = lattice.shells[1]
     return NormReport(
-        l2=math.sqrt(_shell_fsum([m.squares for m in moments], 1.0)),
+        l2=_l2(moments),
         hdot={s: _sobolev(radius, moments, s) for s in sobolev_orders},
         leilin={sig: _leilin(radius, moments, sig) for sig in leilin_orders},
     )
@@ -250,7 +254,8 @@ def band_constant(
     else:
         raise ValueError("band_constant needs alpha, beta, or both")
     keep = mask & (radius > 0)
-    lattice_value = math.sqrt(_shell_fsum([lattice._shell_counts[keep]], radius[keep] ** (2.0 * a)))
+    counts = lattice._shell_counts[keep]
+    lattice_value = math.sqrt(_shell_fsum([counts], radius[keep] ** (2.0 * a)))
     return BandConstant(
         exponent=a,
         alpha=alpha,

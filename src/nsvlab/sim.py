@@ -41,7 +41,6 @@ from .fields import (
     Lattice,
     ScalarSpectralField,
     VelocityField,
-    _frozen,
     _require_zero_mean,
     _shell_moments,
     full_spectrum,
@@ -132,7 +131,9 @@ class SchemeBlowupError(RuntimeError):
 @lru_cache(maxsize=None)
 def _dealias_mask(n: int, period: float) -> np.ndarray:
     lat = Lattice(n, period)
-    return _frozen(half_spectrum(lat.kmag) < (2.0 / 3.0) * lat.nyquist)
+    mask = half_spectrum(lat.kmag) < (2.0 / 3.0) * lat.nyquist
+    mask.setflags(write=False)
+    return mask
 
 
 @lru_cache(maxsize=None)

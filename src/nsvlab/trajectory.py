@@ -79,22 +79,24 @@ class Trajectory:
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
+    lattice = {"n": trajectory.lattice_n, "period": trajectory.period}
     header = (
-        f"lattice: {json.dumps({'n': trajectory.lattice_n, 'period': trajectory.period})}",
+        f"lattice: {json.dumps(lattice)}",
         f"config: {json.dumps(trajectory.config, sort_keys=True)}",
         f"code_version: {trajectory.code_version}",
         f"failed: {json.dumps(trajectory.failed)}",
         f"failure_reason: {json.dumps(trajectory.failure_reason)}",
     )
-    norm_keys = list(trajectory.samples[0]._record) if trajectory.samples else []
+    records = [sample._record for sample in trajectory.samples]
+    norm_keys = list(records[0]) if records else []
     rows = [
         {
             "t": float(sample.t),
             "step": int(sample.step_index),
             "dt": float(sample.dt),
-            **{key: float(sample._record[key]) for key in norm_keys},
+            **{key: float(record[key]) for key in norm_keys},
         }
-        for sample in trajectory.samples
+        for sample, record in zip(trajectory.samples, records)
     ]
     text = table_text(
         f"{FORMAT_NAME} v{FORMAT_VERSION}", ["t", "step", "dt", *norm_keys], rows, header

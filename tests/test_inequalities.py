@@ -110,6 +110,32 @@ def test_shell_sums_match_per_mode_oracle(lat16, corpus16):
             value = band_constant(lat, exponent, **bounds).lattice_value
             assert value == pytest.approx(expected, rel=1e-14), exponent
 
+    lat8 = Lattice(8)
+    lat_pad = pad_lattice(lat8)
+    for seed in (41, 42):
+        u = random_band_limited(lat8, 1.0, 8.0 / 3.0, 1.0, seed=seed)
+        transported = transport_oracle(u, u.components)
+        u_pad = [embed_coefficients(c.coefficients, lat_pad.n) for c in u.components]
+        for s in (1.5, 2.5):
+            hs, x1 = sobolev_norm(u, s), leilin_norm(u, 1.0)
+            terms = [np.real(a * np.conj(b)) for a, b in zip(transported, u_pad)]
+            expected = oracle_sum(terms, oracle_weight(lat_pad, 2.0 * s))
+            assert abs(trilinear_hs(u, s) - expected) <= 1e-12 * hs**2 * x1
+
+            ds_u = VelocityField(
+                tuple(
+                    ScalarSpectralField(lat8, oracle_weight(lat8, s) * c.coefficients)
+                    for c in u.components
+                )
+            )
+            second = transport_oracle(u, ds_u.components)
+            diff = [
+                np.abs(oracle_weight(lat_pad, s) * a - b) ** 2
+                for a, b in zip(transported, second)
+            ]
+            expected = math.sqrt(oracle_sum(diff, 1.0))
+            assert abs(commutator_l2(u, s) - expected) <= 1e-12 * hs * x1
+
 
 def test_public_norms_equal_their_full_report_entries(corpus16):
     odd = Lattice(16, period=3.0)
@@ -138,32 +164,6 @@ def test_verify_checks_make_one_shell_pass_per_component(lat16, monkeypatch):
     for alpha, beta in _split_pairs(lat16):
         assert split_x1(u, alpha, beta).holds
     assert shapes == [(16, 16, 9)] * 3
-
-    lat8 = Lattice(8)
-    lat_pad = pad_lattice(lat8)
-    for seed in (41, 42):
-        u = random_band_limited(lat8, 1.0, 8.0 / 3.0, 1.0, seed=seed)
-        transported = transport_oracle(u, u.components)
-        u_pad = [embed_coefficients(c.coefficients, lat_pad.n) for c in u.components]
-        for s in (1.5, 2.5):
-            hs, x1 = sobolev_norm(u, s), leilin_norm(u, 1.0)
-            terms = [np.real(a * np.conj(b)) for a, b in zip(transported, u_pad)]
-            expected = oracle_sum(terms, oracle_weight(lat_pad, 2.0 * s))
-            assert abs(trilinear_hs(u, s) - expected) <= 1e-12 * hs**2 * x1
-
-            ds_u = VelocityField(
-                tuple(
-                    ScalarSpectralField(lat8, oracle_weight(lat8, s) * c.coefficients)
-                    for c in u.components
-                )
-            )
-            second = transport_oracle(u, ds_u.components)
-            diff = [
-                np.abs(oracle_weight(lat_pad, s) * a - b) ** 2
-                for a, b in zip(transported, second)
-            ]
-            expected = math.sqrt(oracle_sum(diff, 1.0))
-            assert abs(commutator_l2(u, s) - expected) <= 1e-12 * hs * x1
 
 
 # ---------------------------------------------------------------------------
