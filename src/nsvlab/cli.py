@@ -4,12 +4,14 @@ Every run is fully determined by its effective configuration plus the
 code version: defaults, then a JSON config file (--config), then
 explicitly set flags, merged in that order.  ``_OPTIONS`` declares each
 key of each command once (JSON type, default, flag); argparse, the merge
-and its checks derive from it.  A config-file value of another type, and
-a value out of its range (a lattice size, a solver or monitor setting, a
-band request), exit 2 before any run directory exists.  The effective
-config is echoed into the run directory, and every CSV/JSON output goes
-through one table writer that formats floats with repr, so identical
-configs produce byte-identical reports.
+and its checks derive from it.  A config-file value of another type, a
+value out of its range (a lattice size, a solver or monitor setting, a
+band request), and an input file that cannot be read or does not fit (a
+trajectory whose viscosity or t_star the monitor rejects, a missing or
+mismatched restart snapshot) exit 2 or 3 before any run directory exists.
+The effective config is echoed into the run directory, and every CSV/JSON
+output goes through one table writer that formats floats with repr, so
+identical configs produce byte-identical reports.
 Timestamps live only in the run.log sidecar.
 
 The list flags (--checks, --t-star, --s-list, --band) may be repeated;
@@ -53,6 +55,7 @@ from .inequalities import (
     split_x1,
 )
 from .monitor import (
+    FunctionalTrace,
     MonitorConfig,
     evaluate_traces,
     h12_log_growth_check,
@@ -64,7 +67,7 @@ from .monitor import (
 from .norms import DEFAULT_SOBOLEV_ORDERS, band_constant, l2_norm
 from .sim import INTEGRATORS, SolverConfig, integrate
 from .snapshot import read_snapshot, write_snapshot
-from .trajectory import read_trajectory, write_trajectory_csv, write_trajectory_json
+from .trajectory import Trajectory, read_trajectory, write_trajectory_csv, write_trajectory_json
 
 __all__ = [
     "main",
@@ -420,7 +423,7 @@ def _initial_field(config: dict, lattice: Lattice) -> VelocityField:
     return u * (0.5 / scale)
 
 
-def _simulate_inputs(config: dict) -> tuple[Lattice, SolverConfig]:
+def _simulate_inputs(config: dict) -> tuple[SolverConfig, VelocityField]:
     solver = SolverConfig(
         nu=float(config["nu"]),
         dt=config["dt"],
@@ -430,12 +433,11 @@ def _simulate_inputs(config: dict) -> tuple[Lattice, SolverConfig]:
         sample_every=config["sample_every"],
         cfl=float(config["cfl"]),
     )
-    return Lattice(config["lattice_n"]), solver
+    return solver, _initial_field(config, Lattice(config["lattice_n"]))
 
 
 def cmd_simulate(config: dict, inputs, run_dir: Path, log: _RunLog) -> int:
-    lattice, solver = inputs
-    u0 = _initial_field(config, lattice)
+    solver, u0 = inputs
 
     hooks = []
     snapshot_every = config["snapshot_every"]
@@ -465,21 +467,24 @@ def cmd_simulate(config: dict, inputs, run_dir: Path, log: _RunLog) -> int:
 # monitor
 
 
-def _monitor_inputs(config: dict) -> MonitorConfig:
+def _monitor_inputs(config: dict) -> tuple[Trajectory, list[FunctionalTrace]]:
+    """The trajectory and its traces: a bad viscosity or t_star, or an
+    unreadable file, fails here, before a run directory exists."""
     if not config["trajectory"]:
         raise UsageError("monitor needs a trajectory file (positional argument)")
     t_star = _parse_float_list(config["t_star"], "--t-star")
     s_list = DEFAULT_SOBOLEV_ORDERS
     if config["s_list"]:
         s_list = _parse_float_list(config["s_list"], "--s-list")
-    return MonitorConfig(t_star=t_star, c_small=config["c_small"], s_list=s_list)
+    monitor_config = MonitorConfig(t_star=t_star, c_small=config["c_small"], s_list=s_list)
+    trajectory = read_trajectory(config["trajectory"])
+    return trajectory, evaluate_traces(trajectory, monitor_config, nu=config["nu"])
 
 
-def cmd_monitor(config: dict, monitor_config: MonitorConfig, run_dir: Path, log: _RunLog) -> int:
+def cmd_monitor(config: dict, inputs, run_dir: Path, log: _RunLog) -> int:
     path = config["trajectory"]
-    trajectory = read_trajectory(path)
+    trajectory, traces = inputs
     c_small, nu = config["c_small"], config["nu"]
-    traces = evaluate_traces(trajectory, monitor_config, nu=nu)
 
     table = io.StringIO()
     write_monitor_csv(traces, table)

@@ -634,11 +634,21 @@ def truncate(f: Field, radius: float, side: str) -> Field:
 
 def support_radius(f: Field) -> float:
     """Largest |k| carrying a coefficient above roundoff; 0 if none."""
+    return _support(f)[0]
+
+
+def _support(f: Field) -> tuple[float, int]:
+    """:func:`support_radius` and the largest |m_i| of any nonzero
+    coefficient (0 for the zero field), from one pass over the moduli."""
     if isinstance(f, VelocityField):
-        return max(support_radius(c) for c in f.components)
+        radii, extents = zip(*(_support(c) for c in f.components))
+        return max(radii), max(extents)
     mags = np.abs(f.coefficients)
     scale = float(mags.max())
     if scale == 0.0:
-        return 0.0
+        return 0.0, 0
     significant = mags > 1e-14 * scale
-    return float(f.lattice.kmag[significant].max())
+    nonzero = mags > 0.0
+    labels = np.abs(f.lattice.modes)
+    extent = max(int(labels[nonzero.any(axis=axes)].max()) for axes in ((1, 2), (0, 2), (0, 1)))
+    return float(f.lattice.kmag[significant].max()), extent

@@ -336,7 +336,7 @@ def split_x1(
 
 
 # ---------------------------------------------------------------------------
-# Commutator and trilinear forms (exact padded products throughout)
+# Commutator and trilinear forms (exact products throughout)
 
 
 def _fractional_laplacian(stack: np.ndarray, lattice: Lattice, s: float) -> np.ndarray:
@@ -346,54 +346,56 @@ def _fractional_laplacian(stack: np.ndarray, lattice: Lattice, s: float) -> np.n
     return mult * stack
 
 
-def _padded_pairing(a: np.ndarray, b: np.ndarray, lat_pad: Lattice, exponent: float) -> float:
-    """sum_{k != 0} |k|^exponent Re(a_k conj(b_k)) over half-layout stacks.
+def _padded_pairing(a: np.ndarray, b: np.ndarray, lat: Lattice, exponent: float) -> float:
+    """sum_{k != 0} |k|^exponent Re(a_k conj(b_k)) over half-layout stacks on lat.
 
     Terms are summed per shell, then across shells with compensated
-    summation, like the norms.
+    summation, like the norms.  Only modes where b is nonzero contribute,
+    so any lattice holding the exact product and b gives the same sum up to
+    the order of its terms.
     """
     terms = np.real(a * np.conj(b))
-    return _shell_fsum(_shell_sums(lat_pad, terms), _radial_weight(lat_pad.shells[1], exponent))
+    return _shell_fsum(_shell_sums(lat, terms), _radial_weight(lat.shells[1], exponent))
 
 
-def _commutator(transported, second, lat_pad: Lattice, s: float) -> float:
-    diff = np.abs(_fractional_laplacian(transported, lat_pad, s) - second) ** 2
-    return math.sqrt(_shell_fsum(_shell_sums(lat_pad, diff), 1.0))
+def _commutator(transported, second, lat: Lattice, s: float) -> float:
+    diff = np.abs(_fractional_laplacian(transported, lat, s) - second) ** 2
+    return math.sqrt(_shell_fsum(_shell_sums(lat, diff), 1.0))
 
 
 def _commutator_products(f: VelocityField, s: float):
-    """The padded lattice, f and g = |D|^s f on it, div(f (x) f) and div(f (x) g)."""
+    """The product lattice, f and g = |D|^s f on it, div(f (x) f) and div(f (x) g)."""
     if s < 0:
         raise ValueError(f"commutator order must be >= 0, got {s}")
-    lat_pad, f_pad = _padded(f.components)
-    g_pad = _fractional_laplacian(f_pad, lat_pad, s)
-    transported, second = _flux_divergence(f_pad, [f_pad, g_pad], lat_pad.n, lat_pad)
-    return lat_pad, f_pad, g_pad, transported, second
+    lat, f_pad = _padded(f.components)
+    g_pad = _fractional_laplacian(f_pad, lat, s)
+    transported, second = _flux_divergence(f_pad, [f_pad, g_pad], lat.n, lat)
+    return lat, f_pad, g_pad, transported, second
 
 
 def commutator_l2(f: VelocityField, s: float) -> float:
-    """|| |D|^s (f.grad f) - f.grad(|D|^s f) ||_L2, exact on the padded lattice.
+    """|| |D|^s (f.grad f) - f.grad(|D|^s f) ||_L2, exact on the product lattice.
 
     Vanishes identically at s = 0.  Inputs must be band-limited to the
     exact-product radius (n/3 modes); otherwise AliasingError propagates.
     """
-    lat_pad, _, _, transported, second = _commutator_products(f, s)
-    return _commutator(transported, second, lat_pad, s)
+    lat, _, _, transported, second = _commutator_products(f, s)
+    return _commutator(transported, second, lat, s)
 
 
 def trilinear_hs(f: VelocityField, s: float) -> float:
-    """<f.grad f, f>_Hdot(s), signed, exact on the padded lattice."""
-    lat_pad, f_pad = _padded(f.components)
-    [transported] = _flux_divergence(f_pad, [f_pad], lat_pad.n, lat_pad)
-    return _padded_pairing(transported, f_pad, lat_pad, 2.0 * s)
+    """<f.grad f, f>_Hdot(s), signed, exact on the product lattice."""
+    lat, f_pad = _padded(f.components)
+    [transported] = _flux_divergence(f_pad, [f_pad], lat.n, lat)
+    return _padded_pairing(transported, f_pad, lat, 2.0 * s)
 
 
 def advection_cancellation(f: VelocityField, s: float) -> float:
     """<f.grad(|D|^s f), |D|^s f>_L2; zero analytically for div-free f."""
-    lat_pad, f_pad = _padded(f.components)
-    g_pad = _fractional_laplacian(f_pad, lat_pad, s)
-    [second] = _flux_divergence(f_pad, [g_pad], lat_pad.n, lat_pad)
-    return _padded_pairing(second, g_pad, lat_pad, 0.0)
+    lat, f_pad = _padded(f.components)
+    g_pad = _fractional_laplacian(f_pad, lat, s)
+    [second] = _flux_divergence(f_pad, [g_pad], lat.n, lat)
+    return _padded_pairing(second, g_pad, lat, 0.0)
 
 
 def commutator_report(f: VelocityField, s: float) -> dict[str, float]:
@@ -403,16 +405,16 @@ def commutator_report(f: VelocityField, s: float) -> dict[str, float]:
     ``statement_constant`` = |T| / (X1 * Hs^2) and ``commutator_constant``
     = ||commutator|| / (X1 * Hs), together with the derivable chain
     |T| <= ||commutator|| * Hs (``commutator_bound_ratio`` <= 1).  Each
-    padded product is formed once and shared by the three diagnostics,
+    exact product is formed once and shared by the three diagnostics,
     which equal :func:`trilinear_hs`, :func:`commutator_l2` and
     :func:`advection_cancellation` bit for bit.
     """
     hs = sobolev_norm(f, s)
     x1 = leilin_norm(f, 1.0)
-    lat_pad, f_pad, g_pad, transported, second = _commutator_products(f, s)
-    tri = _padded_pairing(transported, f_pad, lat_pad, 2.0 * s)
-    comm = _commutator(transported, second, lat_pad, s)
-    cancel = _padded_pairing(second, g_pad, lat_pad, 0.0)
+    lat, f_pad, g_pad, transported, second = _commutator_products(f, s)
+    tri = _padded_pairing(transported, f_pad, lat, 2.0 * s)
+    comm = _commutator(transported, second, lat, s)
+    cancel = _padded_pairing(second, g_pad, lat, 0.0)
     tiny = 1e-300
     return {
         "s": s,
@@ -432,8 +434,11 @@ def check_h32_trilinear(f: VelocityField, tolerance: float = DEFAULT_TOLERANCE) 
     """|<f.grad f, f>_H3/2| against ||f||_H3/2^2 ||f||_H5/2; always empirical.
 
     The ratio is the measured constant; the verdict only requires it to be
-    finite.  Refining the lattice must not move the ratio: products are
-    exact, so embedding the same field in a finer lattice changes nothing.
+    finite.  Refining the lattice does not move the verdict, bit for bit:
+    the same field embedded in a finer lattice has the same norms, and its
+    products run on the same grid with the same coefficients, because that
+    grid is sized by the field's support (whenever the 3n/2 cap of the
+    coarser lattice does not bind).
     """
     tri = abs(trilinear_hs(f, 1.5))
     h32 = sobolev_norm(f, 1.5)

@@ -1,21 +1,26 @@
 """Alias-free pointwise products of band-limited spectral fields.
 
-Products are formed on a zero-padded lattice of at least 3n/2 points per
-axis and are kept there.  When both factors are band-limited to
-|k| <= k_unit * n/3, every product mode (content up to 2n/3 per axis) is
-representable below the padded Nyquist (3n/4), so the result is the exact
+A product of factors whose nonzero coefficients have |m_i| <= K holds
+modes |m_i| <= 2K, which an even grid of M >= 4K + 2 points per axis
+represents below its Nyquist plane.  Every product here is formed on the
+smallest such grid whose size is 5-smooth (a fast FFT length), never
+larger than the 3n/2 padded grid of :func:`padded_size`: factors
+band-limited to |k| <= k_unit * n/3 have content up to 2n/3 per axis,
+below the padded Nyquist (3n/4).  The result is therefore the exact
 complete convolution of the inputs: no aliasing, no truncation.  Inputs
 with broader support raise :class:`AliasingError` rather than silently
-returning a contaminated product.
+returning a contaminated product.  :func:`multiply` and :func:`advect`
+still return on :func:`pad_lattice`, into which the product embeds
+exactly.
 
 :func:`to_grid` and :func:`from_grid` (defined in :mod:`nsvlab.fields`
 and re-exported here) are the package's one transform pair.  Through it one
 private kernel, ``_flux_divergence``, forms div(u (x) g) from half-layout
 stacks ``(., n, n, n//2 + 1)`` for the solver's nonlinear term, :func:`advect`
 and the inequality lab's trilinear and commutator forms.  :func:`multiply`
-and :func:`advect` expand only their outputs to the full layout.  The padded
-embed drops the inputs' Nyquist planes, which band-limited factors hold at
-zero.
+and :func:`advect` expand only their outputs to the full layout.  The embed
+onto the product lattice drops the inputs' Nyquist planes, which
+band-limited factors hold at zero.
 """
 
 from __future__ import annotations
@@ -29,12 +34,13 @@ from .fields import (
     ScalarSpectralField,
     VelocityField,
     _embed,
+    _restrict,
+    _support,
     embed_coefficients,
     from_grid,
     full_spectrum,
     half_spectrum,
     restrict_coefficients,
-    support_radius,
     to_grid,
 )
 
@@ -63,10 +69,26 @@ def padded_size(n: int) -> int:
     return m + (m % 2)
 
 
-@lru_cache(maxsize=None)
+# one Lattice per (n, period), so the cached grids of a product lattice are built once
+_shared_lattice = lru_cache(maxsize=None)(Lattice)
+
+
 def pad_lattice(lattice: Lattice) -> Lattice:
     """The padded lattice of ``lattice``, shared so its cached grids are built once."""
-    return Lattice(padded_size(lattice.n), lattice.period)
+    return _shared_lattice(padded_size(lattice.n), lattice.period)
+
+
+def _fast_even_size(m: int) -> int:
+    """Smallest even 5-smooth integer >= m."""
+    m += m % 2
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 2
 
 
 def exactness_limit(lattice: Lattice) -> float:
@@ -75,37 +97,46 @@ def exactness_limit(lattice: Lattice) -> float:
 
 
 def require_band_limited(f, limit: float | None = None) -> None:
+    _band_extent(f, limit)
+
+
+def _band_extent(f, limit: float | None = None) -> int:
+    """Raise AliasingError unless f is band-limited to ``limit``; return the
+    largest |m_i| of its nonzero coefficients."""
     lat = f.lattice if isinstance(f, (ScalarSpectralField, VelocityField)) else None
     if lat is None:
         raise TypeError(f"expected a spectral field, got {type(f).__name__}")
     if limit is None:
         limit = exactness_limit(lat)
-    radius = support_radius(f)
+    radius, extent = _support(f)
     if radius > limit * (1.0 + 1e-12):
         raise AliasingError(
             f"field support |k| <= {radius:.6g} exceeds the exact-product "
             f"limit {limit:.6g}; band-limit the input first"
         )
+    return extent
 
 
 def multiply(f: ScalarSpectralField, g: ScalarSpectralField) -> ScalarSpectralField:
     """Exact product f*g, returned on the padded lattice."""
     if f.lattice != g.lattice:
         raise ValueError("factors live on different lattices")
-    lat_pad, (a, b) = _padded((f, g))
-    values = to_grid(a, lat_pad.n) * to_grid(b, lat_pad.n)
-    return ScalarSpectralField(lat_pad, full_spectrum(from_grid(values, lat_pad.n), lat_pad.n))
+    lat, (a, b) = _padded((f, g))
+    values = to_grid(a, lat.n) * to_grid(b, lat.n)
+    [product] = _on_pad_lattice(from_grid(values, lat.n)[None], f.lattice)
+    return product
 
 
 def _flux_divergence(u: np.ndarray, gs, n_grid: int, lattice_out: Lattice) -> list[np.ndarray]:
     """div(u (x) g) for each half-layout stack g of gs, on lattice_out.
 
     u is a (3, n, n, n//2+1) stack and each g an (m, n, n, n//2+1) stack.
-    The factors are sampled on an n_grid^3 grid (n, or :func:`padded_size`
-    for exact products); each distinct product u_j g_i is transformed once,
-    truncated to lattice_out (the n-point or the padded lattice), and
-    component i of the result is sum_j d_j(u_j g_i).  For g = u the six
-    symmetric products are shared.  For divergence-free u this is u . grad(g).
+    The factors are sampled on an n_grid^3 grid (n, or the size of the
+    product lattice of ``_padded`` for exact products); each distinct
+    product u_j g_i is transformed once, truncated to lattice_out (the
+    n-point or the product lattice), and component i of the result is
+    sum_j d_j(u_j g_i).  For g = u the six symmetric products are shared.
+    For divergence-free u this is u . grad(g).
     """
     n_out = lattice_out.n
     kd = [half_spectrum(k) for k in lattice_out.k_deriv]
@@ -129,13 +160,31 @@ def _flux_divergence(u: np.ndarray, gs, n_grid: int, lattice_out: Lattice) -> li
 
 
 def _padded(fields) -> tuple[Lattice, np.ndarray]:
-    """The padded lattice of band-limited scalar fields, and the stack of
-    their half-layout coefficients embedded in it."""
-    for f in fields:
-        require_band_limited(f)
-    lat_pad = pad_lattice(fields[0].lattice)
-    stack = [_embed(half_spectrum(f.coefficients), lat_pad.n, half=True) for f in fields]
-    return lat_pad, np.stack(stack)
+    """The product lattice of band-limited scalar fields, and the stack of
+    their half-layout coefficients on it.
+
+    Its size is the smallest even 5-smooth M >= 4K + 2 (at least 8), K the
+    largest |m_i| of any nonzero coefficient, capped at :func:`padded_size`;
+    products of the fields are exact on it.  The factors' coefficients keep
+    their mode labels: a finer input lattice is cropped, which drops only
+    zeros, so the same field on any lattice gives the same stack.
+    """
+    extent = max(_band_extent(f) for f in fields)
+    lattice = fields[0].lattice
+    m = min(padded_size(lattice.n), _fast_even_size(max(4 * extent + 2, 8)))
+    resize = _embed if m >= lattice.n else _restrict
+    stack = [resize(half_spectrum(f.coefficients), m, half=True) for f in fields]
+    return _shared_lattice(m, lattice.period), np.stack(stack)
+
+
+def _on_pad_lattice(stack: np.ndarray, lattice: Lattice) -> tuple[ScalarSpectralField, ...]:
+    """Product coefficients, a half-layout stack on the product lattice, as
+    full-layout fields on ``pad_lattice(lattice)``; exact, since the product
+    lattice is never larger and the product lies below its Nyquist planes."""
+    lat_pad = pad_lattice(lattice)
+    if stack.shape[1] != lat_pad.n:
+        stack = np.stack([_embed(c, lat_pad.n, half=True) for c in stack])
+    return tuple(ScalarSpectralField(lat_pad, c) for c in full_spectrum(stack, lat_pad.n))
 
 
 def advect(u: VelocityField, g):
@@ -152,8 +201,9 @@ def advect(u: VelocityField, g):
         raise TypeError(f"expected a spectral field, got {type(g).__name__}")
     if g.lattice != u.lattice:
         raise ValueError("fields live on different lattices")
-    lat_pad, u_pad = _padded(u.components)
-    g_pad = u_pad if g is u else _padded((g,) if scalar else g.components)[1]
-    [div] = _flux_divergence(u_pad, [g_pad], lat_pad.n, lat_pad)
-    out = tuple(ScalarSpectralField(lat_pad, c) for c in full_spectrum(div, lat_pad.n))
+    factors = u.components if g is u else u.components + ((g,) if scalar else g.components)
+    lat, stack = _padded(factors)
+    u_pad = stack[:3]
+    [div] = _flux_divergence(u_pad, [u_pad if g is u else stack[3:]], lat.n, lat)
+    out = _on_pad_lattice(div, u.lattice)
     return out[0] if scalar else out

@@ -488,21 +488,31 @@ def test_config_value_of_the_wrong_type(tmp_path, capsys, command, values):
     assert run_dir is None
 
 
-# Out-of-range values that only the library rejects: still exit 2 before a
-# run directory exists.
+# Out-of-range values that only the library rejects, and usage errors that
+# depend on an input file (it is read and checked first): still exit 2, or 3
+# for a missing file, before a run directory exists.
 RANGE_ERRORS = [
     ("verify", "--lattice-n", "7"),
     ("simulate", "--nu", "-1"),
     ("simulate", "--dt", "0"),
     ("constants", "--band", "1:-1:"),
+    ("monitor", "TRAJECTORY", "--t-star", "1.0", "--nu", "-1"),
+    ("monitor", "TRAJECTORY", "--t-star", "0.2", "--nu", "0.1"),  # the last sample's t
+    ("simulate", "--restart", "MISSING"),
 ]
 
 
 @pytest.mark.parametrize("argv", RANGE_ERRORS, ids=[" ".join(argv) for argv in RANGE_ERRORS])
 def test_range_error_leaves_no_run_directory(tmp_path, capsys, argv):
+    files = {"TRAJECTORY": str(external_trajectory(tmp_path)),
+             "MISSING": str(tmp_path / "missing.nsv")}
     (tmp_path / "out" / "run-0003").mkdir(parents=True)
-    code, run_dir = run(tmp_path, *argv)
-    assert_usage_error(capsys, code)
+    code, run_dir = run(tmp_path, *(files.get(arg, arg) for arg in argv))
+    if "MISSING" in argv:
+        assert code == 3
+        assert capsys.readouterr().err.startswith("I/O error: ")
+    else:
+        assert_usage_error(capsys, code)
     assert run_dir.name == "run-0003"
     assert list(run_dir.iterdir()) == []
 

@@ -12,6 +12,7 @@ from nsvlab.fields import (
     ScalarSpectralField,
     VelocityField,
     _shell_moments,
+    half_spectrum,
     leray_project,
     random_band_limited,
     taylor_green,
@@ -33,7 +34,14 @@ from nsvlab.inequalities import (
     trilinear_hs,
 )
 from nsvlab.norms import band_constant, full_report, l2_norm, leilin_norm, sobolev_norm
-from nsvlab.products import AliasingError, embed_coefficients, pad_lattice
+from nsvlab.inequalities import _commutator, _fractional_laplacian, _padded_pairing
+from nsvlab.products import (
+    AliasingError,
+    _flux_divergence,
+    embed_coefficients,
+    pad_lattice,
+    padded_size,
+)
 
 
 def shell_velocity(lattice, modes_amplitudes):
@@ -432,7 +440,7 @@ def test_cancellation_and_chain(lat16):
             assert tri <= report["commutator"] * report["hs"] * (1.0 + 1e-10) + floor
 
 
-def test_commutator_report_forms_each_product_once(lat16, monkeypatch):
+def test_commutator_report_forms_each_product_once(lat16, random16, monkeypatch):
     u = random_band_limited(lat16, 1.0, 4.0, 1.5, seed=53)
     for s in (0.0, 1.5, 2.5):
         report = commutator_report(u, s)
@@ -440,18 +448,85 @@ def test_commutator_report_forms_each_product_once(lat16, monkeypatch):
         assert report["commutator"] == commutator_l2(u, s)
         assert report["cancellation"] == advection_cancellation(u, s)
     calls = {"irfftn": 0, "rfftn": 0}
+    grids = []
     for name in calls:
         original = getattr(scipy.fft, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
+        def counted(x, *args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
-            return _original(*args, **kwargs)
+            grids.append(kwargs["s"] if _name == "irfftn" else x.shape)
+            return _original(x, *args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, name, counted)
     commutator_report(u, 1.5)
     # f and |D|^s f on the grid (3 + 3), then one per distinct product:
     # the 6 symmetric f_i f_j and the 9 f_j (|D|^s f)_i
     assert calls == {"irfftn": 6, "rfftn": 15}
+    # |m_i| <= 4 multiplies into |m_i| <= 8, exact on 18 points (4K + 2)
+    assert set(grids) == {(18, 18, 18)}
+
+    # support reaching n/3 needs the whole 3n/2 grid; the zero field the
+    # smallest lattice
+    zero = ScalarSpectralField(lat16, lat16.zeros())
+    for field, size in ((random16, padded_size(16)), (VelocityField((zero,) * 3), 8)):
+        grids.clear()
+        commutator_report(field, 1.5)
+        assert set(grids) == {(size,) * 3}
+
+
+def padded_forms(u, s):
+    """trilinear_hs, commutator_l2 and advection_cancellation of u with every
+    product formed on the 3n/2 grid of pad_lattice."""
+    lat = pad_lattice(u.lattice)
+    f = np.stack(
+        [half_spectrum(embed_coefficients(c.coefficients, lat.n)) for c in u.components]
+    )
+    g = _fractional_laplacian(f, lat, s)
+    transported, second = _flux_divergence(f, [f, g], padded_size(u.lattice.n), lat)
+    return (
+        _padded_pairing(transported, f, lat, 2.0 * s),
+        _commutator(transported, second, lat, s),
+        _padded_pairing(second, g, lat, 0.0),
+    )
+
+
+def test_products_sized_by_support_agree_with_the_padded_grid(corpus16):
+    odd = Lattice(16, period=3.0)
+    fields = [entry.field for entry in corpus16]
+    fields.append(random_band_limited(odd, odd.k_unit, 4.0 * odd.k_unit, 1.5, seed=7))
+    for u in fields:
+        x1 = leilin_norm(u, 1.0)
+        for s in (0.0, 1.5, 2.5):
+            hs = sobolev_norm(u, s)
+            tri, comm, cancel = padded_forms(u, s)
+            assert abs(trilinear_hs(u, s) - tri) <= 1e-13 * x1 * hs**2
+            assert abs(commutator_l2(u, s) - comm) <= 1e-13 * x1 * hs
+            assert abs(advection_cancellation(u, s) - cancel) <= 1e-13 * x1 * hs**2
+
+
+def refined(u: VelocityField) -> VelocityField:
+    """The same field on a lattice of twice the size and the same period."""
+    fine = Lattice(2 * u.lattice.n, u.lattice.period)
+    return VelocityField(
+        tuple(
+            ScalarSpectralField(fine, embed_coefficients(c.coefficients, fine.n))
+            for c in u.components
+        )
+    )
+
+
+def test_exact_products_are_invariant_under_refinement(corpus16, random16):
+    odd = Lattice(16, period=3.0)
+    fields = [entry.field for entry in corpus16] + [random16]
+    fields.append(random_band_limited(odd, odd.k_unit, 4.0 * odd.k_unit, 1.5, seed=7))
+    for u in fields:
+        fine = refined(u)
+        for s in (0.0, 1.5, 2.5):
+            assert trilinear_hs(fine, s) == trilinear_hs(u, s), s
+            assert commutator_l2(fine, s) == commutator_l2(u, s), s
+            assert advection_cancellation(fine, s) == advection_cancellation(u, s), s
+        coarse_verdict, fine_verdict = check_h32_trilinear(u), check_h32_trilinear(fine)
+        assert (fine_verdict.lhs, fine_verdict.rhs) == (coarse_verdict.lhs, coarse_verdict.rhs)
 
 
 def test_trilinear_single_mode_vanishes(lat16):

@@ -206,3 +206,14 @@ def test_product_of_orthogonal_waves_mean(lat16):
     other = multiply(wave((1, 2, 0)), wave((2, 1, 0)))
     assert same.mean == pytest.approx(0.5, abs=1e-15)
     assert abs(other.mean) < 1e-15
+
+
+def test_products_return_on_the_padded_lattice(lat16):
+    # factors with |m_i| <= 2 multiply on a 10-point grid; the results keep
+    # their documented lattice
+    u = random_band_limited(lat16, 1.0, 2.0, 1.0, seed=14)
+    f = band_limited_scalar(lat16, 2.0, seed=15)
+    products = [multiply(f, f), advect(u, f), *advect(u, u)]
+    for product in products:
+        assert product.lattice is pad_lattice(lat16)
+        assert product.coefficients.shape == (24, 24, 24)
