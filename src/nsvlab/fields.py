@@ -14,14 +14,16 @@ Derivatives use a copy of the wavenumber grid whose Nyquist component is
 zeroed, so odd-order derivatives of real fields stay real.  Norms and
 Fourier multipliers use the true wavenumbers.
 
-Fields hold the full ``(n, n, n)`` layout.  Because a real field's
-coefficients are Hermitian, the half ``(n, n, n//2 + 1)`` with
-``m_3 >= 0`` (:func:`half_spectrum`) determines them, and
-:func:`full_spectrum` rebuilds the rest by conjugate reflection.
-:func:`to_grid` and :func:`from_grid` are the package's one transform pair
-between coefficients and grid samples; they work on that half layout with
-real-to-complex FFTs, and the solver and the padded products run on it
-internally.
+Because a real field's coefficients are Hermitian, the half
+``(n, n, n//2 + 1)`` with ``m_3 >= 0`` (:func:`half_spectrum`) determines
+them, and :func:`full_spectrum` rebuilds the rest by conjugate reflection.
+Fields hold only that half layout, and every norm, transform, product and
+solver step reads it; :class:`Lattice` serves its wavenumber grids.  This
+module alone knows the full ``(n, n, n)`` layout: the public constructor
+takes it, and :attr:`ScalarSpectralField.coefficients` and the public
+lattice grids build it on demand.  :func:`to_grid` and :func:`from_grid`
+are the package's one transform pair between half-layout coefficients and
+grid samples, through real-to-complex FFTs.
 """
 
 from __future__ import annotations
@@ -73,16 +75,12 @@ class EmptyBandError(ValueError):
     """A requested wavenumber band contains no lattice mode."""
 
 
-def _check_mean(mean: float, scale: float, what: str) -> None:
-    """Raise NonzeroMeanError when |c_0| (mean) exceeds MEAN_TOLERANCE * max|c| (scale)."""
-    if mean > MEAN_TOLERANCE * max(scale, 1e-300):
+def _check_mean(moments, what: str) -> None:
+    """Raise NonzeroMeanError when the largest |c_0| of the components whose
+    shell moments are given exceeds MEAN_TOLERANCE times their largest |c|."""
+    mean = max(m.moduli[0] for m in moments)
+    if mean > MEAN_TOLERANCE * max(max(m.peak for m in moments), 1e-300):
         raise NonzeroMeanError(f"{what}: nonzero mean (|c_0| = {mean:.3e})")
-
-
-def _require_zero_mean(arrays, what: str) -> None:
-    """Raise NonzeroMeanError unless the k = 0 coefficients vanish to MEAN_TOLERANCE."""
-    scale = max(float(np.abs(a).max()) for a in arrays)
-    _check_mean(max(abs(complex(a[0, 0, 0])) for a in arrays), scale, what)
 
 
 @dataclass(frozen=True)
@@ -128,61 +126,44 @@ class Lattice:
         m.setflags(write=False)
         return m
 
-    def _axis_k(self, zero_nyquist: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        m = self.modes.astype(np.float64)
-        if zero_nyquist:
-            m = m.copy()
-            m[self.n // 2] = 0.0
-        k1d = self.k_unit * m
-        out = (
-            k1d.reshape(self.n, 1, 1),
-            k1d.reshape(1, self.n, 1),
-            k1d.reshape(1, 1, self.n),
-        )
-        for a in out:
-            a.setflags(write=False)
-        return out
+    @cached_property
+    def _full(self) -> _Grids:
+        return _grids(self, self.n)
 
     @cached_property
+    def _half(self) -> _Grids:
+        """The grids of the half layout ``(n, n, n//2 + 1)``, the one fields hold."""
+        return _grids(self, self.n // 2 + 1)
+
+    @property
     def k(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """True wavenumbers per axis, shaped for broadcasting."""
-        return self._axis_k(zero_nyquist=False)
+        return self._full.k
 
-    @cached_property
+    @property
     def k_deriv(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Derivative wavenumbers: Nyquist component zeroed per axis."""
-        return self._axis_k(zero_nyquist=True)
+        return self._full.k_deriv
 
-    @cached_property
+    @property
     def ksq(self) -> np.ndarray:
-        kx, ky, kz = self.k
-        out = kx * kx + ky * ky + kz * kz
-        out.setflags(write=False)
-        return out
+        return self._full.ksq
 
-    @cached_property
+    @property
     def ksq_deriv(self) -> np.ndarray:
         """|k|^2 under the derivative convention (Nyquist components zeroed)."""
-        kx, ky, kz = self.k_deriv
-        out = kx * kx + ky * ky + kz * kz
-        out.setflags(write=False)
-        return out
+        return self._full.ksq_deriv
 
-    @cached_property
+    @property
     def inv_ksq_deriv(self) -> np.ndarray:
         """1/|k|^2 under the derivative convention, 0 where that |k| vanishes."""
-        ksq = self.ksq_deriv
-        out = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
-        out.setflags(write=False)
-        return out
+        return self._full.inv_ksq_deriv
 
-    @cached_property
+    @property
     def kmag(self) -> np.ndarray:
-        out = np.sqrt(self.ksq)
-        out.setflags(write=False)
-        return out
+        return self._full.kmag
 
-    @cached_property
+    @property
     def shells(self) -> tuple[np.ndarray, np.ndarray]:
         """``(index, radius)``: the distinct |k| values and each mode's shell.
 
@@ -191,22 +172,12 @@ class Lattice:
         radius contains whole shells.  Norms and band sums reduce each mode
         onto its shell and sum across shells.
         """
-        radius, index = np.unique(self.kmag.ravel(), return_inverse=True)
-        index.setflags(write=False)
-        radius.setflags(write=False)
-        return index, radius
-
-    @cached_property
-    def half_shell_index(self) -> np.ndarray:
-        """The shell index of :attr:`shells` for each half-layout mode, flattened."""
-        index = half_spectrum(self.shells[0].reshape(self.shape)).ravel()
-        index.setflags(write=False)
-        return index
+        return self._full.shells
 
     @cached_property
     def _shell_counts(self) -> np.ndarray:
         """Number of lattice modes on each shell of :attr:`shells`."""
-        counts = np.bincount(self.shells[0])
+        [counts] = _shell_sums(self, [np.ones(self._half.shape)])
         counts.setflags(write=False)
         return counts
 
@@ -222,6 +193,35 @@ class Lattice:
         return np.zeros(self.shape, dtype=np.complex128)
 
 
+# The wavenumber grids of one coefficient layout, read-only: the last axis
+# holds its first `width` fft-layout labels (n for the full layout, n//2 + 1
+# for the half).  `shells` is (flattened shell index, ascending distinct |k|);
+# both layouts have the same radii.
+_Grids = namedtuple("_Grids", "shape k k_deriv ksq ksq_deriv inv_ksq_deriv kmag shells")
+
+
+def _grids(lattice: Lattice, width: int) -> _Grids:
+    n = lattice.n
+    axis = lattice.k_unit * lattice.modes.astype(np.float64)
+    deriv = axis.copy()
+    deriv[n // 2] = 0.0  # derivative wavenumbers: Nyquist component zeroed
+    k, k_deriv = (
+        (k1d.reshape(n, 1, 1), k1d.reshape(1, n, 1), k1d[:width].reshape(1, 1, width))
+        for k1d in (_read_only(axis), _read_only(deriv))
+    )
+    ksq, ksq_deriv = (_read_only(kx * kx + ky * ky + kz * kz) for kx, ky, kz in (k, k_deriv))
+    inv_ksq_deriv = np.divide(1.0, ksq_deriv, out=np.zeros_like(ksq_deriv), where=ksq_deriv > 0)
+    kmag = _read_only(np.sqrt(ksq))
+    radius, index = np.unique(kmag.ravel(), return_inverse=True)
+    shells = (_read_only(index), _read_only(radius))
+    return _Grids((n, n, width), k, k_deriv, ksq, ksq_deriv, _read_only(inv_ksq_deriv), kmag, shells)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _shell_sums(lattice: Lattice, terms) -> list[np.ndarray]:
     """Per component, the sum of its half-layout per-mode terms over each |k|
     shell.  A mode counts twice, for itself and its conjugate partner -k,
@@ -229,7 +229,7 @@ def _shell_sums(lattice: Lattice, terms) -> list[np.ndarray]:
     modes too."""
     multiplicity = np.full(lattice.n // 2 + 1, 2.0)
     multiplicity[[0, -1]] = 1.0
-    return [np.bincount(lattice.half_shell_index, np.ravel(multiplicity * t)) for t in terms]
+    return [np.bincount(lattice._half.shells[0], np.ravel(multiplicity * t)) for t in terms]
 
 
 # one component's shell sums of |c|^2 and of |c|, and its max |c|
@@ -258,52 +258,78 @@ def hermitianize(coefficients: np.ndarray) -> np.ndarray:
     return 0.5 * (coefficients + _conj_reflect(coefficients))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScalarSpectralField:
-    """Real periodic scalar field stored by Fourier-series coefficients."""
+    """Real periodic scalar field stored by Fourier-series coefficients.
+
+    The field holds only the read-only half ``(n, n, n//2 + 1)`` with
+    ``m_3 >= 0``, which determines a real field.  The constructor takes a
+    full-layout array and keeps that half; :attr:`coefficients` rebuilds
+    the full layout from it.
+    """
 
     lattice: Lattice
-    coefficients: np.ndarray
+    _half: np.ndarray
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.coefficients, dtype=np.complex128, copy=True)
-        if arr.shape != self.lattice.shape:
+    def __init__(self, lattice: Lattice, coefficients: np.ndarray) -> None:
+        arr = np.asarray(coefficients, dtype=np.complex128)
+        if arr.shape != lattice.shape:
             raise ValueError(
-                f"coefficient shape {arr.shape} does not match lattice {self.lattice.shape}"
+                f"coefficient shape {arr.shape} does not match lattice {lattice.shape}"
             )
         if not np.isfinite(arr).all():
             raise ValueError("coefficients contain non-finite values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", arr)
+        self._hold(lattice, half_spectrum(arr).copy())
+
+    @classmethod
+    def _from_half(cls, lattice: Lattice, half: np.ndarray) -> "ScalarSpectralField":
+        """The field of half-layout coefficients, held without a copy: the
+        caller hands ``half`` over and writes to it no more."""
+        if not np.isfinite(half).all():
+            raise ValueError("coefficients contain non-finite values")
+        field = object.__new__(cls)
+        field._hold(lattice, half)
+        return field
+
+    def _hold(self, lattice: Lattice, half: np.ndarray) -> None:
+        half.setflags(write=False)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "_half", half)
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """The full ``(n, n, n)`` layout, rebuilt from the half by conjugate
+        reflection on first read; read-only."""
+        return _read_only(full_spectrum(self._half, self.lattice.n))
 
     @property
     def mean(self) -> complex:
         """Series mean, the k = 0 coefficient."""
-        return complex(self.coefficients[0, 0, 0])
+        return complex(self._half[0, 0, 0])
 
     @cached_property
     def _moments(self) -> _ShellMoments:
         """Shell moments of the half layout, cached: the coefficients are read-only."""
-        return _shell_moments(self.lattice, half_spectrum(self.coefficients))
+        return _shell_moments(self.lattice, self._half)
 
     def max_abs_coefficient(self) -> float:
-        return float(np.abs(self.coefficients).max())
+        return float(np.abs(self._half).max())
 
     def __add__(self, other: "ScalarSpectralField") -> "ScalarSpectralField":
         self._check_same_lattice(other)
-        return ScalarSpectralField(self.lattice, self.coefficients + other.coefficients)
+        return ScalarSpectralField._from_half(self.lattice, self._half + other._half)
 
     def __sub__(self, other: "ScalarSpectralField") -> "ScalarSpectralField":
         self._check_same_lattice(other)
-        return ScalarSpectralField(self.lattice, self.coefficients - other.coefficients)
+        return ScalarSpectralField._from_half(self.lattice, self._half - other._half)
 
     def __mul__(self, scalar: float) -> "ScalarSpectralField":
-        return ScalarSpectralField(self.lattice, self.coefficients * float(scalar))
+        return ScalarSpectralField._from_half(self.lattice, self._half * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "ScalarSpectralField":
-        return ScalarSpectralField(self.lattice, -self.coefficients)
+        return ScalarSpectralField._from_half(self.lattice, -self._half)
 
     def _check_same_lattice(self, other: "ScalarSpectralField") -> None:
         if other.lattice != self.lattice:
@@ -328,13 +354,23 @@ class VelocityField:
             raise ValueError("components live on different lattices")
         object.__setattr__(self, "components", comps)
 
+    @classmethod
+    def _from_half(cls, lattice: Lattice, stack: np.ndarray) -> "VelocityField":
+        """The velocity of a half-layout (3, n, n, n//2+1) stack, held without
+        a copy, as :meth:`ScalarSpectralField._from_half` holds each component."""
+        return cls(tuple(ScalarSpectralField._from_half(lattice, c) for c in stack))
+
     @property
     def lattice(self) -> Lattice:
         return self.components[0].lattice
 
+    def _half_stack(self) -> np.ndarray:
+        """Writable (3, n, n, n//2+1) copy of the components' half layouts."""
+        return np.stack([c._half for c in self.components])
+
     def coefficient_stack(self) -> np.ndarray:
         """Writable (3, n, n, n) copy of the component coefficients."""
-        return np.stack([c.coefficients for c in self.components])
+        return full_spectrum(self._half_stack(), self.lattice.n)
 
     def mean_magnitude(self) -> float:
         return max(abs(c.mean) for c in self.components)
@@ -347,11 +383,11 @@ class VelocityField:
 
         Uses the derivative wavevector, matching :func:`divergence`.
         """
-        lat = self.lattice
-        kx, ky, kz = lat.k_deriv
-        c1, c2, c3 = (c.coefficients for c in self.components)
+        grids = self.lattice._half
+        kx, ky, kz = grids.k_deriv
+        c1, c2, c3 = (c._half for c in self.components)
         num = np.abs(kx * c1 + ky * c2 + kz * c3)
-        den = np.sqrt(lat.ksq_deriv) * np.sqrt(
+        den = np.sqrt(grids.ksq_deriv) * np.sqrt(
             np.abs(c1) ** 2 + np.abs(c2) ** 2 + np.abs(c3) ** 2
         )
         scale = float(den.max())
@@ -471,20 +507,20 @@ def from_grid(values: np.ndarray, n_out: int) -> np.ndarray:
 
 
 def to_physical(f: ScalarSpectralField) -> np.ndarray:
-    """Real grid samples of the field at the n^3 lattice points.
-
-    Reads the half layout only, so it relies on the Hermitian symmetry every
-    constructor keeps; use :func:`hermitian_defect` to measure it.
-    """
-    return to_grid(half_spectrum(f.coefficients), f.lattice.n)
+    """Real grid samples of the field at the n^3 lattice points."""
+    return to_grid(f._half, f.lattice.n)
 
 
 def hermitian_defect(f: ScalarSpectralField) -> float:
-    """max |Im f| / max |Re f| over the grid; 0 for the zero field.
+    """max |Im f| / max |Re f| over the grid of :attr:`~ScalarSpectralField.coefficients`;
+    0 for the zero field.
 
-    The one complex n-d ``numpy.fft`` call in the package: it must see the
-    imaginary part of the inverse transform, which the real pair
-    (:func:`to_grid`) never forms.
+    A field holds only its m_3 >= 0 half, and the m_3 < 0 modes of its
+    full layout reflect that half, so the defect measures what the half
+    itself holds of a non-Hermitian part: the asymmetry within the m_3 = 0
+    and Nyquist planes.  The one complex n-d ``numpy.fft`` call in the
+    package: it must see the imaginary part of the inverse transform, which
+    the real pair (:func:`to_grid`) never forms.
     """
     n = f.lattice.n
     values = np.fft.ifftn(f.coefficients) * float(n**3)
@@ -502,35 +538,21 @@ def to_spectral(samples: np.ndarray, period: float = TWO_PI) -> ScalarSpectralFi
     if not np.isfinite(arr).all():
         raise ValueError("samples contain non-finite values")
     lattice = Lattice(arr.shape[0], period)
-    return ScalarSpectralField(lattice, full_spectrum(from_grid(arr, lattice.n), lattice.n))
+    return ScalarSpectralField._from_half(lattice, from_grid(arr, lattice.n))
 
 
 def gradient(f: ScalarSpectralField) -> tuple[ScalarSpectralField, ...]:
     """Spectral gradient; Nyquist derivative components are zeroed."""
     lat = f.lattice
-    return tuple(
-        ScalarSpectralField(lat, 1j * kd * f.coefficients) for kd in lat.k_deriv
-    )
+    return tuple(ScalarSpectralField._from_half(lat, 1j * kd * f._half) for kd in lat._half.k_deriv)
 
 
 def divergence(u: VelocityField) -> ScalarSpectralField:
     lat = u.lattice
-    out = lat.zeros()
-    for kd, comp in zip(lat.k_deriv, u.components):
-        out += 1j * kd * comp.coefficients
-    return ScalarSpectralField(lat, out)
-
-
-def _as_component_arrays(candidate) -> tuple[Lattice, list[np.ndarray]]:
-    if isinstance(candidate, VelocityField):
-        comps = candidate.components
-    else:
-        comps = tuple(candidate)
-        if len(comps) != 3 or not all(isinstance(c, ScalarSpectralField) for c in comps):
-            raise TypeError("expected a VelocityField or three scalar fields")
-        if any(c.lattice != comps[0].lattice for c in comps[1:]):
-            raise ValueError("components live on different lattices")
-    return comps[0].lattice, [c.coefficients for c in comps]
+    out = np.zeros(lat._half.shape, dtype=np.complex128)
+    for kd, comp in zip(lat._half.k_deriv, u.components):
+        out += 1j * kd * comp._half
+    return ScalarSpectralField._from_half(lat, out)
 
 
 def leray_project(candidate) -> VelocityField:
@@ -539,23 +561,26 @@ def leray_project(candidate) -> VelocityField:
     Accepts a :class:`VelocityField` or a sequence of three scalar fields.
     The mean must already vanish; the k = 0 mode is left untouched.
     """
-    lat, arrays = _as_component_arrays(candidate)
-    _require_zero_mean(arrays, "velocity candidate")
-    projected = project_arrays(np.stack(arrays), lat)
-    return VelocityField(tuple(ScalarSpectralField(lat, c) for c in projected))
+    if not isinstance(candidate, VelocityField):
+        comps = tuple(candidate)
+        if len(comps) != 3 or not all(isinstance(c, ScalarSpectralField) for c in comps):
+            raise TypeError("expected a VelocityField or three scalar fields")
+        candidate = VelocityField(comps)
+    _check_mean([c._moments for c in candidate.components], "velocity candidate")
+    lat = candidate.lattice
+    return VelocityField._from_half(lat, project_arrays(candidate._half_stack(), lat))
 
 
 def project_arrays(stack: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """Leray projection on a raw (3, n, n, n) or half-layout (3, n, n, n//2+1) stack.
+    """Leray projection on a half-layout (3, n, n, n//2+1) stack.
 
     Uses the derivative wavevector so that projecting a gradient gives 0
     and the divergence of the output vanishes mode by mode; pure-Nyquist
     modes (derivative wavevector zero) pass through untouched.
     """
-    width = stack.shape[-1]
-    kx, ky, kz = (k[..., :width] for k in lattice.k_deriv)
+    kx, ky, kz = lattice._half.k_deriv
     factor = kx * stack[0] + ky * stack[1] + kz * stack[2]
-    factor *= lattice.inv_ksq_deriv[..., :width]
+    factor *= lattice._half.inv_ksq_deriv
     out = np.empty_like(stack)
     out[0] = stack[0] - kx * factor
     out[1] = stack[1] - ky * factor
@@ -601,18 +626,18 @@ def random_band_limited(
         raise ValueError(f"need 0 < kmin <= kmax, got ({kmin}, {kmax})")
     if kmax > lattice.nyquist:
         raise ValueError(f"kmax {kmax} exceeds the lattice Nyquist {lattice.nyquist}")
-    band = (lattice.kmag >= kmin) & (lattice.kmag <= kmax)
+    kmag = lattice._half.kmag
+    band = (kmag >= kmin) & (kmag <= kmax)
     if not band.any():
         raise EmptyBandError(f"no lattice mode with {kmin} <= |k| <= {kmax}")
-    amplitude = np.zeros(lattice.shape)
-    amplitude[band] = lattice.kmag[band] ** (-decay)
+    amplitude = np.zeros(kmag.shape)
+    amplitude[band] = kmag[band] ** (-decay)
     rng = np.random.default_rng(seed)
-    stack = np.empty((3,) + lattice.shape, dtype=np.complex128)
+    stack = np.empty((3,) + kmag.shape, dtype=np.complex128)
     for i in range(3):
         z = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
-        stack[i] = hermitianize(z) * amplitude
-    stack = project_arrays(stack, lattice)
-    return VelocityField(tuple(ScalarSpectralField(lattice, c) for c in stack))
+        stack[i] = half_spectrum(hermitianize(z)) * amplitude
+    return VelocityField._from_half(lattice, project_arrays(stack, lattice))
 
 
 def truncate(f: Field, radius: float, side: str) -> Field:
@@ -627,9 +652,9 @@ def truncate(f: Field, radius: float, side: str) -> Field:
         raise ValueError(f"radius must be finite and >= 0, got {radius}")
     if isinstance(f, VelocityField):
         return VelocityField(tuple(truncate(c, radius, side) for c in f.components))
-    keep_low = f.lattice.kmag <= radius
+    keep_low = f.lattice._half.kmag <= radius
     keep = keep_low if side == "low" else ~keep_low
-    return ScalarSpectralField(f.lattice, np.where(keep, f.coefficients, 0.0))
+    return ScalarSpectralField._from_half(f.lattice, np.where(keep, f._half, 0.0))
 
 
 def support_radius(f: Field) -> float:
@@ -643,12 +668,13 @@ def _support(f: Field) -> tuple[float, int]:
     if isinstance(f, VelocityField):
         radii, extents = zip(*(_support(c) for c in f.components))
         return max(radii), max(extents)
-    mags = np.abs(f.coefficients)
+    mags = np.abs(f._half)
     scale = float(mags.max())
     if scale == 0.0:
         return 0.0, 0
     significant = mags > 1e-14 * scale
     nonzero = mags > 0.0
     labels = np.abs(f.lattice.modes)
-    extent = max(int(labels[nonzero.any(axis=axes)].max()) for axes in ((1, 2), (0, 2), (0, 1)))
-    return float(f.lattice.kmag[significant].max()), extent
+    hits = (nonzero.any(axis=axes) for axes in ((1, 2), (0, 2), (0, 1)))
+    extent = max(int(labels[: len(hit)][hit].max()) for hit in hits)
+    return float(f.lattice._half.kmag[significant].max()), extent

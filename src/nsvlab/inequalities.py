@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import Lattice, VelocityField, _shell_sums, half_spectrum, random_band_limited
+from .fields import Lattice, VelocityField, _shell_sums, random_band_limited
 from .norms import _moments, _radial_weight, _shell_fsum
 from .norms import band_constant, l2_norm, leilin_norm, sobolev_norm
 from .products import _flux_divergence, _padded
@@ -287,7 +287,7 @@ def split_x1(
         raise ValueError(f"need 0 < alpha < beta, got ({alpha}, {beta})")
     if beta > lat.nyquist:
         raise ValueError(f"beta {beta} exceeds the lattice Nyquist {lat.nyquist}")
-    radius = lat.shells[1]
+    radius = lat._half.shells[1]
     moduli = [m.moduli for m in _moments(f)]
     weight = _radial_weight(radius, 1.0)
     i_alpha = _shell_fsum(moduli, np.where(radius <= alpha, weight, 0.0))
@@ -341,7 +341,7 @@ def split_x1(
 
 def _fractional_laplacian(stack: np.ndarray, lattice: Lattice, s: float) -> np.ndarray:
     """|D|^s on a half-layout stack; the k = 0 mode is annihilated."""
-    mult = half_spectrum(lattice.kmag) ** s
+    mult = lattice._half.kmag ** s
     mult[0, 0, 0] = 0.0
     return mult * stack
 
@@ -355,7 +355,7 @@ def _padded_pairing(a: np.ndarray, b: np.ndarray, lat: Lattice, exponent: float)
     the order of its terms.
     """
     terms = np.real(a * np.conj(b))
-    return _shell_fsum(_shell_sums(lat, terms), _radial_weight(lat.shells[1], exponent))
+    return _shell_fsum(_shell_sums(lat, terms), _radial_weight(lat._half.shells[1], exponent))
 
 
 def _commutator(transported, second, lat: Lattice, s: float) -> float:

@@ -7,19 +7,18 @@ All norms are series-coefficient norms:
     ||f||_X(sigma)  = sum_{k != 0} |k|^sigma |c_k|
 
 Vector fields sum over components.  One pass per component adds up |c_k|^2
-and |c_k| over every |k| shell (``Lattice.shells``); each norm then weights
-those shell sums and adds them across shells and components with
-compensated summation (math.fsum).  A field's shell sums are computed on
+and |c_k| over every |k| shell; each norm then weights those shell sums
+and adds them across shells and components with compensated summation
+(math.fsum).  A field's shell sums are computed on
 first use and reused by every norm and check that reads the field, which
 is valid because its coefficients are read-only.  Results are
 deterministic, independent of memory layout, and within 1e-14 relative of
 the per-mode compensated sum.  The shell sums read the half layout
-``(n, n, n//2 + 1)`` and count each mode with its Hermitian multiplicity
-(1 on the m_3 = 0 and Nyquist planes, 2 elsewhere), so, like
-:func:`~nsvlab.fields.to_physical`, they rely on the Hermitian symmetry
-every field constructor keeps.  Orders below -1 are outside the library's
-conventions and are rejected: with a nonzero mean those sums diverge, and
-the verification suite never needs them.
+``(n, n, n//2 + 1)`` that fields hold and count each mode with its
+Hermitian multiplicity (1 on the m_3 = 0 and Nyquist planes, 2
+elsewhere).  Orders below -1 are outside the library's conventions and
+are rejected: with a nonzero mean those sums diverge, and the
+verification suite never needs them.
 """
 
 from __future__ import annotations
@@ -64,8 +63,7 @@ def _checked_order(moments, order: float, name: str) -> float:
     if not math.isfinite(order) or order < -1.0:
         raise ValueError(f"{name} must be finite and >= -1, got {order}")
     if order < 0:
-        mean = max(m.moduli[0] for m in moments)
-        _check_mean(mean, max(m.peak for m in moments), f"norm of order {order}")
+        _check_mean(moments, f"norm of order {order}")
     return order
 
 
@@ -101,13 +99,14 @@ def l2_norm(f) -> float:
 def sobolev_norm(f, s: float) -> float:
     """Homogeneous Sobolev norm of order s >= -1."""
     moments = _moments(f)
-    return _sobolev(f.lattice.shells[1], moments, _checked_order(moments, s, "Sobolev order"))
+    radius = f.lattice._half.shells[1]
+    return _sobolev(radius, moments, _checked_order(moments, s, "Sobolev order"))
 
 
 def leilin_norm(f, sigma: float) -> float:
     """Summed-coefficient norm sum |k|^sigma |c_k|, sigma >= -1."""
     moments = _moments(f)
-    return _leilin(f.lattice.shells[1], moments, _checked_order(moments, sigma, "order"))
+    return _leilin(f.lattice._half.shells[1], moments, _checked_order(moments, sigma, "order"))
 
 
 def _order_key(prefix: str, order: float) -> str:
@@ -157,14 +156,10 @@ def full_report(
     leilin_orders=DEFAULT_LEILIN_ORDERS,
 ) -> NormReport:
     """Evaluate every tracked norm of one field from its shell moments."""
-    return _report(f.lattice, _moments(f), sobolev_orders, leilin_orders)
-
-
-def _report(lattice: Lattice, moments, sobolev_orders, leilin_orders) -> NormReport:
-    """:func:`full_report` of the field whose components have these shell moments."""
+    moments = _moments(f)
     sobolev_orders = [_checked_order(moments, s, "Sobolev order") for s in sobolev_orders]
     leilin_orders = [_checked_order(moments, sig, "order") for sig in leilin_orders]
-    radius = lattice.shells[1]
+    radius = f.lattice._half.shells[1]
     return NormReport(
         l2=_l2(moments),
         hdot={s: _sobolev(radius, moments, s) for s in sobolev_orders},
@@ -218,7 +213,7 @@ def band_constant(
         )
     a = float(exponent)
     p = 2.0 * a + 3.0  # continuum integrand 4*pi r^(p-1)
-    radius = lattice.shells[1]
+    radius = lattice._half.shells[1]
     if alpha is not None and beta is None:
         alpha = float(alpha)
         if not (alpha > 0):

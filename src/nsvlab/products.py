@@ -17,9 +17,9 @@ exactly.
 and re-exported here) are the package's one transform pair.  Through it one
 private kernel, ``_flux_divergence``, forms div(u (x) g) from half-layout
 stacks ``(., n, n, n//2 + 1)`` for the solver's nonlinear term, :func:`advect`
-and the inequality lab's trilinear and commutator forms.  :func:`multiply`
-and :func:`advect` expand only their outputs to the full layout.  The embed
-onto the product lattice drops the inputs' Nyquist planes, which
+and the inequality lab's trilinear and commutator forms, and
+:func:`multiply` and :func:`advect` return its half-layout output as fields.
+The embed onto the product lattice drops the inputs' Nyquist planes, which
 band-limited factors hold at zero.
 """
 
@@ -38,8 +38,6 @@ from .fields import (
     _support,
     embed_coefficients,
     from_grid,
-    full_spectrum,
-    half_spectrum,
     restrict_coefficients,
     to_grid,
 )
@@ -139,7 +137,7 @@ def _flux_divergence(u: np.ndarray, gs, n_grid: int, lattice_out: Lattice) -> li
     For divergence-free u this is u . grad(g).
     """
     n_out = lattice_out.n
-    kd = [half_spectrum(k) for k in lattice_out.k_deriv]
+    kd = lattice_out._half.k_deriv
     u_grids = [to_grid(c, n_grid) for c in u]
     out = []
     for g in gs:
@@ -173,18 +171,18 @@ def _padded(fields) -> tuple[Lattice, np.ndarray]:
     lattice = fields[0].lattice
     m = min(padded_size(lattice.n), _fast_even_size(max(4 * extent + 2, 8)))
     resize = _embed if m >= lattice.n else _restrict
-    stack = [resize(half_spectrum(f.coefficients), m, half=True) for f in fields]
+    stack = [resize(f._half, m, half=True) for f in fields]
     return _shared_lattice(m, lattice.period), np.stack(stack)
 
 
 def _on_pad_lattice(stack: np.ndarray, lattice: Lattice) -> tuple[ScalarSpectralField, ...]:
     """Product coefficients, a half-layout stack on the product lattice, as
-    full-layout fields on ``pad_lattice(lattice)``; exact, since the product
-    lattice is never larger and the product lies below its Nyquist planes."""
+    fields on ``pad_lattice(lattice)``; exact, since the product lattice is
+    never larger and the product lies below its Nyquist planes."""
     lat_pad = pad_lattice(lattice)
     if stack.shape[1] != lat_pad.n:
-        stack = np.stack([_embed(c, lat_pad.n, half=True) for c in stack])
-    return tuple(ScalarSpectralField(lat_pad, c) for c in full_spectrum(stack, lat_pad.n))
+        stack = [_embed(c, lat_pad.n, half=True) for c in stack]
+    return tuple(ScalarSpectralField._from_half(lat_pad, c) for c in stack)
 
 
 def advect(u: VelocityField, g):

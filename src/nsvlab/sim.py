@@ -20,12 +20,12 @@ when 3 divides n); the three-halves rule zero-pads to the 3n/2-point grid
 and drops the Nyquist planes of state and term, which makes it exact.
 
 The solver state is the half layout ``(3, n, n, n//2 + 1)`` of the
-velocity's coefficients; the projection, the diffusion multiplier, the mask
-and the derivative wavenumbers are half-layout views of the lattice grids.
-Sample norms come from the half layout, through the shell-moment pass the
-norms use.  The state becomes a full-layout :class:`VelocityField` only
-where it leaves the solver: the state passed to hooks, the result of
-:func:`step` and of :func:`nonlinear_term`.
+velocity's coefficients, the layout every field holds; the projection, the
+diffusion multiplier, the mask and the derivative wavenumbers are the
+lattice's half-layout grids.  Where the state leaves the solver (a sample,
+the state passed to hooks, the result of :func:`step` and of
+:func:`nonlinear_term`) it is wrapped as a :class:`VelocityField` without a
+copy, and sample norms are that field's :func:`~nsvlab.norms.full_report`.
 """
 
 from __future__ import annotations
@@ -37,18 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._version import __version__
-from .fields import (
-    Lattice,
-    ScalarSpectralField,
-    VelocityField,
-    _require_zero_mean,
-    _shell_moments,
-    full_spectrum,
-    half_spectrum,
-    project_arrays,
-    to_grid,
-)
-from .norms import DEFAULT_LEILIN_ORDERS, DEFAULT_SOBOLEV_ORDERS, _report
+from .fields import Lattice, VelocityField, _check_mean, project_arrays, to_grid
+from .norms import full_report
 from .products import _flux_divergence, padded_size
 from .trajectory import Trajectory, TrajectorySample
 
@@ -131,24 +121,19 @@ class SchemeBlowupError(RuntimeError):
 @lru_cache(maxsize=None)
 def _dealias_mask(n: int, period: float) -> np.ndarray:
     lat = Lattice(n, period)
-    mask = half_spectrum(lat.kmag) < (2.0 / 3.0) * lat.nyquist
+    mask = lat._half.kmag < (2.0 / 3.0) * lat.nyquist
     mask.setflags(write=False)
     return mask
 
 
-@lru_cache(maxsize=None)
-def _max_ksq(n: int, period: float) -> float:
-    return float(Lattice(n, period).ksq.max())
-
-
 def max_velocity(u: VelocityField) -> float:
     """Maximum pointwise speed on the grid."""
-    total = sum(to_grid(half_spectrum(c.coefficients), u.lattice.n) ** 2 for c in u.components)
+    total = sum(to_grid(c._half, u.lattice.n) ** 2 for c in u.components)
     return float(np.sqrt(total.max()))
 
 
 def _check_rk4_stability(dt: float, nu: float, lattice: Lattice) -> None:
-    z = dt * nu * _max_ksq(lattice.n, lattice.period)
+    z = dt * nu * float(lattice._half.ksq.max())
     if z > RK4_DIFFUSIVE_LIMIT * (1.0 + 1e-9):
         raise ValueError(
             f"rk4 diffusive stability violated: dt*nu*max|k|^2 = {z:.3g} "
@@ -175,7 +160,7 @@ def resolve_dt(u0: VelocityField, config: SolverConfig) -> float:
     if umax > 0:
         candidates.append(config.cfl * lat.spacing / umax)
     if config.integrator == "rk4":
-        candidates.append(0.9 * RK4_DIFFUSIVE_LIMIT / (config.nu * _max_ksq(lat.n, lat.period)))
+        candidates.append(0.9 * RK4_DIFFUSIVE_LIMIT / (config.nu * float(lat._half.ksq.max())))
     if config.t_end > 0:
         candidates.append(config.t_end)
     return min(candidates) if candidates else 1.0
@@ -185,17 +170,11 @@ def _solver_stack(u: VelocityField, dealias: str) -> np.ndarray:
     """The half layout of u's coefficients as the solver advances them: the
     three-halves rule is exact only without the Nyquist planes, so they are
     zeroed."""
-    stack = np.stack([half_spectrum(c.coefficients) for c in u.components])
+    stack = u._half_stack()
     if dealias == "three-halves":
         half = u.lattice.n // 2
         stack[:, half] = stack[:, :, half] = stack[:, :, :, half] = 0.0
     return stack
-
-
-def _velocity(stack: np.ndarray, lattice: Lattice) -> VelocityField:
-    """The full-layout field of a half-layout solver stack."""
-    full = full_spectrum(stack, lattice.n)
-    return VelocityField(tuple(ScalarSpectralField(lattice, c) for c in full))
 
 
 def _nonlinear_arrays(stack: np.ndarray, lattice: Lattice, dealias: str) -> np.ndarray:
@@ -221,11 +200,11 @@ def nonlinear_term(u: VelocityField, dealias: str = "two-thirds") -> VelocityFie
     if dealias not in DEALIAS_RULES:
         raise ValueError(f"dealias must be one of {DEALIAS_RULES}, got {dealias!r}")
     lat = u.lattice
-    return _velocity(_nonlinear_arrays(_solver_stack(u, dealias), lat, dealias), lat)
+    return VelocityField._from_half(lat, _nonlinear_arrays(_solver_stack(u, dealias), lat, dealias))
 
 
 def _rhs(stack: np.ndarray, lattice: Lattice, config: SolverConfig) -> np.ndarray:
-    out = -config.nu * half_spectrum(lattice.ksq) * stack
+    out = -config.nu * lattice._half.ksq * stack
     if config.advection:
         out += _nonlinear_arrays(stack, lattice, config.dealias)
     return out
@@ -244,7 +223,7 @@ def _step_arrays(
         new = stack.copy()
         if config.advection:
             new += dt * _nonlinear_arrays(stack, lattice, config.dealias)
-        new *= np.exp(-config.nu * half_spectrum(lattice.ksq) * dt)
+        new *= np.exp(-config.nu * lattice._half.ksq * dt)
     new[:, 0, 0, 0] = 0.0
     return new
 
@@ -263,7 +242,7 @@ def step(state: SolverState, config: SolverConfig, dt: float | None = None) -> S
     new = _step_arrays(_solver_stack(state.u, config.dealias), lat, config, dt)
     if not np.isfinite(new).all():
         raise SchemeBlowupError(state.t + dt, 1)
-    return SolverState(t=state.t + dt, u=_velocity(new, lat))
+    return SolverState(t=state.t + dt, u=VelocityField._from_half(lat, new))
 
 
 def integrate(u0: VelocityField, config: SolverConfig, hooks=()) -> Trajectory:
@@ -274,7 +253,7 @@ def integrate(u0: VelocityField, config: SolverConfig, hooks=()) -> Trajectory:
     scheme blow-up the trajectory is returned with ``failed`` set and the
     failure reason recorded; samples collected so far are kept.
     """
-    _require_zero_mean([c.coefficients for c in u0.components], "initial velocity")
+    _check_mean([c._moments for c in u0.components], "initial velocity")
     defect = u0.divergence_defect()
     if defect > 1e-8:
         raise ValueError(f"initial velocity is not divergence-free (defect {defect:.3g})")
@@ -295,14 +274,11 @@ def integrate(u0: VelocityField, config: SolverConfig, hooks=()) -> Trajectory:
         stack = project_arrays(stack, lat)
 
     def emit(step_index: int, t: float, arrays: np.ndarray) -> None:
-        moments = [_shell_moments(lat, a) for a in arrays]
-        norms = _report(lat, moments, DEFAULT_SOBOLEV_ORDERS, DEFAULT_LEILIN_ORDERS)
-        sample = TrajectorySample(t=t, step_index=step_index, dt=dt, norms=norms)
+        state = SolverState(t=t, u=VelocityField._from_half(lat, arrays))
+        sample = TrajectorySample(t=t, step_index=step_index, dt=dt, norms=full_report(state.u))
         trajectory.samples.append(sample)
-        if hooks:
-            state = SolverState(t=t, u=_velocity(arrays, lat))
-            for hook in hooks:
-                hook(sample, state)
+        for hook in hooks:
+            hook(sample, state)
 
     emit(0, 0.0, stack)
     for i in range(1, n_steps + 1):

@@ -29,7 +29,9 @@ from nsvlab.fields import (
     to_spectral,
     truncate,
 )
+from nsvlab.norms import full_report
 from nsvlab.products import padded_size
+from nsvlab.sim import SolverConfig, SolverState, step
 
 from conftest import dft_oracle
 
@@ -204,6 +206,34 @@ def test_coefficients_are_write_locked(lat8):
     f = ScalarSpectralField(lat8, lat8.zeros())
     with pytest.raises(ValueError):
         f.coefficients[0, 0, 0] = 1.0
+
+
+def test_non_hermitian_input_is_read_as_its_half(lat16, tg16):
+    # a field keeps the m_3 >= 0 half of its input, which every norm and
+    # transform read before fields held only that half
+    c = lat16.zeros()
+    c[lat16.mode_index(0, 0, 1)] = 0.1  # partner (0, 0, -1) missing
+    c[lat16.mode_index(1, 0, 0)] = 0.2  # partner (-1, 0, 0) missing
+    c[lat16.mode_index(0, 0, -2)] = 0.3  # outside the half
+    f = ScalarSpectralField(lat16, c)
+    record = full_report(f).to_record()
+    for key, value in record.items():
+        expected = 0.4 if key.startswith("x") else math.sqrt(0.06)
+        assert value == pytest.approx(expected, rel=1e-15), key
+    assert np.array_equal(to_physical(f), to_grid(half_spectrum(c), 16))
+
+    assert np.array_equal(f.coefficients, full_spectrum(half_spectrum(c), 16))
+    assert not np.array_equal(f.coefficients, c)
+    with pytest.raises(ValueError):
+        f.coefficients[0, 0, 0] = 1.0
+    # the defect sees only the asymmetry the half holds: the m_3 = 0 plane
+    assert hermitian_defect(f) > 0.1
+    c[lat16.mode_index(1, 0, 0)] = 0.0
+    assert hermitian_defect(ScalarSpectralField(lat16, c)) < 1e-15
+
+    solved = step(SolverState(0.0, tg16), SolverConfig(nu=0.1, dt=0.01), 0.01)
+    with pytest.raises(ValueError):
+        solved.u.components[0].coefficients[0, 0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nsvlab.fields import (
     _shell_moments,
     half_spectrum,
     leray_project,
+    full_spectrum,
     random_band_limited,
     taylor_green,
 )
@@ -38,10 +40,13 @@ from nsvlab.inequalities import _commutator, _fractional_laplacian, _padded_pair
 from nsvlab.products import (
     AliasingError,
     _flux_divergence,
+    advect,
     embed_coefficients,
+    multiply,
     pad_lattice,
     padded_size,
 )
+from nsvlab.sim import SolverConfig, integrate
 
 
 def shell_velocity(lattice, modes_amplitudes):
@@ -172,6 +177,34 @@ def test_verify_checks_make_one_shell_pass_per_component(lat16, monkeypatch):
     for alpha, beta in _split_pairs(lat16):
         assert split_x1(u, alpha, beta).holds
     assert shapes == [(16, 16, 9)] * 3
+
+
+def test_solver_products_and_checks_never_expand_a_field(lat16, monkeypatch):
+    # only the public edge (a field's coefficients, snapshots) builds the
+    # full layout: a run whose hook reads norms, the exact products and
+    # every check stay on the half layout
+    expanded = []
+
+    def counted(half, n):
+        expanded.append(half.shape)
+        return full_spectrum(half, n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nsvlab") and hasattr(module, "full_spectrum"):
+            monkeypatch.setattr(module, "full_spectrum", counted)
+    u = next(corpus_fields(lat16, SMALL_CORPUS)).field
+    hooked = []
+    config = SolverConfig(nu=0.05, dt=0.01, t_end=0.03, dealias="three-halves", integrator="imex")
+    integrate(u, config, hooks=[lambda sample, state: hooked.append(full_report(state.u))])
+    advect(u, u)
+    advect(u, u.components[0])
+    multiply(u.components[0], u.components[1])
+    for check in REGISTERED_CHECKS.values():
+        check(u, "lattice")
+    for alpha, beta in _split_pairs(lat16):
+        split_x1(u, alpha, beta)
+    assert len(hooked) == 4
+    assert expanded == []
 
 
 # ---------------------------------------------------------------------------
