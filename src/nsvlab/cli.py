@@ -41,6 +41,7 @@ from ._version import __version__
 from .fields import (
     Lattice,
     NonzeroMeanError,
+    ScalarSpectralField,
     VelocityField,
     _check_mean,
     random_band_limited,
@@ -49,6 +50,7 @@ from .fields import (
 from .inequalities import (
     CONSTANT_MODES,
     CorpusConfig,
+    CorpusField,
     InequalityVerdict,
     REGISTERED_CHECKS,
     corpus_fields,
@@ -58,11 +60,9 @@ from .monitor import (
     FunctionalTrace,
     MonitorConfig,
     evaluate_traces,
-    h12_log_growth_check,
-    h52_energy_residual,
+    monitor_checks,
     monitor_summary,
     write_monitor_csv,
-    xm1_gronwall_check,
 )
 from .norms import DEFAULT_SOBOLEV_ORDERS, band_constant, l2_norm
 from .sim import INTEGRATORS, SolverConfig, integrate
@@ -310,9 +310,6 @@ def _verdict_row(entry, verdict, note: str = "") -> dict:
 
 def _injected_entry(lattice: Lattice, corpus: CorpusConfig):
     """A corpus entry whose velocity has a nonzero mean (test hook)."""
-    from .fields import ScalarSpectralField
-    from .inequalities import CorpusField
-
     seed = corpus.base_seed + corpus.size
     clean = random_band_limited(lattice, corpus.kmin, corpus.resolved_kmax(lattice), 1.0, seed)
     coeffs = clean.components[0].coefficients.copy()
@@ -484,12 +481,12 @@ def _monitor_inputs(config: dict) -> tuple[Trajectory, list[FunctionalTrace]]:
 def cmd_monitor(config: dict, inputs, run_dir: Path, log: _RunLog) -> int:
     path = config["trajectory"]
     trajectory, traces = inputs
-    c_small, nu = config["c_small"], config["nu"]
 
     table = io.StringIO()
     write_monitor_csv(traces, table)
     write_text(run_dir / "monitor.csv", table.getvalue())
 
+    checks = monitor_checks(trajectory, config["c_small"], config["nu"])
     summary = monitor_summary(traces)
     summary["trajectory"] = {
         "path": str(path),
@@ -498,28 +495,11 @@ def cmd_monitor(config: dict, inputs, run_dir: Path, log: _RunLog) -> int:
         "failed": trajectory.failed,
         "code_version": trajectory.code_version,
     }
-    failed_check = False
-    checks = (
-        ("h52_energy", lambda: h52_energy_residual(trajectory, nu=nu)),
-        ("h12_log_growth", lambda: h12_log_growth_check(trajectory, c_small, nu)),
-        ("xm1_gronwall", lambda: xm1_gronwall_check(trajectory)),
-    )
-    for key, run in checks:
-        try:
-            report = run()
-        except ValueError as exc:
-            summary[key] = {"available": False, "reason": str(exc)}
-            continue
-        summary[key] = {
-            "available": True,
-            "empirical_constant": report.empirical_constant,
-            "holds": report.holds,
-        }
-        if not report.holds:
-            failed_check = True
+    summary.update(checks)
     write_json(run_dir / "monitor_summary.json", summary)
     log.write(f"monitor: {len(traces)} traces over {len(trajectory.samples)} samples")
-    return EXIT_MATH_FAIL if failed_check else EXIT_PASS
+    failed = any(entry.get("holds") is False for entry in checks.values())
+    return EXIT_MATH_FAIL if failed else EXIT_PASS
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ Conventions shared by every functional:
   value is undefined and recorded as None, never NaN.
 * Unspecified universal constants are configurable (c_small) or reported
   as empirical maxima over the trajectory; nothing is hard-coded.
+* Each differential-inequality check fits the smallest constant C with
+  lhs <= C * rhs wherever lhs > 0; it holds exactly when C is finite.
 
 Two inequality statements come with an ambiguous log argument (a factor
 4*norm/(c*nu) in one place, norm^2/(c*nu) in another); both variants are
@@ -25,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.optimize import brentq
 
 from ._tables import table_text
 from .norms import DEFAULT_SOBOLEV_ORDERS
@@ -51,6 +51,7 @@ __all__ = [
     "rate_forward",
     "invert_rate",
     "write_monitor_csv",
+    "monitor_checks",
     "monitor_summary",
 ]
 
@@ -62,22 +63,13 @@ RATE_DOMAIN_START = 4.0
 RATE_RANGE_START = RATE_DOMAIN_START * math.sqrt(math.log(RATE_DOMAIN_START))
 
 
-def _sobolev(sample: TrajectorySample, s: float) -> float:
+def _norm(sample: TrajectorySample, kind: str, order: float) -> float:
+    """||u||_h<order> (kind "h") or ||u||_x<order> (kind "x") at one sample."""
     try:
-        return sample.norms.hdot[s]
+        return (sample.norms.hdot if kind == "h" else sample.norms.leilin)[order]
     except KeyError:
         raise ValueError(
-            f"sample at t = {sample.t:g} has no h{s:g} norm; "
-            "re-run the simulation with that order tracked"
-        ) from None
-
-
-def _leilin(sample: TrajectorySample, sigma: float) -> float:
-    try:
-        return sample.norms.leilin[sigma]
-    except KeyError:
-        raise ValueError(
-            f"sample at t = {sample.t:g} has no x{sigma:g} norm; "
+            f"sample at t = {sample.t:g} has no {kind}{order:g} norm; "
             "re-run the simulation with that order tracked"
         ) from None
 
@@ -92,17 +84,27 @@ def _tau(sample: TrajectorySample, t_star: float) -> float:
     return tau
 
 
-def _check_variant(variant: str) -> None:
+def _log_h52(sample: TrajectorySample, tau: float, arg: float) -> float:
+    """tau * sqrt|ln arg| * ||u||_h5/2, the one body of Theorems 1-3."""
+    return tau * math.sqrt(abs(math.log(arg))) * _norm(sample, "h", 2.5)
+
+
+def _smallness_norm(sample, kind: str, order: float, c_small, nu, variant: str) -> float:
+    """The checked norm that builds the log argument of Theorems 2 and 3."""
     if variant not in LOG_VARIANTS:
         raise ValueError(f"variant must be one of {LOG_VARIANTS}, got {variant!r}")
+    if c_small <= 0 or nu <= 0:
+        raise ValueError("c_small and nu must be positive")
+    value = _norm(sample, kind, order)
+    if value == 0:
+        raise ValueError(f"zero {kind}{order:g} norm: the log argument vanishes")
+    return value
 
 
 def theorem1_functional(sample: TrajectorySample, t_star: float) -> float | None:
     """tau * sqrt|ln tau| * ||u||_h5/2; None at tau == 1 (log vanishes)."""
     tau = _tau(sample, t_star)
-    if tau == 1.0:
-        return None
-    return tau * math.sqrt(abs(math.log(tau))) * _sobolev(sample, 2.5)
+    return None if tau == 1.0 else _log_h52(sample, tau, tau)
 
 
 def theorem2_functional(
@@ -119,17 +121,9 @@ def theorem2_functional(
     a zero h1/2 norm (log argument 0) is an error.
     """
     tau = _tau(sample, t_star)
-    _check_variant(variant)
-    if c_small <= 0 or nu <= 0:
-        raise ValueError("c_small and nu must be positive")
-    h12 = _sobolev(sample, 0.5)
-    if h12 == 0:
-        raise ValueError("zero h1/2 norm: the log argument vanishes")
-    if variant == "eq":
-        arg = 4.0 * h12 / (c_small * nu)
-    else:
-        arg = h12**2 / (c_small * nu)
-    return tau * math.sqrt(abs(math.log(arg))) * _sobolev(sample, 2.5)
+    h12 = _smallness_norm(sample, "h", 0.5, c_small, nu, variant)
+    arg = 4.0 * h12 / (c_small * nu) if variant == "eq" else h12**2 / (c_small * nu)
+    return _log_h52(sample, tau, arg)
 
 
 def theorem3_functional(
@@ -145,17 +139,9 @@ def theorem3_functional(
     variant "proof".  A zero x-1 norm is an error.
     """
     tau = _tau(sample, t_star)
-    _check_variant(variant)
-    if c_small <= 0 or nu <= 0:
-        raise ValueError("c_small and nu must be positive")
-    xm1 = _leilin(sample, -1.0)
-    if xm1 == 0:
-        raise ValueError("zero x-1 norm: the log argument vanishes")
-    if variant == "eq":
-        arg = 8.0 * xm1 / nu
-    else:
-        arg = xm1 / (c_small * nu)
-    return tau * math.sqrt(abs(math.log(arg))) * _sobolev(sample, 2.5)
+    xm1 = _smallness_norm(sample, "x", -1.0, c_small, nu, variant)
+    arg = 8.0 * xm1 / nu if variant == "eq" else xm1 / (c_small * nu)
+    return _log_h52(sample, tau, arg)
 
 
 def rate_catalog(
@@ -181,23 +167,23 @@ def rate_catalog(
     """
     tau = _tau(sample, t_star)
     out: dict[str, float | None] = {}
-    out["leray_h1"] = tau**0.25 * _sobolev(sample, 1.0)
+    out["leray_h1"] = tau**0.25 * _norm(sample, "h", 1.0)
     for s in s_list:
         if 0.5 < s < 2.5 and s != 1.5:
-            out[f"rss_h{s:g}"] = tau ** ((2.0 * s - 1.0) / 4.0) * _sobolev(sample, s)
+            out[f"rss_h{s:g}"] = tau ** ((2.0 * s - 1.0) / 4.0) * _norm(sample, "h", s)
         elif s > 2.5:
-            out[f"high_h{s:g}"] = tau ** (s / 5.0) * _sobolev(sample, s)
+            out[f"high_h{s:g}"] = tau ** (s / 5.0) * _norm(sample, "h", s)
     if nu is not None:
         if nu <= 0:
             raise ValueError("nu must be positive")
-        out["h32_strong_nu"] = math.sqrt(tau) * _sobolev(sample, 1.5) / math.sqrt(nu)
+        out["h32_strong_nu"] = math.sqrt(tau) * _norm(sample, "h", 1.5) / math.sqrt(nu)
     if tau == 1.0:
         out["log_h32"] = None
         out["log_h52"] = None
     else:
         log_tau = abs(math.log(tau))
-        out["log_h32"] = math.sqrt(tau * log_tau) * _sobolev(sample, 1.5)
-        out["log_h52"] = tau * log_tau * _sobolev(sample, 2.5)
+        out["log_h32"] = math.sqrt(tau * log_tau) * _norm(sample, "h", 1.5)
+        out["log_h52"] = tau * log_tau * _norm(sample, "h", 2.5)
     return out
 
 
@@ -278,13 +264,8 @@ def evaluate_traces(
     (the threshold conditions and half the functionals depend on it).
     Every t_star must lie strictly beyond the final sample time.
     """
+    nu = trajectory._checked_nu(nu, min_samples=1)
     samples = trajectory.samples
-    if not samples:
-        raise ValueError("trajectory has no samples")
-    if nu is None:
-        nu = trajectory.nu()
-    if nu is None:
-        raise ValueError("viscosity not recorded in the trajectory; pass nu explicitly")
     times = tuple(s.t for s in samples)
     t_max = max(times)
     for t_star in config.t_star:
@@ -292,58 +273,45 @@ def evaluate_traces(
             raise ValueError(
                 f"t_star = {t_star:g} must exceed the final sample time {t_max:g}"
             )
-    h12_flags = [_sobolev(s, 0.5) < config.c_small * nu for s in samples]
-    xm1_flags = [_leilin(s, -1.0) < nu for s in samples]
-    h12_crossings = _crossings(times, h12_flags)
-    xm1_crossings = _crossings(times, xm1_flags)
+    h12_crossings = _crossings(times, [_norm(s, "h", 0.5) < config.c_small * nu for s in samples])
+    xm1_crossings = _crossings(times, [_norm(s, "x", -1.0) < nu for s in samples])
 
     traces: list[FunctionalTrace] = []
     for t_star in config.t_star:
-        traces.append(
-            FunctionalTrace(
-                name="theorem1",
-                t_star=t_star,
-                times=times,
-                values=tuple(theorem1_functional(s, t_star) for s in samples),
-            )
-        )
+        # name -> (values, crossings), in output order
+        table = {"theorem1": ([theorem1_functional(s, t_star) for s in samples], ())}
         for variant in LOG_VARIANTS:
-            traces.append(
-                FunctionalTrace(
-                    name=f"theorem2_{variant}",
-                    t_star=t_star,
-                    times=times,
-                    values=tuple(
-                        theorem2_functional(s, t_star, config.c_small, nu, variant)
-                        for s in samples
-                    ),
-                    crossings=h12_crossings,
-                )
+            table[f"theorem2_{variant}"] = (
+                [theorem2_functional(s, t_star, config.c_small, nu, variant) for s in samples],
+                h12_crossings,
             )
         for variant in LOG_VARIANTS:
-            traces.append(
-                FunctionalTrace(
-                    name=f"theorem3_{variant}",
-                    t_star=t_star,
-                    times=times,
-                    values=tuple(
-                        theorem3_functional(s, t_star, nu, config.c_small, variant)
-                        for s in samples
-                    ),
-                    crossings=xm1_crossings,
-                )
+            table[f"theorem3_{variant}"] = (
+                [theorem3_functional(s, t_star, nu, config.c_small, variant) for s in samples],
+                xm1_crossings,
             )
         catalogs = [rate_catalog(s, t_star, config.s_list, nu) for s in samples]
         for key in catalogs[0]:
-            traces.append(
-                FunctionalTrace(
-                    name=key,
-                    t_star=t_star,
-                    times=times,
-                    values=tuple(c[key] for c in catalogs),
-                )
-            )
+            table[key] = ([c[key] for c in catalogs], ())
+        traces += [
+            FunctionalTrace(name, t_star, times, tuple(values), crossings)
+            for name, (values, crossings) in table.items()
+        ]
     return traces
+
+
+def _empirical_constant(lhs, rhs) -> float:
+    """The smallest C with lhs <= C * rhs wherever lhs > 0.
+
+    0 when lhs never turns positive; inf when a positive lhs meets
+    rhs <= 0, so that no finite C closes the inequality.
+    """
+    active = lhs > 0
+    if not active.any():
+        return 0.0
+    if (rhs[active] <= 0).any():
+        return math.inf
+    return float(np.max(lhs[active] / rhs[active]))
 
 
 @dataclass(frozen=True)
@@ -351,8 +319,8 @@ class IntervalReport:
     """Per-interval differential inequality lhs <= C * rhs_density.
 
     empirical_constant is the largest ratio over intervals with positive
-    lhs (0 when the lhs never turns positive); holds records whether that
-    constant closes the inequality on every interval.
+    lhs (0 when the lhs never turns positive); holds is true exactly when
+    it is finite.
     """
 
     name: str
@@ -370,12 +338,7 @@ def h52_energy_residual(trajectory: Trajectory, nu: float | None = None) -> Inte
     rhs_density = ||u||_x1 * ||u||_h5/2^2, both midpoint-estimated by
     endpoint averages (the difference quotient is already centered).
     """
-    if nu is None:
-        nu = trajectory.nu()
-    if nu is None:
-        raise ValueError("viscosity not recorded in the trajectory; pass nu explicitly")
-    if len(trajectory.samples) < 2:
-        raise ValueError("need at least 2 samples to form intervals")
+    nu = trajectory._checked_nu(nu)
     t = np.array(trajectory.times)
     h52 = np.array(trajectory.series("h2.5"))
     h72 = np.array(trajectory.series("h3.5"))
@@ -383,22 +346,14 @@ def h52_energy_residual(trajectory: Trajectory, nu: float | None = None) -> Inte
     lhs = np.diff(h52**2) / np.diff(t) + 2.0 * nu * 0.5 * (h72[:-1] ** 2 + h72[1:] ** 2)
     density = x1 * h52**2
     rhs = 0.5 * (density[:-1] + density[1:])
-    constant = 0.0
-    holds = True
-    for left, right in zip(lhs, rhs):
-        if left > 0:
-            if right <= 0:
-                constant = math.inf
-                holds = False
-            else:
-                constant = max(constant, left / right)
+    constant = _empirical_constant(lhs, rhs)
     return IntervalReport(
         name="h52_energy",
         midpoints=tuple(float(v) for v in 0.5 * (t[:-1] + t[1:])),
         lhs=tuple(float(v) for v in lhs),
         rhs_density=tuple(float(v) for v in rhs),
         empirical_constant=constant,
-        holds=holds,
+        holds=math.isfinite(constant),
     )
 
 
@@ -408,7 +363,8 @@ class GrowthReport:
 
     log_ratio is the log of the tracked quantity relative to its initial
     value; integral is the cumulative trapezoid of ||u||_h5/2.  The
-    empirical constant is the smallest admissible C (0 for decay).
+    empirical constant is the smallest admissible C (0 for decay); holds
+    is true exactly when it is finite.
     """
 
     name: str
@@ -419,28 +375,24 @@ class GrowthReport:
     holds: bool
 
 
-def _growth_report(name: str, times, tracked, weight) -> GrowthReport:
-    t = np.asarray(times)
-    values = np.asarray(tracked)
-    if np.any(values <= 0):
+def _growth_report(name: str, trajectory: Trajectory, key: str, power: int) -> GrowthReport:
+    """The bound for the tracked quantity ||u||^power, ||u|| the ``key`` column."""
+    trajectory._checked_nu(required=False)
+    t = np.array(trajectory.times)
+    tracked = np.array(trajectory.series(key)) ** power
+    h52 = np.array(trajectory.series("h2.5"))
+    if np.any(tracked <= 0):
         raise ValueError(f"{name} requires strictly positive norms along the trajectory")
-    log_ratio = np.log(values / values[0])
-    integral = cumulative_trapezoid(np.asarray(weight), t, initial=0.0)
-    constant = 0.0
-    for lr, q in zip(log_ratio[1:], integral[1:]):
-        if lr > 0:
-            constant = math.inf if q <= 0 else max(constant, lr / q)
-    holds = all(
-        lr <= constant * q or lr <= 0
-        for lr, q in zip(log_ratio[1:], integral[1:])
-    )
+    log_ratio = np.log(tracked / tracked[0])
+    integral = np.concatenate(([0.0], np.cumsum(np.diff(t) * (h52[1:] + h52[:-1]) / 2.0)))
+    constant = _empirical_constant(log_ratio[1:], integral[1:])
     return GrowthReport(
         name=name,
         times=tuple(float(v) for v in t),
         log_ratio=tuple(float(v) for v in log_ratio),
         integral=tuple(float(v) for v in integral),
         empirical_constant=constant,
-        holds=holds,
+        holds=math.isfinite(constant),
     )
 
 
@@ -453,20 +405,12 @@ def h12_log_growth_check(
     only the ratio to the initial value matters; C0 is the smallest
     constant making the bound hold (0 on decaying runs).
     """
-    if len(trajectory.samples) < 2:
-        raise ValueError("need at least 2 samples")
-    h12 = np.array(trajectory.series("h0.5"))
-    h52 = np.array(trajectory.series("h2.5"))
-    return _growth_report("h12_log_growth", trajectory.times, h12**2, h52)
+    return _growth_report("h12_log_growth", trajectory, "h0.5", 2)
 
 
 def xm1_gronwall_check(trajectory: Trajectory) -> GrowthReport:
     """||u(t)||_x-1 <= ||u0||_x-1 * exp(C' * int_0^t ||u||_h5/2)."""
-    if len(trajectory.samples) < 2:
-        raise ValueError("need at least 2 samples")
-    xm1 = np.array(trajectory.series("x-1"))
-    h52 = np.array(trajectory.series("h2.5"))
-    return _growth_report("xm1_gronwall", trajectory.times, xm1, h52)
+    return _growth_report("xm1_gronwall", trajectory, "x-1", 1)
 
 
 def rate_forward(x: float) -> float:
@@ -482,6 +426,8 @@ def invert_rate(y: float) -> float:
     Bracketed root-finding on the monotone branch; asymptotically
     x ~ y/sqrt(ln y).
     """
+    from scipy.optimize import brentq  # imported here: no command inverts a rate
+
     if not (math.isfinite(y) and y >= RATE_RANGE_START * (1.0 - 1e-12)):
         raise ValueError(
             f"y must be at least 4*sqrt(ln 4) = {RATE_RANGE_START:.12g}, got {y}"
@@ -513,14 +459,37 @@ def write_monitor_csv(traces, stream) -> None:
     stream.write(table_text("nsvlab-monitor v1", ("functional", "t_star", "t", "value"), rows))
 
 
-def monitor_summary(
-    traces,
-    energy: IntervalReport | None = None,
-    log_growth: GrowthReport | None = None,
-    gronwall: GrowthReport | None = None,
-) -> dict:
-    """JSON-ready digest: per-trace extrema and crossings, plus the
-    empirical constants of the differential-inequality checks."""
+def monitor_checks(
+    trajectory: Trajectory, c_small: float = 1.0, nu: float | None = None
+) -> dict[str, dict]:
+    """The three differential-inequality entries of ``monitor_summary.json``.
+
+    A check that runs gives ``available``, ``empirical_constant`` and
+    ``holds``; one that cannot (fewer than 2 samples, a missing norm
+    column) gives ``available`` and the ``reason``.
+    """
+    checks = {
+        "h52_energy": lambda: h52_energy_residual(trajectory, nu=nu),
+        "h12_log_growth": lambda: h12_log_growth_check(trajectory, c_small, nu),
+        "xm1_gronwall": lambda: xm1_gronwall_check(trajectory),
+    }
+    entries = {}
+    for key, run in checks.items():
+        try:
+            report = run()
+        except ValueError as exc:
+            entries[key] = {"available": False, "reason": str(exc)}
+            continue
+        entries[key] = {
+            "available": True,
+            "empirical_constant": report.empirical_constant,
+            "holds": report.holds,
+        }
+    return entries
+
+
+def monitor_summary(traces) -> dict:
+    """JSON-ready digest: per-trace extrema and crossings."""
     functionals = []
     for trace in traces:
         defined = trace.defined_values
@@ -534,19 +503,8 @@ def monitor_summary(
                 "crossings": list(trace.crossings),
             }
         )
-    out: dict = {
+    return {
         "format": "nsvlab-monitor-summary",
         "version": 1,
         "functionals": functionals,
     }
-    for key, report in (
-        ("h52_energy", energy),
-        ("h12_log_growth", log_growth),
-        ("xm1_gronwall", gronwall),
-    ):
-        if report is not None:
-            out[key] = {
-                "empirical_constant": report.empirical_constant,
-                "holds": report.holds,
-            }
-    return out

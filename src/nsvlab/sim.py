@@ -301,12 +301,7 @@ def energy_balance_residual(trajectory: Trajectory, nu: float | None = None) -> 
     The dissipation integrand is estimated at the interval midpoint by the
     endpoint average (second order, matching the sampling).
     """
-    if nu is None:
-        nu = trajectory.nu()
-    if nu is None:
-        raise ValueError("viscosity not in the trajectory config; pass nu explicitly")
-    if len(trajectory.samples) < 2:
-        raise ValueError("need at least 2 samples to form intervals")
+    nu = trajectory._checked_nu(nu)
     t = np.array(trajectory.times)
     l2 = np.array(trajectory.series("l2"))
     h1 = np.array(trajectory.series("h1"))

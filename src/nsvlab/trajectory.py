@@ -77,6 +77,24 @@ class Trajectory:
         value = self.config.get("nu")
         return float(value) if value is not None else None
 
+    def _checked_nu(
+        self, nu: float | None = None, *, required: bool = True, min_samples: int = 2
+    ) -> float | None:
+        """The input guard of every trajectory check: at least ``min_samples``
+        samples, and the viscosity, ``nu`` or else the recorded one, which
+        must exist when ``required``."""
+        count = len(self.samples)
+        if count < min_samples:
+            raise ValueError(
+                "trajectory has no samples" if count == 0
+                else f"need at least {min_samples} samples"
+            )
+        if nu is None:
+            nu = self.nu()
+        if nu is None and required:
+            raise ValueError("viscosity not recorded in the trajectory; pass nu explicitly")
+        return nu
+
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     lattice = {"n": trajectory.lattice_n, "period": trajectory.period}

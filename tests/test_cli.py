@@ -1,9 +1,14 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nsvlab
 from nsvlab import __version__
 from nsvlab.cli import build_parser, main
 from nsvlab.fields import Lattice
@@ -378,6 +383,38 @@ def test_monitor_missing_norm_column_marks_check_unavailable(tmp_path):
     }
     assert summary["h12_log_growth"]["available"] is True
     assert summary["xm1_gronwall"]["available"] is True
+
+
+def test_monitor_growth_that_rounds_still_holds(tmp_path):
+    """ln 2.25 / 0.075 times 0.075 rounds below ln 2.25; the check still holds."""
+    from nsvlab.norms import NormReport
+    from nsvlab.trajectory import Trajectory, TrajectorySample
+
+    samples = [
+        TrajectorySample(t, i, 0.1, NormReport(1.0, {0.5: h12, 1.0: 1.0, 1.5: 1.0,
+                                                      2.5: h52, 3.5: 1.0},
+                                               {-1.0: 1.0, 0.0: 1.0, 1.0: 1.0}))
+        for i, (t, h12, h52) in enumerate(((0.0, 1.0, 1.0), (0.1, 1.5, 0.5)))
+    ]
+    path = tmp_path / "growth.csv"
+    write_trajectory_csv(Trajectory(16, 2.0 * math.pi, {"nu": 0.1}, "test", samples), path)
+    code, run_dir = run(tmp_path, "monitor", str(path), "--t-star", "1.0")
+    assert code == 0
+    summary = json.loads((run_dir / "monitor_summary.json").read_text())
+    assert summary["h12_log_growth"]["holds"] is True
+    assert math.isfinite(summary["h12_log_growth"]["empirical_constant"])
+
+
+def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
+    probe = (
+        "import sys, nsvlab.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    src = str(Path(nsvlab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_monitor_needs_unknown_config_key_rejected(tmp_path, trajectory_file):

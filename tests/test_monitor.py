@@ -1,7 +1,9 @@
 import io
 import math
 
+import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from nsvlab.monitor import (
     RATE_DOMAIN_START,
@@ -12,6 +14,7 @@ from nsvlab.monitor import (
     h12_log_growth_check,
     h52_energy_residual,
     invert_rate,
+    monitor_checks,
     monitor_summary,
     rate_catalog,
     rate_forward,
@@ -333,6 +336,42 @@ def test_growth_checks_recover_planted_constant():
     assert gronwall.integral[-1] == pytest.approx(1.0, rel=1e-12)
 
 
+def rounding_trajectory():
+    """Growth where (lr / q) * q rounds below lr: lr = ln 2.25, q = 0.075."""
+    return make_trajectory([
+        make_sample(t=0.0, step=0, h0_5=1.0, h2_5=1.0),
+        make_sample(t=0.1, step=1, h0_5=1.5, h2_5=0.5),
+    ])
+
+
+def test_growth_check_holds_with_its_own_constant():
+    report = h12_log_growth_check(rounding_trajectory())
+    assert report.empirical_constant == pytest.approx(10.8124, rel=1e-5)
+    assert report.holds
+
+
+def test_growth_checks_match_the_loop_and_scipy_references():
+    # the constant against a per-interval loop, the integral against scipy
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        count = int(rng.integers(2, 8))
+        times = np.cumsum(rng.uniform(0.01, 0.3, count)) - 0.01
+        values = rng.uniform(0.2, 3.0, (count, 2))
+        traj = make_trajectory([
+            make_sample(t=float(t), step=i, h0_5=float(v[0]), xm1=float(v[0]), h2_5=float(v[1]))
+            for i, (t, v) in enumerate(zip(times, values))
+        ])
+        integral = cumulative_trapezoid(values[:, 1], times, initial=0.0)
+        for report in (h12_log_growth_check(traj), xm1_gronwall_check(traj)):
+            assert report.integral == tuple(integral)
+            constant = 0.0
+            for lr, q in zip(report.log_ratio[1:], report.integral[1:]):
+                if lr > 0:
+                    constant = math.inf if q <= 0 else max(constant, lr / q)
+            assert report.empirical_constant == constant
+            assert report.holds
+
+
 def test_growth_checks_reject_zero_norms():
     samples = [make_sample(t=0.0), make_sample(t=0.1, step=1, h0_5=0.0, xm1=0.0)]
     traj = make_trajectory(samples)
@@ -396,16 +435,18 @@ def test_write_monitor_csv_layout():
 def test_monitor_summary_structure():
     traj = make_trajectory(decaying_samples(), nu=0.1)
     traces = evaluate_traces(traj, MonitorConfig(t_star=1.0))
-    summary = monitor_summary(
-        traces,
-        energy=h52_energy_residual(traj),
-        log_growth=h12_log_growth_check(traj),
-        gronwall=xm1_gronwall_check(traj),
-    )
+    summary = monitor_summary(traces)
+    assert set(summary) == {"format", "version", "functionals"}
     assert summary["format"] == "nsvlab-monitor-summary"
     assert len(summary["functionals"]) == len(traces)
     first = summary["functionals"][0]
     assert set(first) == {"name", "t_star", "min", "max", "undefined", "crossings"}
-    for key in ("h52_energy", "h12_log_growth", "xm1_gronwall"):
-        assert set(summary[key]) == {"empirical_constant", "holds"}
-        assert summary[key]["holds"] is True
+    checks = monitor_checks(traj)
+    assert set(checks) == {"h52_energy", "h12_log_growth", "xm1_gronwall"}
+    for entry in checks.values():
+        assert set(entry) == {"available", "empirical_constant", "holds"}
+        assert entry["available"] is True
+        assert entry["holds"] is True
+    single = monitor_checks(make_trajectory([make_sample()]))
+    for entry in single.values():
+        assert entry == {"available": False, "reason": "need at least 2 samples"}
