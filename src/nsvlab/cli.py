@@ -486,7 +486,7 @@ def cmd_monitor(config: dict, inputs, run_dir: Path, log: _RunLog) -> int:
     write_monitor_csv(traces, table)
     write_text(run_dir / "monitor.csv", table.getvalue())
 
-    checks = monitor_checks(trajectory, config["c_small"], config["nu"])
+    checks = monitor_checks(trajectory, config["nu"])
     summary = monitor_summary(traces)
     summary["trajectory"] = {
         "path": str(path),

@@ -14,7 +14,8 @@ Conventions shared by every functional:
 * Unspecified universal constants are configurable (c_small) or reported
   as empirical maxima over the trajectory; nothing is hard-coded.
 * Each differential-inequality check fits the smallest constant C with
-  lhs <= C * rhs wherever lhs > 0; it holds exactly when C is finite.
+  lhs <= C * rhs wherever lhs > 0; it holds exactly when C is finite,
+  so a NaN norm, which leaves an interval unevaluated, fails the check.
 
 Two inequality statements come with an ambiguous log argument (a factor
 4*norm/(c*nu) in one place, norm^2/(c*nu) in another); both variants are
@@ -304,9 +305,10 @@ def _empirical_constant(lhs, rhs) -> float:
     """The smallest C with lhs <= C * rhs wherever lhs > 0.
 
     0 when lhs never turns positive; inf when a positive lhs meets
-    rhs <= 0, so that no finite C closes the inequality.
+    rhs <= 0, so that no finite C closes the inequality; NaN when a NaN
+    lhs or rhs leaves an interval unevaluated.
     """
-    active = lhs > 0
+    active = ~(lhs <= 0)
     if not active.any():
         return 0.0
     if (rhs[active] <= 0).any():
@@ -377,7 +379,7 @@ class GrowthReport:
 
 def _growth_report(name: str, trajectory: Trajectory, key: str, power: int) -> GrowthReport:
     """The bound for the tracked quantity ||u||^power, ||u|| the ``key`` column."""
-    trajectory._checked_nu(required=False)
+    trajectory._check_samples()
     t = np.array(trajectory.times)
     tracked = np.array(trajectory.series(key)) ** power
     h52 = np.array(trajectory.series("h2.5"))
@@ -459,9 +461,7 @@ def write_monitor_csv(traces, stream) -> None:
     stream.write(table_text("nsvlab-monitor v1", ("functional", "t_star", "t", "value"), rows))
 
 
-def monitor_checks(
-    trajectory: Trajectory, c_small: float = 1.0, nu: float | None = None
-) -> dict[str, dict]:
+def monitor_checks(trajectory: Trajectory, nu: float | None = None) -> dict[str, dict]:
     """The three differential-inequality entries of ``monitor_summary.json``.
 
     A check that runs gives ``available``, ``empirical_constant`` and
@@ -470,7 +470,7 @@ def monitor_checks(
     """
     checks = {
         "h52_energy": lambda: h52_energy_residual(trajectory, nu=nu),
-        "h12_log_growth": lambda: h12_log_growth_check(trajectory, c_small, nu),
+        "h12_log_growth": lambda: h12_log_growth_check(trajectory),
         "xm1_gronwall": lambda: xm1_gronwall_check(trajectory),
     }
     entries = {}

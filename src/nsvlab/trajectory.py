@@ -77,21 +77,22 @@ class Trajectory:
         value = self.config.get("nu")
         return float(value) if value is not None else None
 
-    def _checked_nu(
-        self, nu: float | None = None, *, required: bool = True, min_samples: int = 2
-    ) -> float | None:
-        """The input guard of every trajectory check: at least ``min_samples``
-        samples, and the viscosity, ``nu`` or else the recorded one, which
-        must exist when ``required``."""
+    def _check_samples(self, min_samples: int = 2) -> None:
+        """The sample-count guard of every trajectory check."""
         count = len(self.samples)
         if count < min_samples:
             raise ValueError(
                 "trajectory has no samples" if count == 0
                 else f"need at least {min_samples} samples"
             )
+
+    def _checked_nu(self, nu: float | None = None, min_samples: int = 2) -> float:
+        """The input guard of every check that needs the viscosity: the
+        sample count, then ``nu`` or else the recorded viscosity."""
+        self._check_samples(min_samples)
         if nu is None:
             nu = self.nu()
-        if nu is None and required:
+        if nu is None:
             raise ValueError("viscosity not recorded in the trajectory; pass nu explicitly")
         return nu
 

@@ -373,6 +373,17 @@ def test_monitor_external_trajectory_needs_nu(tmp_path, capsys):
     assert summary["h52_energy"]["available"] is True
 
 
+@pytest.mark.parametrize("recorded", ["abc", [1]])
+def test_monitor_given_nu_ignores_a_bad_recorded_nu(tmp_path, recorded):
+    path = external_trajectory(tmp_path, {"nu": recorded})
+    code, run_dir = run(tmp_path, "monitor", str(path), "--t-star", "1.0", "--nu", "0.1")
+    assert code == 0
+    summary = json.loads((run_dir / "monitor_summary.json").read_text())
+    for key in ("h52_energy", "h12_log_growth", "xm1_gronwall"):
+        assert summary[key]["available"] is True
+        assert summary[key]["holds"] is True
+
+
 def test_monitor_missing_norm_column_marks_check_unavailable(tmp_path):
     path = external_trajectory(tmp_path, {"nu": 0.1}, orders=(0.5, 1.0, 1.5, 2.5))
     code, run_dir = run(tmp_path, "monitor", str(path), "--t-star", "1.0", "--s-list", "1")

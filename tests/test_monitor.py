@@ -350,6 +350,22 @@ def test_growth_check_holds_with_its_own_constant():
     assert report.holds
 
 
+def test_a_nan_norm_fails_the_check_it_enters():
+    # an interval with a NaN lhs is not evaluated, so no constant closes it
+    growth = make_trajectory([
+        make_sample(t=0.0, step=0),
+        make_sample(t=0.1, step=1, h0_5=math.nan, xm1=math.nan),
+        make_sample(t=0.2, step=2),
+    ])
+    for report in (h12_log_growth_check(growth), xm1_gronwall_check(growth)):
+        assert math.isnan(report.empirical_constant)
+        assert report.holds is False
+    energy = make_trajectory([make_sample(t=0.0, step=0), make_sample(t=0.1, step=1, h3_5=math.nan)])
+    report = h52_energy_residual(energy)
+    assert math.isnan(report.empirical_constant)
+    assert report.holds is False
+
+
 def test_growth_checks_match_the_loop_and_scipy_references():
     # the constant against a per-interval loop, the integral against scipy
     rng = np.random.default_rng(5)
