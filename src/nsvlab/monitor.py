@@ -267,12 +267,11 @@ def evaluate_traces(
     """
     nu = trajectory._checked_nu(nu, min_samples=1)
     samples = trajectory.samples
-    times = tuple(s.t for s in samples)
-    t_max = max(times)
+    times = tuple(trajectory.times)  # strictly increasing: checked above
     for t_star in config.t_star:
-        if t_star <= t_max:
+        if t_star <= times[-1]:
             raise ValueError(
-                f"t_star = {t_star:g} must exceed the final sample time {t_max:g}"
+                f"t_star = {t_star:g} must exceed the final sample time {times[-1]:g}"
             )
     h12_crossings = _crossings(times, [_norm(s, "h", 0.5) < config.c_small * nu for s in samples])
     xm1_crossings = _crossings(times, [_norm(s, "x", -1.0) < nu for s in samples])

@@ -2,9 +2,11 @@
 
 A trajectory is a header (config echo, lattice, code version, failure
 marker) plus one record per sample: time, step index, step size, and the
-flat norm record.  Both writers go through ``_tables``, which formats
-floats with ``repr``, so equal configurations produce byte-identical
-files and every value round-trips exactly.  No timestamps enter them.
+flat norm record.  ``_document`` describes it once: the JSON writer writes
+that document, the CSV writer renders it as header comments plus one row
+per sample, and both readers hand it back to one validator, ``_trajectory``.
+Floats are written with ``repr`` (``_tables``), so equal configurations
+produce byte-identical files and every value round-trips exactly.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ __all__ = [
 
 FORMAT_NAME = "nsvlab-trajectory"
 FORMAT_VERSION = 1
+
+# The CSV header comments, in file order; each holds its entry as JSON
+# except code_version, which is written as plain text.
+_HEADER = ("lattice", "config", "code_version", "failed", "failure_reason")
 
 
 class TrajectoryFormatError(ValueError):
@@ -74,21 +80,35 @@ class Trajectory:
             raise _MissingColumnError(f"trajectory has no {key!r} norm column") from None
 
     def nu(self) -> float | None:
+        """The recorded viscosity, or None; a recorded value that is not a
+        number (a bool is not) raises ValueError."""
         value = self.config.get("nu")
-        return float(value) if value is not None else None
+        if value is None:
+            return None
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"recorded viscosity {value!r} is not a number")
+        return float(value)
 
     def _check_samples(self, min_samples: int = 2) -> None:
-        """The sample-count guard of every trajectory check."""
+        """The sample guard of every trajectory check: the sample count, then
+        finite, strictly increasing times."""
         count = len(self.samples)
         if count < min_samples:
             raise ValueError(
                 "trajectory has no samples" if count == 0
                 else f"need at least {min_samples} samples"
             )
+        times = self.times
+        for index, t in enumerate(times):
+            if not (abs(t) < float("inf") and (index == 0 or times[index - 1] < t)):
+                raise ValueError(
+                    "sample times must be finite and increase strictly; "
+                    f"sample {index} has t = {t!r}"
+                )
 
     def _checked_nu(self, nu: float | None = None, min_samples: int = 2) -> float:
         """The input guard of every check that needs the viscosity: the
-        sample count, then ``nu`` or else the recorded viscosity."""
+        samples, then ``nu`` or else the recorded viscosity."""
         self._check_samples(min_samples)
         if nu is None:
             nu = self.nu()
@@ -97,34 +117,10 @@ class Trajectory:
         return nu
 
 
-def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    lattice = {"n": trajectory.lattice_n, "period": trajectory.period}
-    header = (
-        f"lattice: {json.dumps(lattice)}",
-        f"config: {json.dumps(trajectory.config, sort_keys=True)}",
-        f"code_version: {trajectory.code_version}",
-        f"failed: {json.dumps(trajectory.failed)}",
-        f"failure_reason: {json.dumps(trajectory.failure_reason)}",
-    )
-    records = [sample._record for sample in trajectory.samples]
-    norm_keys = list(records[0]) if records else []
-    rows = [
-        {
-            "t": float(sample.t),
-            "step": int(sample.step_index),
-            "dt": float(sample.dt),
-            **{key: float(record[key]) for key in norm_keys},
-        }
-        for sample, record in zip(trajectory.samples, records)
-    ]
-    text = table_text(
-        f"{FORMAT_NAME} v{FORMAT_VERSION}", ["t", "step", "dt", *norm_keys], rows, header
-    )
-    write_text(path, text)
-
-
-def write_trajectory_json(trajectory: Trajectory, path) -> None:
-    doc = {
+def _document(trajectory: Trajectory) -> dict:
+    """The one description of a trajectory that both writers serialize:
+    times and norms as floats, the step as an int."""
+    return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "lattice": {"n": trajectory.lattice_n, "period": trajectory.period},
@@ -134,100 +130,109 @@ def write_trajectory_json(trajectory: Trajectory, path) -> None:
         "failure_reason": trajectory.failure_reason,
         "samples": [
             {
-                "t": sample.t,
-                "step": sample.step_index,
-                "dt": sample.dt,
-                "norms": sample._record,
+                "t": float(sample.t),
+                "step": int(sample.step_index),
+                "dt": float(sample.dt),
+                "norms": {key: float(value) for key, value in sample._record.items()},
             }
             for sample in trajectory.samples
         ],
     }
-    write_json(path, doc)
 
 
-def _parse_header_line(line: str, expect_key: str, line_no: int):
-    prefix = f"# {expect_key}: "
-    if not line.startswith(prefix):
-        raise TrajectoryFormatError(
-            f"line {line_no}: expected header '# {expect_key}: ...', got {line!r}"
-        )
-    payload = line[len(prefix):]
-    try:
-        return json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise TrajectoryFormatError(
-            f"line {line_no}: header {expect_key!r} is not valid JSON: {exc}"
-        ) from exc
+def write_trajectory_csv(trajectory: Trajectory, path) -> None:
+    doc = _document(trajectory)
+    header = [
+        f"{key}: {doc[key] if key == 'code_version' else json.dumps(doc[key], sort_keys=True)}"
+        for key in _HEADER
+    ]
+    records = doc["samples"]
+    norm_keys = list(records[0]["norms"]) if records else []
+    rows = [{"t": r["t"], "step": r["step"], "dt": r["dt"], **r["norms"]} for r in records]
+    magic = f"{doc['format']} v{doc['version']}"
+    write_text(path, table_text(magic, ["t", "step", "dt", *norm_keys], rows, header))
 
 
-def _read_csv(path) -> Trajectory:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(f"# {FORMAT_NAME} v"):
+def write_trajectory_json(trajectory: Trajectory, path) -> None:
+    write_json(path, _document(trajectory))
+
+
+def _read_csv(text: str):
+    """Split a CSV trajectory into the document shape, sample cells still
+    as text, and name its samples by line.  Only the layout is checked
+    here, where a line number can be given; ``_trajectory`` checks values."""
+    lines = text.splitlines()
+    magic = f"# {FORMAT_NAME} v"
+    if not lines or not lines[0].startswith(magic):
         raise TrajectoryFormatError(
             f"line 1: not a {FORMAT_NAME} CSV file (missing magic comment)"
         )
-    version = lines[0].split("v")[-1]
-    if version != str(FORMAT_VERSION):
-        raise TrajectoryFormatError(f"line 1: unsupported format version {version!r}")
+    version = lines[0][len(magic):]
+    doc = {"format": FORMAT_NAME, "version": int(version) if version.isdecimal() else version}
     if len(lines) < 7:
         raise TrajectoryFormatError("file truncated: header incomplete")
-    lattice = _parse_header_line(lines[1], "lattice", 2)
-    config = _parse_header_line(lines[2], "config", 3)
-    code_version_line = lines[3]
-    if not code_version_line.startswith("# code_version: "):
-        raise TrajectoryFormatError(f"line 4: expected '# code_version: ...'")
-    code_version = code_version_line[len("# code_version: "):]
-    failed = _parse_header_line(lines[4], "failed", 5)
-    failure_reason = _parse_header_line(lines[5], "failure_reason", 6)
+    for line_no, key in enumerate(_HEADER, start=2):
+        line, prefix = lines[line_no - 1], f"# {key}: "
+        if not line.startswith(prefix):
+            raise TrajectoryFormatError(
+                f"line {line_no}: expected header '# {key}: ...', got {line!r}"
+            )
+        doc[key] = payload = line[len(prefix):]
+        if key != "code_version":
+            try:
+                doc[key] = json.loads(payload)
+            except json.JSONDecodeError as exc:
+                raise TrajectoryFormatError(
+                    f"line {line_no}: header {key!r} is not valid JSON: {exc}"
+                ) from exc
     columns = lines[6].split(",")
     if columns[:3] != ["t", "step", "dt"]:
         raise TrajectoryFormatError(
             f"line 7: column header must start with t,step,dt; got {lines[6]!r}"
         )
-    norm_keys = columns[3:]
-    samples = []
-    for offset, line in enumerate(lines[7:], start=8):
+    doc["samples"], line_numbers = [], []
+    for line_no, line in enumerate(lines[7:], start=8):
         if not line:
             continue
-        parts = line.split(",")
-        if len(parts) != len(columns):
+        cells = line.split(",")
+        if len(cells) != len(columns):
             raise TrajectoryFormatError(
-                f"line {offset}: expected {len(columns)} fields, got {len(parts)}"
+                f"line {line_no}: expected {len(columns)} fields, got {len(cells)}"
             )
-        try:
-            t = float(parts[0])
-            step = int(parts[1])
-            dt = float(parts[2])
-            record = {key: float(v) for key, v in zip(norm_keys, parts[3:])}
-        except ValueError as exc:
-            raise TrajectoryFormatError(f"line {offset}: bad numeric field: {exc}") from exc
-        samples.append(
-            TrajectorySample(t=t, step_index=step, dt=dt, norms=NormReport.from_record(record))
+        t, step, dt, *values = cells
+        doc["samples"].append(
+            {"t": t, "step": step, "dt": dt, "norms": dict(zip(columns[3:], values))}
         )
-    return Trajectory(
-        lattice_n=int(lattice["n"]),
-        period=float(lattice["period"]),
-        config=config,
-        code_version=code_version,
-        samples=samples,
-        failed=bool(failed),
-        failure_reason=str(failure_reason),
-    )
+        line_numbers.append(line_no)
+    return doc, lambda index: f"line {line_numbers[index]}"
 
 
-def _read_json(path) -> Trajectory:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TrajectoryFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+def _entry(doc: dict, key: str, kind: type, what: str):
+    """``doc[key]``, checked to be a ``kind``; a missing entry reads as ``kind()``."""
+    value = doc.get(key, kind())
+    if not isinstance(value, kind):
+        raise TrajectoryFormatError(f"{key!r} must be {what}, got {value!r}")
+    return value
+
+
+def _trajectory(doc, where) -> Trajectory:
+    """Check a trajectory document from either serialization and build the
+    :class:`Trajectory`; ``where(i)`` names sample ``i`` in messages."""
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise TrajectoryFormatError(f"not a {FORMAT_NAME} JSON document")
     if doc.get("version") != FORMAT_VERSION:
         raise TrajectoryFormatError(f"unsupported format version {doc.get('version')!r}")
+    lattice = doc.get("lattice")
+    try:
+        lattice_n, period = int(lattice["n"]), float(lattice["period"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise TrajectoryFormatError(f"bad lattice header: {exc!r}") from exc
+    config = _entry(doc, "config", dict, "a JSON object")
+    code_version = _entry(doc, "code_version", str, "a string")
+    failed = _entry(doc, "failed", bool, "a JSON bool")
+    failure_reason = _entry(doc, "failure_reason", str, "a string")
     samples = []
-    for index, entry in enumerate(doc.get("samples", [])):
+    for index, entry in enumerate(_entry(doc, "samples", list, "a JSON list")):
         try:
             samples.append(
                 TrajectorySample(
@@ -237,28 +242,22 @@ def _read_json(path) -> Trajectory:
                     norms=NormReport.from_record(entry["norms"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TrajectoryFormatError(f"sample record {index}: {exc!r}") from exc
-    lattice = doc.get("lattice", {})
-    try:
-        return Trajectory(
-            lattice_n=int(lattice["n"]),
-            period=float(lattice["period"]),
-            config=dict(doc.get("config", {})),
-            code_version=str(doc.get("code_version", "")),
-            samples=samples,
-            failed=bool(doc.get("failed", False)),
-            failure_reason=str(doc.get("failure_reason", "")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TrajectoryFormatError(f"bad lattice header: {exc!r}") from exc
+        except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
+            raise TrajectoryFormatError(f"{where(index)}: bad sample: {exc!r}") from exc
+    return Trajectory(lattice_n, period, config, code_version, samples, failed, failure_reason)
 
 
 def read_trajectory(path) -> Trajectory:
     """Read either serialization; the format is sniffed from content."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            head = fh.read(1)
-        return _read_json(path) if head == "{" else _read_csv(path)
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise TrajectoryFormatError(f"not a utf-8 text file: {exc}") from exc
+    if not text.startswith("{"):
+        return _trajectory(*_read_csv(text))
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TrajectoryFormatError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    return _trajectory(doc, lambda index: f"sample record {index}")

@@ -334,13 +334,14 @@ def test_monitor_single_sample_marks_checks_unavailable(tmp_path):
         assert "reason" in summary[key]
 
 
-def external_trajectory(tmp_path, config=None, orders=(0.5, 1.0, 1.5, 2.5, 3.5)):
+def external_trajectory(tmp_path, config=None, orders=(0.5, 1.0, 1.5, 2.5, 3.5),
+                        times=(0.0, 0.1, 0.2)):
     """A trajectory file as another tool might produce it: no nu recorded."""
     from nsvlab.norms import NormReport
     from nsvlab.trajectory import Trajectory, TrajectorySample
 
     samples = []
-    for i, t in enumerate((0.0, 0.1, 0.2)):
+    for i, t in enumerate(times):
         decay = math.exp(-t)
         samples.append(
             TrajectorySample(
@@ -382,6 +383,36 @@ def test_monitor_given_nu_ignores_a_bad_recorded_nu(tmp_path, recorded):
     for key in ("h52_energy", "h12_log_growth", "xm1_gronwall"):
         assert summary[key]["available"] is True
         assert summary[key]["holds"] is True
+
+
+@pytest.mark.parametrize("recorded", [[1], True, "abc"], ids=["list", "bool", "str"])
+def test_monitor_bad_recorded_nu_is_a_usage_error(tmp_path, capsys, recorded):
+    path = external_trajectory(tmp_path, {"nu": recorded})
+    code, run_dir = run(tmp_path, "monitor", str(path), "--t-star", "1.0")
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: recorded viscosity {recorded!r}")
+    assert run_dir is None
+
+
+@pytest.mark.parametrize("times", [(0.0, 0.0, 0.2), (0.0, 0.2, 0.1), (0.0, 0.1, math.inf)])
+def test_monitor_needs_strictly_increasing_times(tmp_path, capsys, times):
+    path = external_trajectory(tmp_path, times=times)
+    code, run_dir = run(tmp_path, "monitor", str(path), "--t-star", "1.0", "--nu", "0.1")
+    assert code == 2
+    assert "increase strictly" in capsys.readouterr().err
+    assert run_dir is None
+
+
+def test_monitor_malformed_header_leaves_no_run_directory(tmp_path, capsys):
+    path = external_trajectory(tmp_path, {"nu": 0.1})
+    lines = path.read_text().splitlines()
+    assert lines[1].startswith("# lattice: ")
+    path.write_text("\n".join([lines[0], "# lattice: {}", *lines[2:]]) + "\n")
+    (tmp_path / "out" / "run-0000").mkdir(parents=True)
+    code, run_dir = run(tmp_path, "monitor", str(path), "--t-star", "1.0")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: bad lattice header")
+    assert run_dir.name == "run-0000"
 
 
 def test_monitor_missing_norm_column_marks_check_unavailable(tmp_path):

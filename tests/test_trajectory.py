@@ -171,6 +171,60 @@ def test_json_errors(tmp_path):
         read_trajectory(wrong_version)
 
 
+def edit_header(path, key, value):
+    """Set one header entry of either serialization to ``value``."""
+    text = path.read_text()
+    if text.startswith("{"):
+        doc = json.loads(text)
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        return
+    lines = text.splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(f"# {key}: "))
+    lines[index] = f"# {key}: {json.dumps(value)}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+MALFORMED_HEADERS = [
+    ("lattice", {"period": 1.0}),
+    ("lattice", [1]),
+    ("config", [1]),
+    ("failed", "false"),
+    ("failure_reason", 3),
+]
+
+
+@pytest.mark.parametrize("writer", [write_trajectory_csv, write_trajectory_json])
+@pytest.mark.parametrize(
+    "key,value", MALFORMED_HEADERS, ids=[f"{key}={value!r}" for key, value in MALFORMED_HEADERS]
+)
+def test_malformed_header_is_a_format_error(tmp_path, writer, key, value):
+    path = tmp_path / "traj.out"
+    writer(sample_trajectory(), path)
+    edit_header(path, key, value)
+    with pytest.raises(TrajectoryFormatError, match=key):
+        read_trajectory(path)
+
+
+JSON_DEFECTS = {
+    "samples=5": (lambda doc: doc.update(samples=5), "samples"),
+    "norms=[1]": (lambda doc: doc["samples"][0].update(norms=[1]), "sample record 0"),
+    "step=inf": (lambda doc: doc["samples"][1].update(step=math.inf), "sample record 1"),
+    "n=inf": (lambda doc: doc["lattice"].update(n=math.inf), "lattice"),
+}
+
+
+@pytest.mark.parametrize("edit,match", JSON_DEFECTS.values(), ids=JSON_DEFECTS.keys())
+def test_json_structure_defects_are_format_errors(tmp_path, edit, match):
+    path = tmp_path / "traj.json"
+    write_trajectory_json(sample_trajectory(), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TrajectoryFormatError, match=match):
+        read_trajectory(path)
+
+
 def test_empty_trajectory_round_trips(tmp_path):
     traj = Trajectory(8, 2.0 * math.pi, {"nu": 0.1}, "x")
     for writer in (write_trajectory_csv, write_trajectory_json):
