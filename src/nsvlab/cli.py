@@ -52,9 +52,8 @@ from .inequalities import (
     CorpusConfig,
     CorpusField,
     InequalityVerdict,
-    REGISTERED_CHECKS,
+    _VERIFY_RUNS,
     corpus_fields,
-    split_x1,
 )
 from .monitor import (
     FunctionalTrace,
@@ -288,24 +287,11 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
 # verify
 
 
-def _split_pairs(lattice: Lattice) -> list[tuple[float, float]]:
-    ny = lattice.nyquist
-    return [(ny / 16.0, ny / 4.0), (ny / 8.0, ny / 2.0), (ny / 4.0, 0.75 * ny)]
-
-
-def _verdict_row(entry, verdict, note: str = "") -> dict:
-    return {
-        "index": entry.index,
-        "seed": entry.seed,
-        "decay": entry.decay,
-        "inequality": verdict.name,
-        "constant_mode": verdict.constant_mode,
-        "lhs": verdict.lhs,
-        "rhs": verdict.rhs,
-        "ratio": verdict.ratio,
-        "holds": verdict.holds,
-        "note": note,
-    }
+def _verdict_row(entry, verdict, note: str) -> dict:
+    return dict(zip(VERDICT_COLUMNS, (
+        entry.index, entry.seed, entry.decay, verdict.name, verdict.constant_mode,
+        verdict.lhs, verdict.rhs, verdict.ratio, verdict.holds, note,
+    )))
 
 
 def _injected_entry(lattice: Lattice, corpus: CorpusConfig):
@@ -322,10 +308,9 @@ def _injected_entry(lattice: Lattice, corpus: CorpusConfig):
 
 def _verify_inputs(config: dict) -> tuple[Lattice, list[str]]:
     names = [part.strip() for part in config["checks"].split(",") if part.strip()]
-    known = set(REGISTERED_CHECKS) | {"split_x1"}
     for name in names:
-        if name not in known:
-            raise UsageError(f"unknown check {name!r}; available: {sorted(known)}")
+        if name not in _VERIFY_RUNS:
+            raise UsageError(f"unknown check {name!r}; available: {sorted(_VERIFY_RUNS)}")
     return Lattice(config["lattice_n"]), names
 
 
@@ -337,7 +322,7 @@ def cmd_verify(config: dict, inputs, run_dir: Path, log: _RunLog) -> int:
     entries = list(corpus_fields(lattice, corpus))
     if config["inject_mean_violation"]:
         entries.append(_injected_entry(lattice, corpus))
-    pairs = _split_pairs(lattice)
+    runs = [(name, note, run) for name in names for note, run in _VERIFY_RUNS[name](lattice)]
 
     rows: list[dict] = []
     for entry in entries:
@@ -346,22 +331,15 @@ def cmd_verify(config: dict, inputs, run_dir: Path, log: _RunLog) -> int:
             _check_mean([c._moments for c in u.components], f"seed {entry.seed}")
         except NonzeroMeanError:
             rejected = f"nonzero mean rejected (seed {entry.seed})"
-            for name in names:
-                nan_verdict = InequalityVerdict(name, math.nan, math.nan, mode)
-                nan_row = _verdict_row(entry, nan_verdict, rejected)
-                rows += [nan_row] * (len(pairs) if name == "split_x1" else 1)
+            nan_verdicts = [InequalityVerdict(name, math.nan, math.nan, mode) for name, _, _ in runs]
+            rows += [_verdict_row(entry, verdict, rejected) for verdict in nan_verdicts]
             continue
-        for name in names:
-            if name == "split_x1":
-                for alpha, beta in pairs:
-                    report = split_x1(u, alpha, beta, constant_mode=mode)
-                    note = f"alpha={alpha:g} beta={beta:g}"
-                    rows += [_verdict_row(entry, verdict, note) for verdict in report.verdicts()]
-            else:
-                rows.append(_verdict_row(entry, REGISTERED_CHECKS[name](u, mode)))
+        for _, note, run in runs:
+            rows += [_verdict_row(entry, verdict, note) for verdict in run(u, mode)]
     write_text(run_dir / "verdicts.csv", table_text("nsvlab-verify v1", VERDICT_COLUMNS, rows))
 
-    finite_ratios = [row["ratio"] for row in rows if math.isfinite(row["ratio"])]
+    finite = [row for row in rows if math.isfinite(row["ratio"])]
+    finite_ratios = [row["ratio"] for row in finite]
     violations = [
         {
             "index": row["index"],
@@ -373,10 +351,7 @@ def cmd_verify(config: dict, inputs, run_dir: Path, log: _RunLog) -> int:
         for row in rows
         if not row["holds"]
     ]
-    witness_seed = None
-    if finite_ratios:
-        best = max(rows, key=lambda r: r["ratio"] if math.isfinite(r["ratio"]) else -math.inf)
-        witness_seed = best["seed"]
+    witness_seed = max(finite, key=lambda row: row["ratio"])["seed"] if finite else None
     summary = {
         "format": "nsvlab-verify-summary",
         "version": 1,

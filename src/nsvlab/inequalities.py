@@ -1,24 +1,31 @@
 """Verifiers for coefficient-norm inequalities between the tracked norms.
 
 Every check returns an :class:`InequalityVerdict` carrying both sides of
-the inequality and the constant mode used:
+the inequality and the constant mode it reports.  A verdict in
+``lattice`` or ``continuum`` mode holds when lhs <= rhs up to
+``DEFAULT_TOLERANCE``; one in ``empirical`` mode only requires a finite
+ratio and never gates.  What each check does with the requested mode:
 
-* ``lattice``  - constants are evaluated as exact sums over the actual
-  lattice band, so Cauchy-Schwarz steps are sharp and verdicts must hold
-  to roundoff.  This is the gating mode.
-* ``continuum`` - constants come from the closed-form radial integrals;
-  verdicts track how faithfully the lattice reproduces them.
-* ``empirical`` - the bound shape is evaluated with constant 1 and the
-  ratio IS the measured constant; such verdicts never gate, they only
-  require the ratio to be finite.
+* ``x0_interpolation`` has constant 1 in every mode and always reports
+  ``lattice``.
+* ``x0_via_xm1_h52`` and ``x0_via_h12_x1`` bound with the exact lattice
+  band constant (``lattice``) or the closed-form radial integral
+  (``continuum``); in ``empirical`` mode the right side is the bare
+  product of the two norms, so the ratio is the implied constant.
+* ``split_x1`` bounds each band with the lattice or the continuum band
+  constant; ``empirical`` mode uses the continuum constants and does not
+  gate.  Its partition verdict always gates, in ``lattice`` mode at
+  tolerance 0.
+* ``h32_trilinear`` always reports ``empirical``: its ratio is the
+  measured constant.
 
 The X-norms sum |k|^sigma |c_k| over components, so for an m-component
 field a Cauchy-Schwarz step runs over the joint (mode, component) index
 set and its exact weight constant is sqrt(m) times the scalar band
 constant.  Lattice mode includes that multiplicity (it must, to be exact
 on velocity fields); continuum mode keeps the literal scalar radial
-constants it is tracking.  Pointwise bounds (|k| <= R steps) hold term by
-term and never pick up the factor.
+constants it is tracking.  ``_cs_constant`` is that one rule.  Pointwise
+bounds (|k| <= R steps) hold term by term and never pick up the factor.
 
 Shell convention: a boundary shell |k| = R belongs to the band below R.
 """
@@ -77,6 +84,15 @@ def _cs_multiplicity(f) -> float:
     return math.sqrt(3.0) if isinstance(f, VelocityField) else 1.0
 
 
+def _cs_constant(f, constant_mode: str, exponent: float, alpha=None, beta=None) -> float:
+    """The Cauchy-Schwarz constant of a band of f: the lattice sum times the
+    component multiplicity in lattice mode, else the continuum integral."""
+    report = band_constant(f.lattice, exponent, alpha=alpha, beta=beta)
+    if constant_mode == "lattice":
+        return _cs_multiplicity(f) * report.lattice_value
+    return report.continuum_value
+
+
 @dataclass(frozen=True)
 class InequalityVerdict:
     """Outcome of one inequality evaluation on one field."""
@@ -103,7 +119,7 @@ class InequalityVerdict:
         return self.ratio <= 1.0 + self.tolerance
 
 
-def check_x0_interpolation(f, tolerance: float = DEFAULT_TOLERANCE) -> InequalityVerdict:
+def check_x0_interpolation(f) -> InequalityVerdict:
     """||f||_X0 <= sqrt(||f||_Xm1 ||f||_X1); constant 1 in every mode.
 
     Cauchy-Schwarz between the +-1 weights; sharp exactly on single-shell
@@ -117,14 +133,11 @@ def check_x0_interpolation(f, tolerance: float = DEFAULT_TOLERANCE) -> Inequalit
         lhs=x0,
         rhs=math.sqrt(xm1 * x1),
         constant_mode="lattice",
-        tolerance=tolerance,
         details={"xm1": xm1, "x1": x1},
     )
 
 
-def check_x0_via_xm1_h52(
-    f, constant_mode: str = "lattice", tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityVerdict:
+def check_x0_via_xm1_h52(f, constant_mode: str = "lattice") -> InequalityVerdict:
     """||f||_X0 <= R ||f||_Xm1 + tail(R) ||f||_H5/2 at R = sqrt(H5/2 / Xm1).
 
     The low band uses the pointwise bound |k| <= R (constant 1 in every
@@ -138,12 +151,10 @@ def check_x0_via_xm1_h52(
     xm1 = leilin_norm(f, -1.0)
     h52 = sobolev_norm(f, 2.5)
     if xm1 == 0.0 or h52 == 0.0:
-        return InequalityVerdict(
-            "x0_via_xm1_h52", x0, 0.0, constant_mode, tolerance, {"radius": None}
-        )
+        return InequalityVerdict("x0_via_xm1_h52", x0, 0.0, constant_mode, details={"radius": None})
     radius = math.sqrt(h52 / xm1)
     if constant_mode == "lattice":
-        tail = _cs_multiplicity(f) * band_constant(f.lattice, -2.5, beta=radius).lattice_value
+        tail = _cs_constant(f, constant_mode, -2.5, beta=radius)
     else:
         tail = SQRT_2PI / radius
     low_bound = radius * xm1
@@ -163,12 +174,10 @@ def check_x0_via_xm1_h52(
     }
     if constant_mode == "empirical":
         rhs = math.sqrt(xm1 * h52)
-    return InequalityVerdict("x0_via_xm1_h52", x0, rhs, constant_mode, tolerance, details)
+    return InequalityVerdict("x0_via_xm1_h52", x0, rhs, constant_mode, details=details)
 
 
-def check_x0_via_h12_x1(
-    f, constant_mode: str = "lattice", tolerance: float = DEFAULT_TOLERANCE
-) -> InequalityVerdict:
+def check_x0_via_h12_x1(f, constant_mode: str = "lattice") -> InequalityVerdict:
     """||f||_X0 <= low(R) ||f||_H1/2 + ||f||_X1 / R at R = sqrt(X1 / H1/2).
 
     The high band is pointwise |k|^-1 <= 1/R (constant 1); the low band is
@@ -180,12 +189,10 @@ def check_x0_via_h12_x1(
     h12 = sobolev_norm(f, 0.5)
     x1 = leilin_norm(f, 1.0)
     if h12 == 0.0 or x1 == 0.0:
-        return InequalityVerdict(
-            "x0_via_h12_x1", x0, 0.0, constant_mode, tolerance, {"radius": None}
-        )
+        return InequalityVerdict("x0_via_h12_x1", x0, 0.0, constant_mode, details={"radius": None})
     radius = math.sqrt(x1 / h12)
     if constant_mode == "lattice":
-        low_const = _cs_multiplicity(f) * band_constant(f.lattice, -0.5, alpha=radius).lattice_value
+        low_const = _cs_constant(f, constant_mode, -0.5, alpha=radius)
     else:
         low_const = SQRT_2PI * radius
     low_bound = low_const * h12
@@ -200,7 +207,7 @@ def check_x0_via_h12_x1(
     }
     if constant_mode == "empirical":
         rhs = math.sqrt(h12 * x1)
-    return InequalityVerdict("x0_via_h12_x1", x0, rhs, constant_mode, tolerance, details)
+    return InequalityVerdict("x0_via_h12_x1", x0, rhs, constant_mode, details=details)
 
 
 I_VARIANTS = ("L2", "H1/2", "Xm1")
@@ -228,7 +235,6 @@ class SplitReport:
     bound_i: float
     bound_j: float
     bound_k: float
-    tolerance: float = DEFAULT_TOLERANCE
 
     @property
     def partition_defect(self) -> float:
@@ -236,34 +242,16 @@ class SplitReport:
         return abs(total - self.x1) / max(self.x1, 1e-300)
 
     def verdicts(self) -> list[InequalityVerdict]:
-        common = {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "variant": self.variant,
-        }
-        out = [
-            InequalityVerdict(
-                "split_x1_low", self.i_alpha, self.bound_i, self.constant_mode,
-                self.tolerance, dict(common),
-            ),
-            InequalityVerdict(
-                "split_x1_mid", self.j_alpha_beta, self.bound_j, self.constant_mode,
-                self.tolerance, dict(common),
-            ),
-            InequalityVerdict(
-                "split_x1_high", self.k_beta, self.bound_k, self.constant_mode,
-                self.tolerance, dict(common),
-            ),
-            InequalityVerdict(
-                "split_x1_partition",
-                self.partition_defect,
-                1e-12,
-                "lattice",
-                0.0,
-                dict(common),
-            ),
-        ]
-        return out
+        common = {"alpha": self.alpha, "beta": self.beta, "variant": self.variant}
+        bands = (("low", self.i_alpha, self.bound_i), ("mid", self.j_alpha_beta, self.bound_j),
+                 ("high", self.k_beta, self.bound_k))
+        return [
+            InequalityVerdict(f"split_x1_{suffix}", lhs, bound, self.constant_mode,
+                              details=dict(common))
+            for suffix, lhs, bound in bands
+        ] + [InequalityVerdict(
+            "split_x1_partition", self.partition_defect, 1e-12, "lattice", 0.0, dict(common)
+        )]
 
     @property
     def holds(self) -> bool:
@@ -271,12 +259,7 @@ class SplitReport:
 
 
 def split_x1(
-    f,
-    alpha: float,
-    beta: float,
-    variant: str = "L2",
-    constant_mode: str = "lattice",
-    tolerance: float = DEFAULT_TOLERANCE,
+    f, alpha: float, beta: float, variant: str = "L2", constant_mode: str = "lattice"
 ) -> SplitReport:
     """Split ||f||_X1 over (0, alpha], (alpha, beta], (beta, inf)."""
     _check_mode(constant_mode)
@@ -290,34 +273,16 @@ def split_x1(
     radius = lat._half.shells[1]
     moduli = [m.moduli for m in _moments(f)]
     weight = _radial_weight(radius, 1.0)
-    i_alpha = _shell_fsum(moduli, np.where(radius <= alpha, weight, 0.0))
-    j_ab = _shell_fsum(moduli, np.where((radius > alpha) & (radius <= beta), weight, 0.0))
-    k_beta = _shell_fsum(moduli, np.where(radius > beta, weight, 0.0))
-    x1 = _shell_fsum(moduli, weight)
+    bands = (radius <= alpha, (radius > alpha) & (radius <= beta), radius > beta)
+    i_alpha, j_ab, k_beta = (_shell_fsum(moduli, np.where(band, weight, 0.0)) for band in bands)
 
-    lattice_mode = constant_mode == "lattice"
-    mult = _cs_multiplicity(f) if lattice_mode else 1.0
-    if variant == "L2":
-        bc_i = band_constant(lat, 1.0, alpha=alpha)
-        bound_i = mult * (bc_i.lattice_value if lattice_mode else bc_i.continuum_value) * l2_norm(f)
-    elif variant == "H1/2":
-        bc_i = band_constant(lat, 0.5, alpha=alpha)
-        bound_i = (
-            mult
-            * (bc_i.lattice_value if lattice_mode else bc_i.continuum_value)
-            * sobolev_norm(f, 0.5)
-        )
-    else:  # Xm1: pointwise |k| <= alpha, |k|^2 / |k| step; constant exactly 1
+    if variant == "Xm1":  # pointwise |k| <= alpha, |k|^2 / |k| step; constant exactly 1
         bound_i = alpha**2 * leilin_norm(f, -1.0)
-
-    bc_j = band_constant(lat, -1.5, alpha=alpha, beta=beta)
-    bc_k = band_constant(lat, -2.5, beta=beta)
-    bound_j = (
-        mult * (bc_j.lattice_value if lattice_mode else bc_j.continuum_value) * sobolev_norm(f, 2.5)
-    )
-    bound_k = (
-        mult * (bc_k.lattice_value if lattice_mode else bc_k.continuum_value) * sobolev_norm(f, 3.5)
-    )
+    else:  # Cauchy-Schwarz against L2 (a = 1) or H1/2 (a = 1/2)
+        exponent, norm = (1.0, l2_norm(f)) if variant == "L2" else (0.5, sobolev_norm(f, 0.5))
+        bound_i = _cs_constant(f, constant_mode, exponent, alpha=alpha) * norm
+    bound_j = _cs_constant(f, constant_mode, -1.5, alpha=alpha, beta=beta) * sobolev_norm(f, 2.5)
+    bound_k = _cs_constant(f, constant_mode, -2.5, beta=beta) * sobolev_norm(f, 3.5)
 
     return SplitReport(
         alpha=float(alpha),
@@ -327,11 +292,10 @@ def split_x1(
         i_alpha=i_alpha,
         j_alpha_beta=j_ab,
         k_beta=k_beta,
-        x1=x1,
+        x1=_shell_fsum(moduli, weight),
         bound_i=bound_i,
         bound_j=bound_j,
         bound_k=bound_k,
-        tolerance=tolerance,
     )
 
 
@@ -430,7 +394,7 @@ def commutator_report(f: VelocityField, s: float) -> dict[str, float]:
     }
 
 
-def check_h32_trilinear(f: VelocityField, tolerance: float = DEFAULT_TOLERANCE) -> InequalityVerdict:
+def check_h32_trilinear(f: VelocityField) -> InequalityVerdict:
     """|<f.grad f, f>_H3/2| against ||f||_H3/2^2 ||f||_H5/2; always empirical.
 
     The ratio is the measured constant; the verdict only requires it to be
@@ -448,7 +412,6 @@ def check_h32_trilinear(f: VelocityField, tolerance: float = DEFAULT_TOLERANCE) 
         lhs=tri,
         rhs=h32**2 * h52,
         constant_mode="empirical",
-        tolerance=tolerance,
         details={"h32": h32, "h52": h52},
     )
 
@@ -500,6 +463,28 @@ REGISTERED_CHECKS = {
     "x0_via_xm1_h52": lambda f, mode: check_x0_via_xm1_h52(f, mode),
     "x0_via_h12_x1": lambda f, mode: check_x0_via_h12_x1(f, mode),
     "h32_trilinear": lambda f, mode: check_h32_trilinear(f),
+}
+
+
+def _split_pairs(lattice: Lattice) -> list[tuple[float, float]]:
+    ny = lattice.nyquist
+    return [(ny / 16.0, ny / 4.0), (ny / 8.0, ny / 2.0), (ny / 4.0, 0.75 * ny)]
+
+
+def _split_runs(lattice: Lattice):
+    def run(alpha, beta):
+        return lambda f, mode: split_x1(f, alpha, beta, constant_mode=mode).verdicts()
+
+    return [(f"alpha={a:g} beta={b:g}", run(a, b)) for a, b in _split_pairs(lattice)]
+
+
+# check name -> lattice -> the runs `verify` makes with it on each field, as
+# (note, run(f, mode) -> verdicts) pairs; a field it rejects gets one NaN row
+# per run.  Checks are looked up by their global names at call time.
+_VERIFY_RUNS = {
+    **{name: lambda lattice, name=name: [("", lambda f, mode: [REGISTERED_CHECKS[name](f, mode)])]
+       for name in REGISTERED_CHECKS},
+    "split_x1": _split_runs,
 }
 
 

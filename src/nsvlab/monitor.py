@@ -397,14 +397,12 @@ def _growth_report(name: str, trajectory: Trajectory, key: str, power: int) -> G
     )
 
 
-def h12_log_growth_check(
-    trajectory: Trajectory, c_small: float = 1.0, nu: float | None = None
-) -> GrowthReport:
+def h12_log_growth_check(trajectory: Trajectory) -> GrowthReport:
     """ln ||u(t)||_h1/2^2 <= ln ||u0||_h1/2^2 + C0 * int_0^t ||u||_h5/2.
 
     The smallness normalization c_small*nu cancels from both sides, so
-    only the ratio to the initial value matters; C0 is the smallest
-    constant making the bound hold (0 on decaying runs).
+    neither enters: only the ratio to the initial value matters.  C0 is
+    the smallest constant making the bound hold (0 on decaying runs).
     """
     return _growth_report("h12_log_growth", trajectory, "h0.5", 2)
 

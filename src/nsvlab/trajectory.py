@@ -108,12 +108,16 @@ class Trajectory:
 
     def _checked_nu(self, nu: float | None = None, min_samples: int = 2) -> float:
         """The input guard of every check that needs the viscosity: the
-        samples, then ``nu`` or else the recorded viscosity."""
+        samples, then ``nu`` or else the recorded viscosity, which must be
+        finite and positive."""
         self._check_samples(min_samples)
+        source = "given"
         if nu is None:
-            nu = self.nu()
+            source, nu = "recorded", self.nu()
         if nu is None:
             raise ValueError("viscosity not recorded in the trajectory; pass nu explicitly")
+        if not 0.0 < nu < float("inf"):
+            raise ValueError(f"{source} viscosity {nu!r} must be finite and positive")
         return nu
 
 
@@ -158,9 +162,10 @@ def write_trajectory_json(trajectory: Trajectory, path) -> None:
 
 
 def _read_csv(text: str):
-    """Split a CSV trajectory into the document shape, sample cells still
-    as text, and name its samples by line.  Only the layout is checked
-    here, where a line number can be given; ``_trajectory`` checks values."""
+    """Split a CSV trajectory into the document shape and name its samples
+    by line.  The layout is checked and the sample cells are parsed from
+    text here, where a line number can be given; ``_trajectory`` checks
+    the document."""
     lines = text.splitlines()
     magic = f"# {FORMAT_NAME} v"
     if not lines or not lines[0].startswith(magic):
@@ -200,9 +205,11 @@ def _read_csv(text: str):
                 f"line {line_no}: expected {len(columns)} fields, got {len(cells)}"
             )
         t, step, dt, *values = cells
-        doc["samples"].append(
-            {"t": t, "step": step, "dt": dt, "norms": dict(zip(columns[3:], values))}
-        )
+        try:
+            norms = {key: float(value) for key, value in zip(columns[3:], values)}
+            doc["samples"].append({"t": float(t), "step": int(step), "dt": float(dt), "norms": norms})
+        except ValueError as exc:
+            raise TrajectoryFormatError(f"line {line_no}: bad sample: {exc!r}") from exc
         line_numbers.append(line_no)
     return doc, lambda index: f"line {line_numbers[index]}"
 
@@ -215,6 +222,13 @@ def _entry(doc: dict, key: str, kind: type, what: str):
     return value
 
 
+def _number(value, kind: type = float):
+    """A JSON number as a ``kind``: an int for ``int``; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise TypeError(f"expected {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
 def _trajectory(doc, where) -> Trajectory:
     """Check a trajectory document from either serialization and build the
     :class:`Trajectory`; ``where(i)`` names sample ``i`` in messages."""
@@ -224,7 +238,7 @@ def _trajectory(doc, where) -> Trajectory:
         raise TrajectoryFormatError(f"unsupported format version {doc.get('version')!r}")
     lattice = doc.get("lattice")
     try:
-        lattice_n, period = int(lattice["n"]), float(lattice["period"])
+        lattice_n, period = _number(lattice["n"], int), _number(lattice["period"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TrajectoryFormatError(f"bad lattice header: {exc!r}") from exc
     config = _entry(doc, "config", dict, "a JSON object")
@@ -236,10 +250,12 @@ def _trajectory(doc, where) -> Trajectory:
         try:
             samples.append(
                 TrajectorySample(
-                    t=float(entry["t"]),
-                    step_index=int(entry["step"]),
-                    dt=float(entry["dt"]),
-                    norms=NormReport.from_record(entry["norms"]),
+                    t=_number(entry["t"]),
+                    step_index=_number(entry["step"], int),
+                    dt=_number(entry["dt"]),
+                    norms=NormReport.from_record(
+                        {key: _number(value) for key, value in entry["norms"].items()}
+                    ),
                 )
             )
         except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:

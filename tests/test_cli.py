@@ -112,6 +112,29 @@ def test_verify_injected_field_gives_only_nan_rows(tmp_path):
     ]
 
 
+VERIFY_ALL = "x0_interpolation,x0_via_xm1_h52,x0_via_h12_x1,split_x1,h32_trilinear"
+PINNED_VERDICTS = Path(__file__).parent / "data" / "verify_n16"
+VERIFY_CASES = [
+    ("lattice", ("--constant-mode", "lattice"), 0),
+    ("continuum", ("--constant-mode", "continuum"), 1),  # 5 split_x1 rows fail
+    ("empirical", ("--constant-mode", "empirical"), 0),
+    ("inject", ("--inject-mean-violation",), 1),
+]
+
+
+@pytest.mark.parametrize("case,flags,exit_code", VERIFY_CASES, ids=[c[0] for c in VERIFY_CASES])
+def test_verify_verdicts_are_pinned_per_constant_mode(tmp_path, case, flags, exit_code):
+    # every check in every constant mode, against verdicts.csv as recorded
+    # in tests/data/verify_n16, byte for byte
+    code, run_dir = run(
+        tmp_path, "verify", "--lattice-n", "16", "--corpus-size", "2", "--checks", VERIFY_ALL,
+        *flags,
+    )
+    assert code == exit_code
+    pinned = (PINNED_VERDICTS / f"{case}.csv").read_text(encoding="utf-8")
+    assert (run_dir / "verdicts.csv").read_text(encoding="utf-8") == pinned
+
+
 def test_verify_rejects_unknown_check(tmp_path, capsys):
     code, _ = run(tmp_path, "verify", "--lattice-n", "16", "--checks", "x0_magic")
     assert code == 2
@@ -391,6 +414,23 @@ def test_monitor_bad_recorded_nu_is_a_usage_error(tmp_path, capsys, recorded):
     code, run_dir = run(tmp_path, "monitor", str(path), "--t-star", "1.0")
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: recorded viscosity {recorded!r}")
+    assert run_dir is None
+
+
+NU_DEFECTS = [
+    ({"nu": math.nan}, (), "recorded viscosity nan"),
+    ({"nu": -1.0}, (), "recorded viscosity -1.0"),
+    ({"nu": 0.0}, (), "recorded viscosity 0.0"),
+    (None, ("--nu", "nan"), "given viscosity nan"),
+]
+
+
+@pytest.mark.parametrize("config,flags,named", NU_DEFECTS, ids=[d[2] for d in NU_DEFECTS])
+def test_monitor_viscosity_must_be_finite_and_positive(tmp_path, capsys, config, flags, named):
+    path = external_trajectory(tmp_path, config)
+    code, run_dir = run(tmp_path, "monitor", str(path), "--t-star", "1.0", *flags)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {named} must be finite and positive\n"
     assert run_dir is None
 
 

@@ -7,7 +7,7 @@ import scipy.fft
 from scipy.signal import convolve
 
 from conftest import transport_oracle
-from nsvlab.cli import _split_pairs
+from nsvlab.inequalities import _split_pairs
 from nsvlab.fields import (
     Lattice,
     ScalarSpectralField,

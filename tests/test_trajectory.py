@@ -211,6 +211,13 @@ JSON_DEFECTS = {
     "norms=[1]": (lambda doc: doc["samples"][0].update(norms=[1]), "sample record 0"),
     "step=inf": (lambda doc: doc["samples"][1].update(step=math.inf), "sample record 1"),
     "n=inf": (lambda doc: doc["lattice"].update(n=math.inf), "lattice"),
+    # JSON values are checked, not converted: a bool is not a number, and
+    # n and step must be integers
+    "n=16.7": (lambda doc: doc["lattice"].update(n=16.7), "lattice"),
+    "t=false": (lambda doc: doc["samples"][0].update(t=False), "sample record 0"),
+    "dt='0.01'": (lambda doc: doc["samples"][1].update(dt="0.01"), "sample record 1"),
+    "step=1.5": (lambda doc: doc["samples"][2].update(step=1.5), "sample record 2"),
+    "l2=true": (lambda doc: doc["samples"][0]["norms"].update(l2=True), "sample record 0"),
 }
 
 
