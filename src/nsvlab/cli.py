@@ -41,7 +41,6 @@ from ._version import __version__
 from .fields import (
     Lattice,
     NonzeroMeanError,
-    ScalarSpectralField,
     VelocityField,
     _check_mean,
     random_band_limited,
@@ -51,8 +50,8 @@ from .inequalities import (
     CONSTANT_MODES,
     CorpusConfig,
     CorpusField,
-    InequalityVerdict,
     _VERIFY_RUNS,
+    _rejected_verdict,
     corpus_fields,
 )
 from .monitor import (
@@ -298,11 +297,9 @@ def _injected_entry(lattice: Lattice, corpus: CorpusConfig):
     """A corpus entry whose velocity has a nonzero mean (test hook)."""
     seed = corpus.base_seed + corpus.size
     clean = random_band_limited(lattice, corpus.kmin, corpus.resolved_kmax(lattice), 1.0, seed)
-    coeffs = clean.components[0].coefficients.copy()
-    coeffs[0, 0, 0] = 0.5
-    bad = VelocityField(
-        (ScalarSpectralField(lattice, coeffs), clean.components[1], clean.components[2])
-    )
+    stack = clean._stack.copy()
+    stack[0, 0, 0, 0] = 0.5
+    bad = VelocityField._from_half(lattice, stack)
     return CorpusField(index=corpus.size, seed=seed, decay=1.0, field=bad)
 
 
@@ -328,11 +325,11 @@ def cmd_verify(config: dict, inputs, run_dir: Path, log: _RunLog) -> int:
     for entry in entries:
         u = entry.field
         try:
-            _check_mean([c._moments for c in u.components], f"seed {entry.seed}")
+            _check_mean(u, f"seed {entry.seed}")
         except NonzeroMeanError:
             rejected = f"nonzero mean rejected (seed {entry.seed})"
-            nan_verdicts = [InequalityVerdict(name, math.nan, math.nan, mode) for name, _, _ in runs]
-            rows += [_verdict_row(entry, verdict, rejected) for verdict in nan_verdicts]
+            rows += [_verdict_row(entry, _rejected_verdict(name, mode), rejected)
+                     for name, _, _ in runs]
             continue
         for _, note, run in runs:
             rows += [_verdict_row(entry, verdict, note) for verdict in run(u, mode)]

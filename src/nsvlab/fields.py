@@ -17,11 +17,15 @@ Fourier multipliers use the true wavenumbers.
 Because a real field's coefficients are Hermitian, the half
 ``(n, n, n//2 + 1)`` with ``m_3 >= 0`` (:func:`half_spectrum`) determines
 them, and :func:`full_spectrum` rebuilds the rest by conjugate reflection.
-Fields hold only that half layout, and every norm, transform, product and
-solver step reads it; :class:`Lattice` serves its wavenumber grids.  This
-module alone knows the full ``(n, n, n)`` layout: the public constructor
-takes it, and :attr:`ScalarSpectralField.coefficients` and the public
-lattice grids build it on demand.  :func:`to_grid` and :func:`from_grid`
+A scalar and a velocity field hold the same thing: one read-only stack of
+half layouts ``(m, n, n, n//2 + 1)``, m = 1 for a scalar and 3 for a
+velocity, whose shell sums, arithmetic and largest coefficient their one
+base class owns.  Every norm, transform, product, snapshot and solver step
+reads that stack and none asks which kind of field holds it;
+:class:`Lattice` serves its wavenumber grids.  This module alone knows the
+full ``(n, n, n)`` layout: the public constructor takes it, and
+:attr:`ScalarSpectralField.coefficients` and the public lattice grids
+build it on demand.  :func:`to_grid` and :func:`from_grid`
 are the package's one transform pair between half-layout coefficients and
 grid samples, through real-to-complex FFTs.
 """
@@ -75,11 +79,12 @@ class EmptyBandError(ValueError):
     """A requested wavenumber band contains no lattice mode."""
 
 
-def _check_mean(moments, what: str) -> None:
-    """Raise NonzeroMeanError when the largest |c_0| of the components whose
-    shell moments are given exceeds MEAN_TOLERANCE times their largest |c|."""
-    mean = max(m.moduli[0] for m in moments)
-    if mean > MEAN_TOLERANCE * max(max(m.peak for m in moments), 1e-300):
+def _check_mean(field, what: str) -> None:
+    """Raise NonzeroMeanError when the field's largest component |c_0|
+    exceeds MEAN_TOLERANCE times its largest |c|."""
+    moments = field._moments
+    mean = max(moduli[0] for moduli in moments.moduli)
+    if mean > MEAN_TOLERANCE * max(moments.peak, 1e-300):
         raise NonzeroMeanError(f"{what}: nonzero mean (|c_0| = {mean:.3e})")
 
 
@@ -232,17 +237,17 @@ def _shell_sums(lattice: Lattice, terms) -> list[np.ndarray]:
     return [np.bincount(lattice._half.shells[0], np.ravel(multiplicity * t)) for t in terms]
 
 
-# one component's shell sums of |c|^2 and of |c|, and its max |c|
+# per component, its shell sums of |c|^2 and of |c|; and the max |c| of all
 _ShellMoments = namedtuple("_ShellMoments", "squares moduli peak")
 
 
-def _shell_moments(lattice: Lattice, half: np.ndarray) -> _ShellMoments:
-    """The one per-shell pass over a half-layout component; every norm reads it.
+def _shell_moments(lattice: Lattice, stack: np.ndarray) -> _ShellMoments:
+    """The one per-shell pass over a field's half-layout stack; every norm reads it.
 
-    Shell 0 holds only the zero mode, so ``moduli[0]`` is |c_0|.
+    Shell 0 holds only the zero mode, so ``moduli[i][0]`` is component i's |c_0|.
     """
-    mags = np.abs(half)
-    squares, moduli = _shell_sums(lattice, [mags**2.0, mags])
+    mags = np.abs(stack)
+    squares, moduli = (_shell_sums(lattice, t) for t in (mags**2.0, mags))
     return _ShellMoments(squares, moduli, float(mags.max()))
 
 
@@ -258,8 +263,67 @@ def hermitianize(coefficients: np.ndarray) -> np.ndarray:
     return 0.5 * (coefficients + _conj_reflect(coefficients))
 
 
-@dataclass(frozen=True, init=False)
-class ScalarSpectralField:
+@dataclass(frozen=True, init=False, eq=False)
+class _SpectralField:
+    """What every field holds: its lattice and one read-only half-layout
+    stack ``(m, n, n, n//2 + 1)`` with ``m_3 >= 0``, m = 1 for a scalar and
+    3 for a velocity.  Norms, checks, products and snapshots read the stack
+    and never ask which kind of field holds it."""
+
+    lattice: Lattice
+    _stack: np.ndarray
+
+    @classmethod
+    def _from_half(cls, lattice: Lattice, half: np.ndarray):
+        """The field of half-layout coefficients, a scalar's ``(n, n, n//2+1)``
+        or a stack, held without a copy: the caller hands ``half`` over and
+        writes to it no more."""
+        if not np.isfinite(half).all():
+            raise ValueError("coefficients contain non-finite values")
+        field = object.__new__(cls)
+        field._hold(lattice, half.reshape((-1,) + half.shape[-3:]))
+        return field
+
+    def _hold(self, lattice: Lattice, stack: np.ndarray) -> None:
+        stack.setflags(write=False)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "_stack", stack)
+
+    @cached_property
+    def _moments(self) -> _ShellMoments:
+        """Shell moments of the stack, cached: the coefficients are read-only."""
+        return _shell_moments(self.lattice, self._stack)
+
+    def max_abs_coefficient(self) -> float:
+        return float(np.abs(self._stack).max())
+
+    def _combine(self, other, op):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.lattice != self.lattice:
+            raise ValueError("fields live on different lattices")
+        return self._from_half(self.lattice, op(self._stack, other._stack))
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
+
+    def __sub__(self, other):
+        return self._combine(other, np.subtract)
+
+    def __mul__(self, scalar: float):
+        return self._from_half(self.lattice, self._stack * float(scalar))
+
+    __rmul__ = __mul__
+
+
+def _spectral(f) -> _SpectralField:
+    """``f``, which must be a spectral field: the readers' one type check."""
+    if not isinstance(f, _SpectralField):
+        raise TypeError(f"expected a spectral field, got {type(f).__name__}")
+    return f
+
+
+class ScalarSpectralField(_SpectralField):
     """Real periodic scalar field stored by Fourier-series coefficients.
 
     The field holds only the read-only half ``(n, n, n//2 + 1)`` with
@@ -267,9 +331,6 @@ class ScalarSpectralField:
     full-layout array and keeps that half; :attr:`coefficients` rebuilds
     the full layout from it.
     """
-
-    lattice: Lattice
-    _half: np.ndarray
 
     def __init__(self, lattice: Lattice, coefficients: np.ndarray) -> None:
         arr = np.asarray(coefficients, dtype=np.complex128)
@@ -279,22 +340,11 @@ class ScalarSpectralField:
             )
         if not np.isfinite(arr).all():
             raise ValueError("coefficients contain non-finite values")
-        self._hold(lattice, half_spectrum(arr).copy())
+        self._hold(lattice, half_spectrum(arr)[None].copy())
 
-    @classmethod
-    def _from_half(cls, lattice: Lattice, half: np.ndarray) -> "ScalarSpectralField":
-        """The field of half-layout coefficients, held without a copy: the
-        caller hands ``half`` over and writes to it no more."""
-        if not np.isfinite(half).all():
-            raise ValueError("coefficients contain non-finite values")
-        field = object.__new__(cls)
-        field._hold(lattice, half)
-        return field
-
-    def _hold(self, lattice: Lattice, half: np.ndarray) -> None:
-        half.setflags(write=False)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "_half", half)
+    @property
+    def _half(self) -> np.ndarray:
+        return self._stack[0]
 
     @cached_property
     def coefficients(self) -> np.ndarray:
@@ -307,76 +357,37 @@ class ScalarSpectralField:
         """Series mean, the k = 0 coefficient."""
         return complex(self._half[0, 0, 0])
 
-    @cached_property
-    def _moments(self) -> _ShellMoments:
-        """Shell moments of the half layout, cached: the coefficients are read-only."""
-        return _shell_moments(self.lattice, self._half)
-
-    def max_abs_coefficient(self) -> float:
-        return float(np.abs(self._half).max())
-
-    def __add__(self, other: "ScalarSpectralField") -> "ScalarSpectralField":
-        self._check_same_lattice(other)
-        return ScalarSpectralField._from_half(self.lattice, self._half + other._half)
-
-    def __sub__(self, other: "ScalarSpectralField") -> "ScalarSpectralField":
-        self._check_same_lattice(other)
-        return ScalarSpectralField._from_half(self.lattice, self._half - other._half)
-
-    def __mul__(self, scalar: float) -> "ScalarSpectralField":
-        return ScalarSpectralField._from_half(self.lattice, self._half * float(scalar))
-
-    __rmul__ = __mul__
-
     def __neg__(self) -> "ScalarSpectralField":
-        return ScalarSpectralField._from_half(self.lattice, -self._half)
-
-    def _check_same_lattice(self, other: "ScalarSpectralField") -> None:
-        if other.lattice != self.lattice:
-            raise ValueError("fields live on different lattices")
+        return self._from_half(self.lattice, -self._stack)
 
 
-@dataclass(frozen=True)
-class VelocityField:
-    """Divergence-free, zero-mean velocity field as three scalar components.
+class VelocityField(_SpectralField):
+    """Divergence-free, zero-mean velocity field of three scalar components,
+    held as one ``(3, n, n, n//2 + 1)`` stack.
 
     The constructor does not verify the invariants (factories do); use
     :meth:`divergence_defect` and :meth:`mean_magnitude` to check them.
     """
 
-    components: tuple[ScalarSpectralField, ScalarSpectralField, ScalarSpectralField]
-
-    def __post_init__(self) -> None:
-        comps = tuple(self.components)
+    def __init__(self, components) -> None:
+        comps = tuple(components)
         if len(comps) != 3:
             raise ValueError(f"expected 3 components, got {len(comps)}")
         if any(c.lattice != comps[0].lattice for c in comps[1:]):
             raise ValueError("components live on different lattices")
-        object.__setattr__(self, "components", comps)
+        self._hold(comps[0].lattice, np.stack([c._half for c in comps]))
 
-    @classmethod
-    def _from_half(cls, lattice: Lattice, stack: np.ndarray) -> "VelocityField":
-        """The velocity of a half-layout (3, n, n, n//2+1) stack, held without
-        a copy, as :meth:`ScalarSpectralField._from_half` holds each component."""
-        return cls(tuple(ScalarSpectralField._from_half(lattice, c) for c in stack))
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.components[0].lattice
-
-    def _half_stack(self) -> np.ndarray:
-        """Writable (3, n, n, n//2+1) copy of the components' half layouts."""
-        return np.stack([c._half for c in self.components])
+    @cached_property
+    def components(self) -> tuple[ScalarSpectralField, ScalarSpectralField, ScalarSpectralField]:
+        """The three components, read-only scalar views of the stack."""
+        return tuple(ScalarSpectralField._from_half(self.lattice, c) for c in self._stack)
 
     def coefficient_stack(self) -> np.ndarray:
         """Writable (3, n, n, n) copy of the component coefficients."""
-        return full_spectrum(self._half_stack(), self.lattice.n)
+        return full_spectrum(self._stack, self.lattice.n)
 
     def mean_magnitude(self) -> float:
-        return max(abs(c.mean) for c in self.components)
-
-    def max_abs_coefficient(self) -> float:
-        return max(c.max_abs_coefficient() for c in self.components)
+        return max(abs(complex(c)) for c in self._stack[:, 0, 0, 0])
 
     def divergence_defect(self) -> float:
         """max_k |k . c(k)| / max_k |k| |c(k)|, 0 for the zero field.
@@ -385,7 +396,7 @@ class VelocityField:
         """
         grids = self.lattice._half
         kx, ky, kz = grids.k_deriv
-        c1, c2, c3 = (c._half for c in self.components)
+        c1, c2, c3 = self._stack
         num = np.abs(kx * c1 + ky * c2 + kz * c3)
         den = np.sqrt(grids.ksq_deriv) * np.sqrt(
             np.abs(c1) ** 2 + np.abs(c2) ** 2 + np.abs(c3) ** 2
@@ -394,17 +405,6 @@ class VelocityField:
         if scale == 0.0:
             return 0.0
         return float(num.max()) / scale
-
-    def __add__(self, other: "VelocityField") -> "VelocityField":
-        return VelocityField(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "VelocityField") -> "VelocityField":
-        return VelocityField(tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __mul__(self, scalar: float) -> "VelocityField":
-        return VelocityField(tuple(c * scalar for c in self.components))
-
-    __rmul__ = __mul__
 
 
 Field = ScalarSpectralField | VelocityField
@@ -453,22 +453,27 @@ def _blocks(n_small: int, n_big: int, half: bool):
 
 
 def _embed(c: np.ndarray, n_big: int, half: bool) -> np.ndarray:
-    n = c.shape[0]
+    """Coefficients on the last three axes embedded into n_big; leading
+    axes (a component stack) are carried through."""
+    n = c.shape[-3]
     if n_big < n:
         raise ValueError(f"cannot embed n={n} into smaller n_pad={n_big}")
-    out = np.zeros((n_big, n_big, n_big // 2 + 1 if half else n_big), dtype=np.complex128)
+    out = np.zeros(c.shape[:-3] + (n_big, n_big, n_big // 2 + 1 if half else n_big),
+                   dtype=np.complex128)
     for small, big in _blocks(n, n_big, half):
-        out[big] = c[small]
+        out[(..., *big)] = c[(..., *small)]
     return out
 
 
 def _restrict(c: np.ndarray, n_small: int, half: bool) -> np.ndarray:
-    n = c.shape[0]
+    """Coefficients on the last three axes cropped to n_small, as :func:`_embed`."""
+    n = c.shape[-3]
     if n_small > n:
         raise ValueError(f"cannot restrict n={n} to larger n_small={n_small}")
-    out = np.zeros((n_small, n_small, n_small // 2 + 1 if half else n_small), dtype=c.dtype)
+    out = np.zeros(c.shape[:-3] + (n_small, n_small, n_small // 2 + 1 if half else n_small),
+                   dtype=c.dtype)
     for small, big in _blocks(n_small, n, half):
-        out[small] = c[big]
+        out[(..., *small)] = c[(..., *big)]
     return out
 
 
@@ -550,8 +555,8 @@ def gradient(f: ScalarSpectralField) -> tuple[ScalarSpectralField, ...]:
 def divergence(u: VelocityField) -> ScalarSpectralField:
     lat = u.lattice
     out = np.zeros(lat._half.shape, dtype=np.complex128)
-    for kd, comp in zip(lat._half.k_deriv, u.components):
-        out += 1j * kd * comp._half
+    for kd, comp in zip(lat._half.k_deriv, u._stack):
+        out += 1j * kd * comp
     return ScalarSpectralField._from_half(lat, out)
 
 
@@ -566,9 +571,9 @@ def leray_project(candidate) -> VelocityField:
         if len(comps) != 3 or not all(isinstance(c, ScalarSpectralField) for c in comps):
             raise TypeError("expected a VelocityField or three scalar fields")
         candidate = VelocityField(comps)
-    _check_mean([c._moments for c in candidate.components], "velocity candidate")
+    _check_mean(candidate, "velocity candidate")
     lat = candidate.lattice
-    return VelocityField._from_half(lat, project_arrays(candidate._half_stack(), lat))
+    return VelocityField._from_half(lat, project_arrays(candidate._stack, lat))
 
 
 def project_arrays(stack: np.ndarray, lattice: Lattice) -> np.ndarray:
@@ -594,20 +599,12 @@ def taylor_green(lattice: Lattice) -> VelocityField:
     u = (cos x1 sin x2 sin x3, -sin x1 cos x2 sin x3, 0) in box coordinates;
     all sixteen nonzero coefficients have magnitude 1/8 and |m| = sqrt(3).
     """
-    c1 = lattice.zeros()
-    c2 = lattice.zeros()
-    c3 = lattice.zeros()
+    stack = np.zeros((3,) + lattice.shape, dtype=np.complex128)
     for s1, s2, s3 in _iter_product((1, -1), repeat=3):
         idx = lattice.mode_index(s1, s2, s3)
-        c1[idx] = -s2 * s3 / 8.0
-        c2[idx] = s1 * s3 / 8.0
-    return VelocityField(
-        (
-            ScalarSpectralField(lattice, c1),
-            ScalarSpectralField(lattice, c2),
-            ScalarSpectralField(lattice, c3),
-        )
-    )
+        stack[(0, *idx)] = -s2 * s3 / 8.0
+        stack[(1, *idx)] = s1 * s3 / 8.0
+    return VelocityField._from_half(lattice, half_spectrum(stack).copy())
 
 
 def random_band_limited(
@@ -650,11 +647,9 @@ def truncate(f: Field, radius: float, side: str) -> Field:
         raise ValueError(f"side must be 'low' or 'high', got {side!r}")
     if not (math.isfinite(radius) and radius >= 0.0):
         raise ValueError(f"radius must be finite and >= 0, got {radius}")
-    if isinstance(f, VelocityField):
-        return VelocityField(tuple(truncate(c, radius, side) for c in f.components))
     keep_low = f.lattice._half.kmag <= radius
     keep = keep_low if side == "low" else ~keep_low
-    return ScalarSpectralField._from_half(f.lattice, np.where(keep, f._half, 0.0))
+    return f._from_half(f.lattice, np.where(keep, f._stack, 0.0))
 
 
 def support_radius(f: Field) -> float:
@@ -664,17 +659,14 @@ def support_radius(f: Field) -> float:
 
 def _support(f: Field) -> tuple[float, int]:
     """:func:`support_radius` and the largest |m_i| of any nonzero
-    coefficient (0 for the zero field), from one pass over the moduli."""
-    if isinstance(f, VelocityField):
-        radii, extents = zip(*(_support(c) for c in f.components))
-        return max(radii), max(extents)
-    mags = np.abs(f._half)
-    scale = float(mags.max())
-    if scale == 0.0:
-        return 0.0, 0
-    significant = mags > 1e-14 * scale
+    coefficient (0 for the zero field), from one pass over the moduli.
+    Roundoff is judged against each component's own largest |c|."""
+    mags = np.abs(f._stack)
     nonzero = mags > 0.0
+    if not nonzero.any():
+        return 0.0, 0
+    significant = (mags > 1e-14 * mags.max(axis=(1, 2, 3), keepdims=True)).any(axis=0)
     labels = np.abs(f.lattice.modes)
-    hits = (nonzero.any(axis=axes) for axes in ((1, 2), (0, 2), (0, 1)))
+    hits = (nonzero.any(axis=axes) for axes in ((0, 2, 3), (0, 1, 3), (0, 1, 2)))
     extent = max(int(labels[: len(hit)][hit].max()) for hit in hits)
     return float(f.lattice._half.kmag[significant].max()), extent

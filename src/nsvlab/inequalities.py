@@ -68,6 +68,10 @@ __all__ = [
 CONSTANT_MODES = ("lattice", "continuum", "empirical")
 DEFAULT_TOLERANCE = 1e-10
 
+# the checks whose verdicts report one constant mode whatever mode is
+# requested; every other check reports the requested mode
+_FIXED_MODES = {"x0_interpolation": "lattice", "h32_trilinear": "empirical"}
+
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_PI = math.sqrt(math.pi)
 
@@ -81,7 +85,7 @@ def _check_mode(constant_mode: str) -> None:
 
 def _cs_multiplicity(f) -> float:
     """sqrt(#components): joint-index Cauchy-Schwarz weight multiplicity."""
-    return math.sqrt(3.0) if isinstance(f, VelocityField) else 1.0
+    return math.sqrt(len(f._stack))
 
 
 def _cs_constant(f, constant_mode: str, exponent: float, alpha=None, beta=None) -> float:
@@ -132,7 +136,7 @@ def check_x0_interpolation(f) -> InequalityVerdict:
         name="x0_interpolation",
         lhs=x0,
         rhs=math.sqrt(xm1 * x1),
-        constant_mode="lattice",
+        constant_mode=_FIXED_MODES["x0_interpolation"],
         details={"xm1": xm1, "x1": x1},
     )
 
@@ -271,7 +275,7 @@ def split_x1(
     if beta > lat.nyquist:
         raise ValueError(f"beta {beta} exceeds the lattice Nyquist {lat.nyquist}")
     radius = lat._half.shells[1]
-    moduli = [m.moduli for m in _moments(f)]
+    moduli = _moments(f).moduli
     weight = _radial_weight(radius, 1.0)
     bands = (radius <= alpha, (radius > alpha) & (radius <= beta), radius > beta)
     i_alpha, j_ab, k_beta = (_shell_fsum(moduli, np.where(band, weight, 0.0)) for band in bands)
@@ -331,7 +335,7 @@ def _commutator_products(f: VelocityField, s: float):
     """The product lattice, f and g = |D|^s f on it, div(f (x) f) and div(f (x) g)."""
     if s < 0:
         raise ValueError(f"commutator order must be >= 0, got {s}")
-    lat, f_pad = _padded(f.components)
+    lat, f_pad = _padded((f,))
     g_pad = _fractional_laplacian(f_pad, lat, s)
     transported, second = _flux_divergence(f_pad, [f_pad, g_pad], lat.n, lat)
     return lat, f_pad, g_pad, transported, second
@@ -349,14 +353,14 @@ def commutator_l2(f: VelocityField, s: float) -> float:
 
 def trilinear_hs(f: VelocityField, s: float) -> float:
     """<f.grad f, f>_Hdot(s), signed, exact on the product lattice."""
-    lat, f_pad = _padded(f.components)
+    lat, f_pad = _padded((f,))
     [transported] = _flux_divergence(f_pad, [f_pad], lat.n, lat)
     return _padded_pairing(transported, f_pad, lat, 2.0 * s)
 
 
 def advection_cancellation(f: VelocityField, s: float) -> float:
     """<f.grad(|D|^s f), |D|^s f>_L2; zero analytically for div-free f."""
-    lat, f_pad = _padded(f.components)
+    lat, f_pad = _padded((f,))
     g_pad = _fractional_laplacian(f_pad, lat, s)
     [second] = _flux_divergence(f_pad, [g_pad], lat.n, lat)
     return _padded_pairing(second, g_pad, lat, 0.0)
@@ -411,7 +415,7 @@ def check_h32_trilinear(f: VelocityField) -> InequalityVerdict:
         name="h32_trilinear",
         lhs=tri,
         rhs=h32**2 * h52,
-        constant_mode="empirical",
+        constant_mode=_FIXED_MODES["h32_trilinear"],
         details={"h32": h32, "h52": h52},
     )
 
@@ -479,13 +483,20 @@ def _split_runs(lattice: Lattice):
 
 
 # check name -> lattice -> the runs `verify` makes with it on each field, as
-# (note, run(f, mode) -> verdicts) pairs; a field it rejects gets one NaN row
-# per run.  Checks are looked up by their global names at call time.
+# (note, run(f, mode) -> verdicts) pairs; a field it rejects gets one
+# `_rejected_verdict` per run.  Checks are looked up by their global names at
+# call time.
 _VERIFY_RUNS = {
     **{name: lambda lattice, name=name: [("", lambda f, mode: [REGISTERED_CHECKS[name](f, mode)])]
        for name in REGISTERED_CHECKS},
     "split_x1": _split_runs,
 }
+
+
+def _rejected_verdict(name: str, constant_mode: str) -> InequalityVerdict:
+    """The NaN verdict of one run of check ``name`` on a field `verify`
+    rejects, in the constant mode the check's own verdicts report."""
+    return InequalityVerdict(name, math.nan, math.nan, _FIXED_MODES.get(name, constant_mode))
 
 
 @dataclass(frozen=True)

@@ -66,13 +66,13 @@ RATE_RANGE_START = RATE_DOMAIN_START * math.sqrt(math.log(RATE_DOMAIN_START))
 
 def _norm(sample: TrajectorySample, kind: str, order: float) -> float:
     """||u||_h<order> (kind "h") or ||u||_x<order> (kind "x") at one sample."""
-    try:
-        return (sample.norms.hdot if kind == "h" else sample.norms.leilin)[order]
-    except KeyError:
+    norms = sample.norms.hdot if kind == "h" else sample.norms.leilin
+    if order not in norms:
+        tracked = ", ".join(f"{kind}{o:g}" for o in sorted(norms))
         raise ValueError(
-            f"sample at t = {sample.t:g} has no {kind}{order:g} norm; "
-            "re-run the simulation with that order tracked"
-        ) from None
+            f"sample at t = {sample.t:g} has no {kind}{order:g} norm; it tracks {tracked}"
+        )
+    return norms[order]
 
 
 def _tau(sample: TrajectorySample, t_star: float) -> float:

@@ -6,15 +6,15 @@ All norms are series-coefficient norms:
     ||f||_Hdot(s)   = sqrt( sum_{k != 0} |k|^(2s) |c_k|^2 )
     ||f||_X(sigma)  = sum_{k != 0} |k|^sigma |c_k|
 
-Vector fields sum over components.  One pass per component adds up |c_k|^2
-and |c_k| over every |k| shell; each norm then weights those shell sums
-and adds them across shells and components with compensated summation
+Vector fields sum over components.  One pass over a field's half-layout
+stack ``(m, n, n, n//2 + 1)`` adds up |c_k|^2 and |c_k| over every |k|
+shell, per component; each norm then weights those shell sums and adds
+them across shells and components with compensated summation
 (math.fsum).  A field's shell sums are computed on
 first use and reused by every norm and check that reads the field, which
 is valid because its coefficients are read-only.  Results are
 deterministic, independent of memory layout, and within 1e-14 relative of
-the per-mode compensated sum.  The shell sums read the half layout
-``(n, n, n//2 + 1)`` that fields hold and count each mode with its
+the per-mode compensated sum.  The shell sums count each mode with its
 Hermitian multiplicity (1 on the m_3 = 0 and Nyquist planes, 2
 elsewhere).  Orders below -1 are outside the library's conventions and
 are rejected: with a nonzero mean those sums diverge, and the
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Lattice, ScalarSpectralField, VelocityField, _check_mean
+from .fields import Lattice, _check_mean, _spectral
 
 __all__ = [
     "DEFAULT_SOBOLEV_ORDERS",
@@ -48,26 +48,22 @@ DEFAULT_LEILIN_ORDERS = (-1.0, 0.0, 1.0)
 FOUR_PI = 4.0 * math.pi
 
 
-def _moments(f) -> list:
-    """Per component, the field's cached shell moments."""
-    if isinstance(f, VelocityField):
-        return [c._moments for c in f.components]
-    if isinstance(f, ScalarSpectralField):
-        return [f._moments]
-    raise TypeError(f"expected a spectral field, got {type(f).__name__}")
+def _moments(f):
+    """The field's cached shell moments."""
+    return _spectral(f)._moments
 
 
-def _checked_order(moments, order: float, name: str) -> float:
+def _checked_order(f, order: float, name: str) -> float:
     """Validate a norm order; a negative order also needs a zero-mean field."""
     order = float(order)
     if not math.isfinite(order) or order < -1.0:
         raise ValueError(f"{name} must be finite and >= -1, got {order}")
     if order < 0:
-        _check_mean(moments, f"norm of order {order}")
+        _check_mean(f, f"norm of order {order}")
     return order
 
 
-def _shell_fsum(sums: list[np.ndarray], weight) -> float:
+def _shell_fsum(sums, weight) -> float:
     """Compensated sum over shells x components of weight * shell sums."""
     return math.fsum(x for s in sums for x in (weight * s).tolist())
 
@@ -80,15 +76,15 @@ def _radial_weight(radius: np.ndarray, exponent: float) -> np.ndarray:
 
 
 def _l2(moments) -> float:
-    return math.sqrt(_shell_fsum([m.squares for m in moments], 1.0))
+    return math.sqrt(_shell_fsum(moments.squares, 1.0))
 
 
 def _sobolev(radius: np.ndarray, moments, s: float) -> float:
-    return math.sqrt(_shell_fsum([m.squares for m in moments], _radial_weight(radius, 2.0 * s)))
+    return math.sqrt(_shell_fsum(moments.squares, _radial_weight(radius, 2.0 * s)))
 
 
 def _leilin(radius: np.ndarray, moments, sigma: float) -> float:
-    return _shell_fsum([m.moduli for m in moments], _radial_weight(radius, sigma))
+    return _shell_fsum(moments.moduli, _radial_weight(radius, sigma))
 
 
 def l2_norm(f) -> float:
@@ -100,13 +96,13 @@ def sobolev_norm(f, s: float) -> float:
     """Homogeneous Sobolev norm of order s >= -1."""
     moments = _moments(f)
     radius = f.lattice._half.shells[1]
-    return _sobolev(radius, moments, _checked_order(moments, s, "Sobolev order"))
+    return _sobolev(radius, moments, _checked_order(f, s, "Sobolev order"))
 
 
 def leilin_norm(f, sigma: float) -> float:
     """Summed-coefficient norm sum |k|^sigma |c_k|, sigma >= -1."""
     moments = _moments(f)
-    return _leilin(f.lattice._half.shells[1], moments, _checked_order(moments, sigma, "order"))
+    return _leilin(f.lattice._half.shells[1], moments, _checked_order(f, sigma, "order"))
 
 
 def _order_key(prefix: str, order: float) -> str:
@@ -150,19 +146,16 @@ class NormReport:
         return NormReport(l2=l2, hdot=hdot, leilin=leilin)
 
 
-def full_report(
-    f,
-    sobolev_orders=DEFAULT_SOBOLEV_ORDERS,
-    leilin_orders=DEFAULT_LEILIN_ORDERS,
-) -> NormReport:
-    """Evaluate every tracked norm of one field from its shell moments."""
+def full_report(f) -> NormReport:
+    """Evaluate every tracked norm of one field from its shell moments: the
+    Sobolev orders :data:`DEFAULT_SOBOLEV_ORDERS` and the X orders
+    :data:`DEFAULT_LEILIN_ORDERS`."""
     moments = _moments(f)
-    sobolev_orders = [_checked_order(moments, s, "Sobolev order") for s in sobolev_orders]
-    leilin_orders = [_checked_order(moments, sig, "order") for sig in leilin_orders]
+    leilin_orders = [_checked_order(f, sig, "order") for sig in DEFAULT_LEILIN_ORDERS]
     radius = f.lattice._half.shells[1]
     return NormReport(
         l2=_l2(moments),
-        hdot={s: _sobolev(radius, moments, s) for s in sobolev_orders},
+        hdot={s: _sobolev(radius, moments, s) for s in DEFAULT_SOBOLEV_ORDERS},
         leilin={sig: _leilin(radius, moments, sig) for sig in leilin_orders},
     )
 

@@ -19,7 +19,8 @@ private kernel, ``_flux_divergence``, forms div(u (x) g) from half-layout
 stacks ``(., n, n, n//2 + 1)`` for the solver's nonlinear term, :func:`advect`
 and the inequality lab's trilinear and commutator forms, and
 :func:`multiply` and :func:`advect` return its half-layout output as fields.
-The embed onto the product lattice drops the inputs' Nyquist planes, which
+Each factor enters as its field's whole stack, resized onto the product
+lattice in one embed; that embed drops the inputs' Nyquist planes, which
 band-limited factors hold at zero.
 """
 
@@ -32,9 +33,9 @@ import numpy as np
 from .fields import (
     Lattice,
     ScalarSpectralField,
-    VelocityField,
     _embed,
     _restrict,
+    _spectral,
     _support,
     embed_coefficients,
     from_grid,
@@ -101,12 +102,9 @@ def require_band_limited(f, limit: float | None = None) -> None:
 def _band_extent(f, limit: float | None = None) -> int:
     """Raise AliasingError unless f is band-limited to ``limit``; return the
     largest |m_i| of its nonzero coefficients."""
-    lat = f.lattice if isinstance(f, (ScalarSpectralField, VelocityField)) else None
-    if lat is None:
-        raise TypeError(f"expected a spectral field, got {type(f).__name__}")
+    radius, extent = _support(_spectral(f))
     if limit is None:
-        limit = exactness_limit(lat)
-    radius, extent = _support(f)
+        limit = exactness_limit(f.lattice)
     if radius > limit * (1.0 + 1e-12):
         raise AliasingError(
             f"field support |k| <= {radius:.6g} exceeds the exact-product "
@@ -136,6 +134,8 @@ def _flux_divergence(u: np.ndarray, gs, n_grid: int, lattice_out: Lattice) -> li
     sum_j d_j(u_j g_i).  For g = u the six symmetric products are shared.
     For divergence-free u this is u . grad(g).
     """
+    if len(u) != 3:
+        raise TypeError(f"the transporting field must be a velocity, got {len(u)} component(s)")
     n_out = lattice_out.n
     kd = lattice_out._half.k_deriv
     u_grids = [to_grid(c, n_grid) for c in u]
@@ -158,8 +158,8 @@ def _flux_divergence(u: np.ndarray, gs, n_grid: int, lattice_out: Lattice) -> li
 
 
 def _padded(fields) -> tuple[Lattice, np.ndarray]:
-    """The product lattice of band-limited scalar fields, and the stack of
-    their half-layout coefficients on it.
+    """The product lattice of band-limited fields, and their half-layout
+    stacks on it, concatenated.
 
     Its size is the smallest even 5-smooth M >= 4K + 2 (at least 8), K the
     largest |m_i| of any nonzero coefficient, capped at :func:`padded_size`;
@@ -171,8 +171,8 @@ def _padded(fields) -> tuple[Lattice, np.ndarray]:
     lattice = fields[0].lattice
     m = min(padded_size(lattice.n), _fast_even_size(max(4 * extent + 2, 8)))
     resize = _embed if m >= lattice.n else _restrict
-    stack = [resize(f._half, m, half=True) for f in fields]
-    return _shared_lattice(m, lattice.period), np.stack(stack)
+    stack = np.concatenate([resize(f._stack, m, half=True) for f in fields])
+    return _shared_lattice(m, lattice.period), stack
 
 
 def _on_pad_lattice(stack: np.ndarray, lattice: Lattice) -> tuple[ScalarSpectralField, ...]:
@@ -181,7 +181,7 @@ def _on_pad_lattice(stack: np.ndarray, lattice: Lattice) -> tuple[ScalarSpectral
     never larger and the product lies below its Nyquist planes."""
     lat_pad = pad_lattice(lattice)
     if stack.shape[1] != lat_pad.n:
-        stack = [_embed(c, lat_pad.n, half=True) for c in stack]
+        stack = _embed(stack, lat_pad.n, half=True)
     return tuple(ScalarSpectralField._from_half(lat_pad, c) for c in stack)
 
 
@@ -194,14 +194,10 @@ def advect(u: VelocityField, g):
     three scalar fields (the transported components are not
     divergence-free, so they are not wrapped as a velocity).
     """
-    scalar = isinstance(g, ScalarSpectralField)
-    if not (scalar or isinstance(g, VelocityField)):
-        raise TypeError(f"expected a spectral field, got {type(g).__name__}")
-    if g.lattice != u.lattice:
+    if _spectral(g).lattice != u.lattice:
         raise ValueError("fields live on different lattices")
-    factors = u.components if g is u else u.components + ((g,) if scalar else g.components)
-    lat, stack = _padded(factors)
-    u_pad = stack[:3]
-    [div] = _flux_divergence(u_pad, [u_pad if g is u else stack[3:]], lat.n, lat)
+    lat, stack = _padded((u,) if g is u else (u, g))
+    u_pad, g_pad = np.split(stack, [len(u._stack)])
+    [div] = _flux_divergence(u_pad, [u_pad if g is u else g_pad], lat.n, lat)
     out = _on_pad_lattice(div, u.lattice)
-    return out[0] if scalar else out
+    return out[0] if isinstance(g, ScalarSpectralField) else out

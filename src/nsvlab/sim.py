@@ -128,7 +128,7 @@ def _dealias_mask(n: int, period: float) -> np.ndarray:
 
 def max_velocity(u: VelocityField) -> float:
     """Maximum pointwise speed on the grid."""
-    total = sum(to_grid(c._half, u.lattice.n) ** 2 for c in u.components)
+    total = sum(to_grid(c, u.lattice.n) ** 2 for c in u._stack)
     return float(np.sqrt(total.max()))
 
 
@@ -170,7 +170,7 @@ def _solver_stack(u: VelocityField, dealias: str) -> np.ndarray:
     """The half layout of u's coefficients as the solver advances them: the
     three-halves rule is exact only without the Nyquist planes, so they are
     zeroed."""
-    stack = u._half_stack()
+    stack = u._stack.copy()
     if dealias == "three-halves":
         half = u.lattice.n // 2
         stack[:, half] = stack[:, :, half] = stack[:, :, :, half] = 0.0
@@ -253,7 +253,7 @@ def integrate(u0: VelocityField, config: SolverConfig, hooks=()) -> Trajectory:
     scheme blow-up the trajectory is returned with ``failed`` set and the
     failure reason recorded; samples collected so far are kept.
     """
-    _check_mean([c._moments for c in u0.components], "initial velocity")
+    _check_mean(u0, "initial velocity")
     defect = u0.divergence_defect()
     if defect > 1e-8:
         raise ValueError(f"initial velocity is not divergence-free (defect {defect:.3g})")

@@ -25,7 +25,8 @@ import struct
 
 import numpy as np
 
-from .fields import Lattice, ScalarSpectralField, VelocityField
+from .fields import Lattice, ScalarSpectralField, VelocityField, _spectral
+from .fields import full_spectrum, half_spectrum
 
 __all__ = ["SnapshotFormatError", "write_snapshot", "read_snapshot", "MAGIC"]
 
@@ -39,21 +40,15 @@ class SnapshotFormatError(ValueError):
 
 
 def write_snapshot(path, field) -> None:
-    if isinstance(field, VelocityField):
-        components = [c.coefficients for c in field.components]
-        lattice = field.lattice
-    elif isinstance(field, ScalarSpectralField):
-        components = [field.coefficients]
-        lattice = field.lattice
-    else:
-        raise TypeError(f"expected a spectral field, got {type(field).__name__}")
+    lattice = _spectral(field).lattice
+    components = full_spectrum(field._stack, lattice.n)
     header = _HEADER.pack(
         MAGIC, VERSION, len(components), lattice.n, 0, lattice.period
     )
     with open(path, "wb") as fh:
         fh.write(header)
         for c in components:
-            np.fft.fftshift(c).astype("<c16").tofile(fh)
+            np.fft.fftshift(c).astype("<c16", copy=False).tofile(fh)
 
 
 def read_snapshot(path):
@@ -71,19 +66,18 @@ def read_snapshot(path):
             raise SnapshotFormatError(f"component count must be 1 or 3, got {ncomp}")
         lattice = Lattice(int(n), float(period))
         count = n**3
-        fields = []
+        stack = np.empty((ncomp, n, n, n // 2 + 1), dtype=np.complex128)
         for i in range(ncomp):
             data = np.fromfile(fh, dtype="<c16", count=count)
             if data.size != count:
                 raise SnapshotFormatError(
                     f"component {i}: expected {count} coefficients, file truncated"
                 )
-            coeff = np.fft.ifftshift(data.reshape((n, n, n)).astype(np.complex128))
-            fields.append(ScalarSpectralField(lattice, coeff))
+            if not np.isfinite(data).all():
+                raise ValueError("coefficients contain non-finite values")
+            stack[i] = half_spectrum(np.fft.ifftshift(data.reshape((n, n, n))))
         if fh.read(1):
             raise SnapshotFormatError(
                 f"bytes left after {ncomp} components of n={n}; header and payload disagree"
             )
-    if ncomp == 1:
-        return fields[0]
-    return VelocityField(tuple(fields))
+    return (VelocityField if ncomp == 3 else ScalarSpectralField)._from_half(lattice, stack)

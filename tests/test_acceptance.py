@@ -5,6 +5,7 @@ via captured stdout; the per-test PASSED/FAILED line in ``pytest -v``
 mirrors it).  Expensive n=32 runs are shared through module fixtures.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -223,10 +224,18 @@ def test_criterion_5_solver_validation(lat16, tg32_run):
               f"divergence defect {worst_defect:.2e} over 1000 steps")
 
 
-def test_criterion_6_proof_inequalities_stable_under_refinement(lat32):
-    def constants_for(nu, dt, every):
+def test_criterion_6_proof_inequalities_stable_under_refinement(lat32, tg32_run):
+    def run(nu, dt, every):
         config = SolverConfig(nu=nu, dt=dt, t_end=0.4, sample_every=every)
-        trajectory = integrate(taylor_green(lat32), config)
+        return integrate(taylor_green(lat32), config)
+
+    def first_400_steps_of_the_shared_run():
+        # the same u0, nu, dt and rule; sampling does not touch the state
+        trajectory, _ = tg32_run
+        samples = [s for s in trajectory.samples if s.step_index <= 400 and s.step_index % 40 == 0]
+        return dataclasses.replace(trajectory, samples=samples)
+
+    def constants_for(nu, dt, trajectory):
         assert not trajectory.failed
         energy = h52_energy_residual(trajectory)
         growth = h12_log_growth_check(trajectory)
@@ -247,8 +256,9 @@ def test_criterion_6_proof_inequalities_stable_under_refinement(lat32):
     summary = []
     for nu in (0.02, 0.05, 0.1):
         # sample times align: every 0.04 time units under both step sizes
-        coarse = constants_for(nu, 2e-3, 20)
-        fine = constants_for(nu, 1e-3, 40)
+        coarse = constants_for(nu, 2e-3, run(nu, 2e-3, 20))
+        fine_run = first_400_steps_of_the_shared_run() if nu == 0.1 else run(nu, 1e-3, 40)
+        fine = constants_for(nu, 1e-3, fine_run)
         for name in coarse:
             assert stable(coarse[name], fine[name]), (
                 f"nu={nu} {name}: {coarse[name]:.6g} vs {fine[name]:.6g}"

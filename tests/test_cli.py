@@ -113,6 +113,30 @@ def test_verify_injected_field_gives_only_nan_rows(tmp_path):
 
 
 VERIFY_ALL = "x0_interpolation,x0_via_xm1_h52,x0_via_h12_x1,split_x1,h32_trilinear"
+
+
+@pytest.mark.parametrize("mode", ["lattice", "continuum"])
+def test_verify_nan_rows_report_their_checks_constant_mode(tmp_path, mode):
+    # x0_interpolation always reports lattice and h32_trilinear empirical;
+    # a rejected field's rows must say the same as the check's real rows
+    code, run_dir = run(
+        tmp_path, "verify", "--lattice-n", "16", "--corpus-size", "1", "--checks", VERIFY_ALL,
+        "--constant-mode", mode, "--inject-mean-violation",
+    )
+    assert code == 1
+    lines = (run_dir / "verdicts.csv").read_text().splitlines()[2:]
+    rows = [line.split(",") for line in lines]
+    checks = VERIFY_ALL.split(",")
+    real = {}
+    for row in rows:
+        # split_x1's partition verdict gates in lattice mode in every mode
+        if row[5] != "nan" and not row[3].endswith("_partition"):
+            check = next(name for name in checks if row[3].startswith(name))
+            real.setdefault(check, set()).add(row[4])
+    nan_rows = [row for row in rows if row[5] == "nan"]
+    assert {row[3] for row in nan_rows} == set(checks)
+    for row in nan_rows:
+        assert real[row[3]] == {row[4]}, row
 PINNED_VERDICTS = Path(__file__).parent / "data" / "verify_n16"
 VERIFY_CASES = [
     ("lattice", ("--constant-mode", "lattice"), 0),
@@ -465,6 +489,18 @@ def test_monitor_missing_norm_column_marks_check_unavailable(tmp_path):
     }
     assert summary["h12_log_growth"]["available"] is True
     assert summary["xm1_gronwall"]["available"] is True
+
+
+def test_monitor_untracked_order_names_the_tracked_ones(tmp_path, trajectory_file, capsys):
+    code, run_dir = run(
+        tmp_path, "monitor", str(trajectory_file), "--t-star", "1.0", "--s-list", "0.75",
+        out="mon_out",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: sample at t = 0 has no h0.75 norm; it tracks h0.5, h1, h1.5, h2.5, h3.5\n"
+    )
+    assert run_dir is None
 
 
 def test_monitor_growth_that_rounds_still_holds(tmp_path):

@@ -419,6 +419,32 @@ def test_field_arithmetic(lat8):
     assert np.allclose((-f).coefficients, -f.coefficients)
 
 
+def test_velocity_arithmetic_is_componentwise(lat8, random16, tg16):
+    # a velocity's arithmetic runs on its one stack and must equal the scalar
+    # arithmetic of its components bit for bit
+    u, v = random16, tg16
+    cases = (
+        (u + v, lambda a, b: a + b),
+        (u - v, lambda a, b: a - b),
+        (2.0 * u, lambda a, b: 2.0 * a),
+        (u * 2.0, lambda a, b: a * 2.0),
+    )
+    for got, scalar_op in cases:
+        assert isinstance(got, VelocityField)
+        for c, a, b in zip(got.components, u.components, v.components):
+            assert c._half.tobytes() == scalar_op(a, b)._half.tobytes()
+    with pytest.raises(ValueError, match="fields live on different lattices"):
+        u + taylor_green(lat8)
+    with pytest.raises(TypeError):
+        u + u.components[0]
+    assert VelocityField(u.components)._stack.tobytes() == u._stack.tobytes()
+    for c in u.components:
+        with pytest.raises(ValueError):
+            c._half[0, 0, 1] = 1.0
+        with pytest.raises(ValueError):
+            c.coefficients[0, 0, 1] = 1.0
+
+
 def test_velocity_field_requires_matching_lattices(lat8, lat16):
     f8 = ScalarSpectralField(lat8, lat8.zeros())
     f16 = ScalarSpectralField(lat16, lat16.zeros())

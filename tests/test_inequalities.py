@@ -163,12 +163,12 @@ def test_public_norms_equal_their_full_report_entries(corpus16):
             assert leilin_norm(u, sigma) == value, sigma
 
 
-def test_verify_checks_make_one_shell_pass_per_component(lat16, monkeypatch):
+def test_verify_checks_make_one_shell_pass_per_field(lat16, monkeypatch):
     shapes = []
 
-    def counted(lattice, half):
-        shapes.append(half.shape)
-        return _shell_moments(lattice, half)
+    def counted(lattice, stack):
+        shapes.append(stack.shape)
+        return _shell_moments(lattice, stack)
 
     monkeypatch.setattr("nsvlab.fields._shell_moments", counted)
     u = next(corpus_fields(lat16, SMALL_CORPUS)).field
@@ -176,7 +176,7 @@ def test_verify_checks_make_one_shell_pass_per_component(lat16, monkeypatch):
         assert check(u, "lattice").holds
     for alpha, beta in _split_pairs(lat16):
         assert split_x1(u, alpha, beta).holds
-    assert shapes == [(16, 16, 9)] * 3
+    assert shapes == [(3, 16, 16, 9)]
 
 
 def test_solver_products_and_checks_never_expand_a_field(lat16, monkeypatch):

@@ -14,6 +14,7 @@ from nsvlab.fields import (
     random_band_limited,
     to_physical,
 )
+from nsvlab.inequalities import trilinear_hs
 from nsvlab.products import (
     AliasingError,
     advect,
@@ -192,6 +193,17 @@ def test_advect_velocity_returns_components(lat16):
     assert len(result) == 3
     for comp, direct in zip(result, (advect(u, u.components[i]) for i in range(3))):
         assert np.array_equal(comp.coefficients, direct.coefficients)
+
+
+def test_only_a_velocity_transports(lat16):
+    # a scalar's one-component stack must not pass for a transporting velocity
+    u = random_band_limited(lat16, 1.0, 4.0, 1.0, seed=13)
+    with pytest.raises(TypeError, match="must be a velocity"):
+        advect(u.components[0], u)
+    with pytest.raises(TypeError, match="must be a velocity"):
+        trilinear_hs(u.components[0], 1.5)
+    with pytest.raises(TypeError, match="expected a spectral field"):
+        advect(u, np.zeros((3, 16, 16, 9)))
 
 
 def test_product_of_orthogonal_waves_mean(lat16):
