@@ -27,7 +27,12 @@ full ``(n, n, n)`` layout: the public constructor takes it, and
 :attr:`ScalarSpectralField.coefficients` and the public lattice grids
 build it on demand.  :func:`to_grid` and :func:`from_grid`
 are the package's one transform pair between half-layout coefficients and
-grid samples, through real-to-complex FFTs.
+grid samples.  On the coefficients' own grid each is one real-to-complex
+n-d FFT.  Between a lattice and a larger grid (zero padding, truncation)
+each runs one axis at a time: 1-D complex passes over only the lines that
+are nonzero on input or kept on output, and a real pass along the last
+axis one block of rows at a time.  Every line meets the transform the n-d
+FFT would apply to it, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -492,23 +497,120 @@ def to_grid(c: np.ndarray, n_grid: int) -> np.ndarray:
 
     Zero-pads when n_grid > n; that embed drops the Nyquist planes of the
     input, which the three-halves rule and the band-limited products hold
-    at zero anyway.
+    at zero anyway.  The padded grid is formed one axis at a time
+    (:func:`_padded_grid`), with the bits of one n-d transform of the
+    embedded coefficients.
     """
-    if n_grid != c.shape[0]:
-        c = _embed(c, n_grid, half=True)
-    return scipy.fft.irfftn(c, s=(n_grid,) * 3, axes=(0, 1, 2), norm="forward")
+    if n_grid == c.shape[0]:
+        return scipy.fft.irfftn(c, s=(n_grid,) * 3, axes=(0, 1, 2), norm="forward")
+    return np.concatenate(_padded_grid(c, n_grid))
 
 
 def from_grid(values: np.ndarray, n_out: int) -> np.ndarray:
     """Half-layout coefficients of real grid samples, truncated to n_out modes.
 
     Truncation drops the Nyquist planes of the n_out lattice, like
-    :func:`to_grid`'s embed.
+    :func:`to_grid`'s embed.  A truncating transform runs one axis at a
+    time (:func:`_padded_coefficients`), with the bits of one n-d
+    transform followed by the truncation.
     """
-    c = scipy.fft.rfftn(values, axes=(0, 1, 2), norm="forward")
-    if n_out != values.shape[0]:
-        c = _restrict(c, n_out, half=True)
-    return c
+    if n_out == values.shape[0]:
+        return scipy.fft.rfftn(values, axes=(0, 1, 2), norm="forward")
+    return _padded_coefficients([values], values.shape[0], n_out)
+
+
+def _grid_blocks(c: np.ndarray, n_grid: int) -> list[np.ndarray]:
+    """:func:`to_grid`'s samples as row blocks along axis 0: the whole grid
+    when n_grid is c's own size, else the padded grid's row quarters, views
+    of the two halves that :func:`_padded_grid` forms."""
+    if n_grid == c.shape[0]:
+        return [to_grid(c, n_grid)]
+    return [quarter for half in _padded_grid(c, n_grid) for quarter in np.array_split(half, 2)]
+
+
+def _product_coefficients(a: list[np.ndarray], b: list[np.ndarray], n_out: int) -> np.ndarray:
+    """:func:`from_grid` of the product of two grids held as the row blocks
+    of :func:`_grid_blocks`.  The product is formed one block at a time, as
+    the transform reads it, so a padded product never exists whole.
+
+    a and b are the caller's own lists, emptied block by block, so a block
+    that nothing else holds is freed once its product is formed.
+    """
+    n_grid = a[0].shape[1]
+    if len(a) == 1:
+        return from_grid(a.pop() * b.pop(), n_out)
+    return _padded_coefficients((a.pop(0) * b.pop(0) for _ in range(len(a))), n_grid, n_out)
+
+
+def _kept(lead: int, m: int) -> np.ndarray:
+    """Indices on an m-point fft-layout axis of the labels -(lead-1)..lead-1:
+    the labels an embed fills and a truncation keeps (no Nyquist label)."""
+    return np.r_[0:lead, m - lead + 1 : m]
+
+
+def _spread(lines: np.ndarray, m: int, axis: int) -> np.ndarray:
+    """``lines``, whose ``axis`` holds the labels of :func:`_kept`, placed on
+    m points of that axis with zeros between."""
+    out = np.zeros(lines.shape[:axis] + (m,) + lines.shape[axis + 1 :], dtype=np.complex128)
+    out[(slice(None),) * axis + (_kept((lines.shape[axis] + 1) // 2, m),)] = lines
+    return out
+
+
+def _padded_grid(c: np.ndarray, n_grid: int) -> list[np.ndarray]:
+    """:func:`to_grid` of c on a larger grid, as the grid's two row halves.
+
+    The complex passes along axes 0 and then 1 transform only the lines
+    that hold an embedded label; every other line is zero.  The real pass
+    along axis 2 then runs on one row half at a time.  Each line meets the
+    same unscaled 1-D transform that one n-d ``irfftn`` of the embedded
+    coefficients applies to it, so the samples are its bits.
+    """
+    n = c.shape[0]
+    if n_grid < n:
+        raise ValueError(f"cannot embed n={n} into smaller n_pad={n_grid}")
+    lead = (n + 1) // 2
+    kept = _kept(lead, n)
+    lines = c[np.ix_(kept, kept, range(lead))]
+    for axis in (0, 1):
+        lines = scipy.fft.ifft(
+            _spread(lines, n_grid, axis), axis=axis, norm="forward", overwrite_x=True
+        )
+    half = n_grid // 2
+    return [
+        scipy.fft.irfftn(lines[rows], s=(n_grid,), axes=(2,), norm="forward")
+        for rows in (slice(0, half), slice(half, n_grid))
+    ]
+
+
+def _padded_coefficients(blocks, n_grid: int, n_out: int) -> np.ndarray:
+    """:func:`from_grid` of an n_grid^3 grid, given as an iterable of its
+    row blocks along axis 0 in order, truncated to n_out < n_grid modes.
+
+    The real pass along axis 2 reads one block at a time and keeps the
+    columns of kept labels.  Their real and imaginary parts are then
+    scaled by 1/n_grid^3 once, which is where one n-d ``rfftn`` applies
+    its factor.  The complex passes along axes 0 and then 1 transform
+    those columns' lines and keep the rows of kept labels, so every kept
+    coefficient holds the n-d transform's bits.
+    """
+    if n_out > n_grid:
+        raise ValueError(f"cannot restrict n={n_grid} to larger n_small={n_out}")
+    lead = (n_out + 1) // 2
+    lines = np.empty((n_grid, n_grid, lead), dtype=np.complex128)
+    start = 0
+    for block in blocks:
+        lines[start : start + len(block)] = scipy.fft.rfftn(block, axes=(2,))[..., :lead]
+        start += len(block)
+        del block  # before the next block is formed
+    parts = lines.view(np.float64)
+    np.multiply(parts, 1.0 / n_grid**3, out=parts)
+    kept = _kept(lead, n_grid)
+    for axis in (0, 1):
+        lines = scipy.fft.fft(lines, axis=axis, overwrite_x=True).take(kept, axis=axis)
+    out = np.zeros((n_out, n_out, n_out // 2 + 1), dtype=np.complex128)
+    kept = _kept(lead, n_out)
+    out[np.ix_(kept, kept, range(lead))] = lines
+    return out
 
 
 def to_physical(f: ScalarSpectralField) -> np.ndarray:

@@ -65,7 +65,7 @@ def _checked_order(f, order: float, name: str) -> float:
 
 def _shell_fsum(sums, weight) -> float:
     """Compensated sum over shells x components of weight * shell sums."""
-    return math.fsum(x for s in sums for x in (weight * s).tolist())
+    return math.fsum((np.asarray(sums) * weight).ravel().tolist())
 
 
 def _radial_weight(radius: np.ndarray, exponent: float) -> np.ndarray:

@@ -21,12 +21,15 @@ and the inequality lab's trilinear and commutator forms, and
 :func:`multiply` and :func:`advect` return its half-layout output as fields.
 Each factor enters as its field's whole stack, resized onto the product
 lattice in one embed; that embed drops the inputs' Nyquist planes, which
-band-limited factors hold at zero.
+band-limited factors hold at zero.  The kernel's transforms are independent
+of each other; on two or more CPUs every second one runs on one worker
+thread, and the results are summed in a fixed order, so the bytes do not
+depend on the thread that formed them.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -34,6 +37,8 @@ from .fields import (
     Lattice,
     ScalarSpectralField,
     _embed,
+    _grid_blocks,
+    _product_coefficients,
     _restrict,
     _spectral,
     _support,
@@ -133,28 +138,95 @@ def _flux_divergence(u: np.ndarray, gs, n_grid: int, lattice_out: Lattice) -> li
     n-point or the product lattice), and component i of the result is
     sum_j d_j(u_j g_i).  For g = u the six symmetric products are shared.
     For divergence-free u this is u . grad(g).
+
+    The factors' grids are independent transforms, and so are the
+    products' coefficients; each set runs through :func:`_alternately`.
+    The sums are then taken in the order above, so the result does not
+    depend on which thread ran which transform.
     """
     if len(u) != 3:
         raise TypeError(f"the transporting field must be a velocity, got {len(u)} component(s)")
     n_out = lattice_out.n
     kd = lattice_out._half.k_deriv
-    u_grids = [to_grid(c, n_grid) for c in u]
+    products = _alternately(_product_tasks(u, gs, n_grid, n_out))
     out = []
     for g in gs:
-        g_grids = u_grids if g is u else [to_grid(c, n_grid) for c in g]
-        fluxes = {}
-        div = np.empty((len(g), n_out, n_out, n_out // 2 + 1), dtype=np.complex128)
-        for i, g_i in enumerate(g_grids):
-            total = np.zeros(div.shape[1:], dtype=np.complex128)
-            for j, u_j in enumerate(u_grids):
+        fluxes, div = {}, []  # div's rows are stacked last, when the products' memory is free
+        for i in range(len(g)):
+            total = np.zeros((n_out, n_out, n_out // 2 + 1), dtype=np.complex128)
+            for j in range(3):
                 key = (min(i, j), max(i, j))
-                flux = fluxes.pop(key) if key in fluxes else from_grid(u_j * g_i, n_out)
+                flux = fluxes.pop(key) if key in fluxes else next(products)
                 if g is u and j > i:
                     fluxes[key] = flux  # u_i u_j again at (j, i)
                 total += kd[j] * flux
-            div[i] = 1j * total
-        out.append(div)
+            total *= 1j
+            div.append(total)
+        out.append(np.stack(div))
     return out
+
+
+def _product_tasks(u: np.ndarray, gs, n_grid: int, n_out: int) -> list:
+    """Sample the factors of :func:`_flux_divergence`, then return one task
+    per distinct product u_j g_i, in the order its sums first need them.
+
+    Each task holds its own lists of its factors' row blocks and empties
+    them as it forms its product.  Once this function returns, those lists
+    hold the only references, so each block is freed after its last product.
+    """
+    stacks = [u] + [g for g in gs if g is not u]
+    grids = list(_alternately([partial(_grid_blocks, c, n_grid) for s in stacks for c in s]))
+    u_grids, own = grids[:3], iter(grids[3:])
+    g_grids = [u_grids if g is u else [next(own) for _ in g] for g in gs]
+    factors = {}
+    for k, g in enumerate(gs):
+        for i in range(len(g)):
+            for j in range(3):
+                key = (k, min(i, j), max(i, j)) if g is u else (k, i, j)
+                factors.setdefault(key, (u_grids[j], g_grids[k][i]))
+    return [partial(_product_coefficients, [*a], [*b], n_out) for a, b in factors.values()]
+
+
+def _two_cpus() -> bool:
+    """Whether this process may run on two or more CPUs."""
+    import os
+
+    if hasattr(os, "sched_getaffinity"):  # elsewhere than Linux, count the machine's CPUs
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+@lru_cache(maxsize=None)
+def _worker(pid: int):
+    """The process's one worker thread, started on its first task.  It is
+    kept, so its memory is reused rather than held by a new thread per
+    call; the key is the process id, so a forked child starts its own."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="nsvlab-transforms")
+
+
+def _alternately(tasks: list):
+    """Yield the results of independent callables, in order.
+
+    Where :func:`_two_cpus` allows, every second task runs on the worker
+    thread while the caller runs the others, each as its result is asked
+    for.  A task's result does not depend on the thread that runs it.
+    """
+    if len(tasks) < 2 or not _two_cpus():
+        yield from (task() for task in tasks)
+        return
+    import os
+
+    theirs = [_worker(os.getpid()).submit(task) for task in tasks[1::2]]
+    try:
+        for k, task in enumerate(tasks[::2]):
+            yield task()
+            if k < len(theirs):
+                yield theirs[k].result()
+    finally:
+        for future in theirs:
+            future.cancel()
 
 
 def _padded(fields) -> tuple[Lattice, np.ndarray]:

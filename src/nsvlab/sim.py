@@ -11,13 +11,17 @@ periodic cube.  Two integrators:
   With advection disabled a single mode decays exactly (to roundoff).
 
 Advection is evaluated in divergence form, div(u (x) u), by the product
-kernel of :mod:`nsvlab.products` that the inequality lab shares; it forms
-the six distinct products on a grid through the real transform pair of
-:mod:`nsvlab.fields`.  The products are dealiased per config: the
-two-thirds rule masks |k| strictly below (2/3) * Nyquist on the n-point
-grid (the strict inequality keeps wrapped images out of the retained band
-when 3 divides n); the three-halves rule zero-pads to the 3n/2-point grid
-and drops the Nyquist planes of state and term, which makes it exact.
+kernel of :mod:`nsvlab.products` that the inequality lab shares.  It
+samples u on a grid and forms the six distinct products there, through the
+transform pair of :mod:`nsvlab.fields`: one n-d real FFT per transform
+under the two-thirds rule, and under the three-halves rule a transform run
+axis by axis that skips the padding.  Independent transforms overlap on two
+threads where two CPUs are allowed.  The products are dealiased per
+config: the two-thirds rule masks |k| strictly below (2/3) * Nyquist on
+the n-point grid (the strict inequality keeps wrapped images out of the
+retained band when 3 divides n); the three-halves rule zero-pads to the
+3n/2-point grid and drops the Nyquist planes of state and term, which
+makes it exact.
 
 The solver state is the half layout ``(3, n, n, n//2 + 1)`` of the
 velocity's coefficients, the layout every field holds; the projection, the

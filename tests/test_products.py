@@ -1,10 +1,12 @@
 import math
+import threading
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.signal import convolve
 
-from nsvlab import fields
+from nsvlab import fields, products
 from nsvlab.fields import (
     Lattice,
     ScalarSpectralField,
@@ -17,6 +19,7 @@ from nsvlab.fields import (
 from nsvlab.inequalities import trilinear_hs
 from nsvlab.products import (
     AliasingError,
+    _flux_divergence,
     advect,
     embed_coefficients,
     exactness_limit,
@@ -229,3 +232,88 @@ def test_products_return_on_the_padded_lattice(lat16):
     for product in products:
         assert product.lattice is pad_lattice(lat16)
         assert product.coefficients.shape == (24, 24, 24)
+
+
+PADDED_PAIRS = [(8, 12), (16, 24), (24, 36), (32, 48), (64, 96)]
+
+
+def whole_grid_flux_divergence(u, n_grid, lattice_out):
+    """Reference for ``_flux_divergence(u, [u], ...)``: one n-d real transform
+    of each embedded factor and of each whole product, then the truncation,
+    summed in the kernel's order."""
+    n_out = lattice_out.n
+    kd = lattice_out._half.k_deriv
+    grids = [
+        scipy.fft.irfftn(fields._embed(c, n_grid, half=True), s=(n_grid,) * 3, norm="forward")
+        for c in u
+    ]
+    fluxes = {}
+    div = np.empty(u.shape, dtype=np.complex128)
+    for i in range(3):
+        total = np.zeros(u.shape[1:], dtype=np.complex128)
+        for j in range(3):
+            key = (min(i, j), max(i, j))
+            if key not in fluxes:
+                whole = scipy.fft.rfftn(grids[i] * grids[j], norm="forward")
+                fluxes[key] = fields._restrict(whole, n_out, half=True)
+            total += kd[j] * fluxes[key]
+        div[i] = 1j * total
+    return div
+
+
+@pytest.mark.parametrize("period", [2.0 * math.pi, 3.0])
+@pytest.mark.parametrize("n, n_grid", PADDED_PAIRS)
+def test_padded_pair_is_bitwise_the_whole_grid_transform(n, n_grid, period):
+    assert padded_size(n) == n_grid
+    lattice = Lattice(n, period)
+    u = random_band_limited(lattice, lattice.k_unit, lattice.nyquist, 1.0, seed=n)
+    c = u._stack[0]
+    embedded = fields._embed(c, n_grid, half=True)
+    whole = scipy.fft.irfftn(embedded, s=(n_grid,) * 3, norm="forward")
+    assert to_grid(c, n_grid).tobytes() == whole.tobytes()
+    reference = fields._restrict(scipy.fft.rfftn(whole, norm="forward"), n, half=True)
+    assert from_grid(whole, n).tobytes() == reference.tobytes()
+    # the solver's padded term: products formed block by block, never whole
+    stack = u._stack.copy()
+    stack[:, n // 2] = stack[:, :, n // 2] = stack[:, :, :, n // 2] = 0.0
+    [got] = _flux_divergence(stack, [stack], n_grid, lattice)
+    assert got.tobytes() == whole_grid_flux_divergence(stack, n_grid, lattice).tobytes()
+
+
+def flux_divergences(u):
+    """The kernel on each of its paths: the solver's padded and unpadded
+    terms, and the lab's two transported stacks."""
+    lattice = u.lattice
+    stack = u._stack
+    g = stack * lattice._half.kmag
+    return [
+        *_flux_divergence(stack, [stack], padded_size(lattice.n), lattice),
+        *_flux_divergence(stack, [stack], lattice.n, lattice),
+        *_flux_divergence(stack, [stack, g], lattice.n, lattice),
+    ]
+
+
+def test_flux_divergence_is_the_same_with_and_without_the_worker(random16, monkeypatch):
+    monkeypatch.setattr(products, "_two_cpus", lambda: True)
+    threaded = flux_divergences(random16)
+    monkeypatch.setattr(products, "_two_cpus", lambda: False)
+    serial = flux_divergences(random16)
+    assert [a.tobytes() for a in threaded] == [a.tobytes() for a in serial]
+
+
+def test_a_worker_task_error_comes_out_of_the_kernel(random16, monkeypatch):
+    monkeypatch.setattr(products, "_two_cpus", lambda: True)
+    expected = flux_divergences(random16)
+    original = products._product_coefficients
+
+    def failing_on_the_worker(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker task failed")
+        return original(*args)
+
+    monkeypatch.setattr(products, "_product_coefficients", failing_on_the_worker)
+    with pytest.raises(RuntimeError, match="worker task failed"):
+        flux_divergences(random16)
+    monkeypatch.setattr(products, "_product_coefficients", original)
+    again = flux_divergences(random16)
+    assert [a.tobytes() for a in again] == [a.tobytes() for a in expected]
