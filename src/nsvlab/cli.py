@@ -316,23 +316,23 @@ def cmd_verify(config: dict, inputs, run_dir: Path, log: _RunLog) -> int:
     lattice, names = inputs
     size = config["corpus_size"]
     corpus = CorpusConfig(size=size, base_seed=config["seed"])
-    entries = list(corpus_fields(lattice, corpus))
-    if config["inject_mean_violation"]:
-        entries.append(_injected_entry(lattice, corpus))
     runs = [(name, note, run) for name in names for note, run in _VERIFY_RUNS[name](lattice)]
 
-    rows: list[dict] = []
-    for entry in entries:
+    def entry_rows(entry) -> list[dict]:
         u = entry.field
         try:
             _check_mean(u, f"seed {entry.seed}")
         except NonzeroMeanError:
             rejected = f"nonzero mean rejected (seed {entry.seed})"
-            rows += [_verdict_row(entry, _rejected_verdict(name, mode), rejected)
-                     for name, _, _ in runs]
-            continue
-        for _, note, run in runs:
-            rows += [_verdict_row(entry, verdict, note) for verdict in run(u, mode)]
+            return [_verdict_row(entry, _rejected_verdict(name, mode), rejected)
+                    for name, _, _ in runs]
+        return [_verdict_row(entry, verdict, note)
+                for _, note, run in runs for verdict in run(u, mode)]
+
+    # the corpus is read as it is drawn, so the next field's draw overlaps this one's checks
+    rows = [row for entry in corpus_fields(lattice, corpus) for row in entry_rows(entry)]
+    if config["inject_mean_violation"]:
+        rows += entry_rows(_injected_entry(lattice, corpus))
     write_text(run_dir / "verdicts.csv", table_text("nsvlab-verify v1", VERDICT_COLUMNS, rows))
 
     finite = [row for row in rows if math.isfinite(row["ratio"])]

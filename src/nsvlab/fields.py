@@ -534,12 +534,17 @@ def _product_coefficients(a: list[np.ndarray], b: list[np.ndarray], n_out: int) 
     the transform reads it, so a padded product never exists whole.
 
     a and b are the caller's own lists, emptied block by block, so a block
-    that nothing else holds is freed once its product is formed.
+    that nothing else holds is freed once its product is formed.  When
+    n_out is the grid's own size nothing is truncated, and the blocks are
+    joined for one n-d transform, which keeps the Nyquist planes.
     """
     n_grid = a[0].shape[1]
     if len(a) == 1:
         return from_grid(a.pop() * b.pop(), n_out)
-    return _padded_coefficients((a.pop(0) * b.pop(0) for _ in range(len(a))), n_grid, n_out)
+    blocks = (a.pop(0) * b.pop(0) for _ in range(len(a)))
+    if n_out == n_grid:
+        return from_grid(np.concatenate(list(blocks)), n_out)
+    return _padded_coefficients(blocks, n_grid, n_out)
 
 
 def _kept(lead: int, m: int) -> np.ndarray:

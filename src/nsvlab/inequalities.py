@@ -37,10 +37,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import Lattice, VelocityField, _shell_sums, random_band_limited
+from .fields import Lattice, VelocityField, _restrict, _shell_sums, random_band_limited
 from .norms import _moments, _radial_weight, _shell_fsum
 from .norms import band_constant, l2_norm, leilin_norm, sobolev_norm
-from .products import _flux_divergence, _padded
+from .products import _flux_divergence, _one_ahead, _padded
 
 __all__ = [
     "CONSTANT_MODES",
@@ -332,13 +332,14 @@ def _commutator(transported, second, lat: Lattice, s: float) -> float:
 
 
 def _commutator_products(f: VelocityField, s: float):
-    """The product lattice, f and g = |D|^s f on it, div(f (x) f) and div(f (x) g)."""
+    """The support and product lattices, f and g = |D|^s f on the support
+    lattice, and div(f (x) f) and div(f (x) g) on the product lattice."""
     if s < 0:
         raise ValueError(f"commutator order must be >= 0, got {s}")
-    lat, f_pad = _padded((f,))
-    g_pad = _fractional_laplacian(f_pad, lat, s)
-    transported, second = _flux_divergence(f_pad, [f_pad, g_pad], lat.n, lat)
-    return lat, f_pad, g_pad, transported, second
+    support, product, [f_sup] = _padded((f,))
+    g_sup = _fractional_laplacian(f_sup, support, s)
+    transported, second = _flux_divergence(f_sup, [f_sup, g_sup], product.n, product)
+    return support, product, f_sup, g_sup, transported, second
 
 
 def commutator_l2(f: VelocityField, s: float) -> float:
@@ -347,23 +348,24 @@ def commutator_l2(f: VelocityField, s: float) -> float:
     Vanishes identically at s = 0.  Inputs must be band-limited to the
     exact-product radius (n/3 modes); otherwise AliasingError propagates.
     """
-    lat, _, _, transported, second = _commutator_products(f, s)
-    return _commutator(transported, second, lat, s)
+    _, product, _, _, transported, second = _commutator_products(f, s)
+    return _commutator(transported, second, product, s)
 
 
 def trilinear_hs(f: VelocityField, s: float) -> float:
-    """<f.grad f, f>_Hdot(s), signed, exact on the product lattice."""
-    lat, f_pad = _padded((f,))
-    [transported] = _flux_divergence(f_pad, [f_pad], lat.n, lat)
-    return _padded_pairing(transported, f_pad, lat, 2.0 * s)
+    """<f.grad f, f>_Hdot(s), signed, exact: the product is formed on the
+    product lattice and kept only on f's support lattice, where it meets f."""
+    support, product, [f_sup] = _padded((f,))
+    [transported] = _flux_divergence(f_sup, [f_sup], product.n, support)
+    return _padded_pairing(transported, f_sup, support, 2.0 * s)
 
 
 def advection_cancellation(f: VelocityField, s: float) -> float:
     """<f.grad(|D|^s f), |D|^s f>_L2; zero analytically for div-free f."""
-    lat, f_pad = _padded((f,))
-    g_pad = _fractional_laplacian(f_pad, lat, s)
-    [second] = _flux_divergence(f_pad, [g_pad], lat.n, lat)
-    return _padded_pairing(second, g_pad, lat, 0.0)
+    support, product, [f_sup] = _padded((f,))
+    g_sup = _fractional_laplacian(f_sup, support, s)
+    [second] = _flux_divergence(f_sup, [g_sup], product.n, support)
+    return _padded_pairing(second, g_sup, support, 0.0)
 
 
 def commutator_report(f: VelocityField, s: float) -> dict[str, float]:
@@ -379,10 +381,10 @@ def commutator_report(f: VelocityField, s: float) -> dict[str, float]:
     """
     hs = sobolev_norm(f, s)
     x1 = leilin_norm(f, 1.0)
-    lat, f_pad, g_pad, transported, second = _commutator_products(f, s)
-    tri = _padded_pairing(transported, f_pad, lat, 2.0 * s)
-    comm = _commutator(transported, second, lat, s)
-    cancel = _padded_pairing(second, g_pad, lat, 0.0)
+    support, product, f_sup, g_sup, transported, second = _commutator_products(f, s)
+    tri = _padded_pairing(_restrict(transported, support.n, half=True), f_sup, support, 2.0 * s)
+    comm = _commutator(transported, second, product, s)
+    cancel = _padded_pairing(_restrict(second, support.n, half=True), g_sup, support, 0.0)
     tiny = 1e-300
     return {
         "s": s,
@@ -404,9 +406,10 @@ def check_h32_trilinear(f: VelocityField) -> InequalityVerdict:
     The ratio is the measured constant; the verdict only requires it to be
     finite.  Refining the lattice does not move the verdict, bit for bit:
     the same field embedded in a finer lattice has the same norms, and its
-    products run on the same grid with the same coefficients, because that
-    grid is sized by the field's support (whenever the 3n/2 cap of the
-    coarser lattice does not bind).
+    products start from the same support-lattice stack and run on the same
+    grid, because both are sized by the field's support alone (whenever the
+    3n/2 cap of the coarser lattice does not bind).  The pairing reads the
+    product only on the support lattice, where the field is nonzero.
     """
     tri = abs(trilinear_hs(f, 1.5))
     h32 = sobolev_norm(f, 1.5)
@@ -449,17 +452,27 @@ class CorpusField:
 
 
 def corpus_fields(lattice: Lattice, config: CorpusConfig = CorpusConfig()):
-    """Yield the corpus in index order (deterministic for a fixed config)."""
+    """Yield the corpus in index order (deterministic for a fixed config).
+
+    Each field is drawn as it is asked for; on two or more CPUs the next
+    one is drawn on the transform worker thread while the caller holds this
+    one.  A draw is a pure function of its seed, so the fields do not
+    depend on the thread, and an error in a draw comes out where that field
+    is asked for.
+    """
     kmax = config.resolved_kmax(lattice)
-    for i in range(config.size):
+
+    def draw(i: int) -> CorpusField:
         seed = config.base_seed + i
         decay = config.decays[i % len(config.decays)]
-        yield CorpusField(
+        return CorpusField(
             index=i,
             seed=seed,
             decay=decay,
             field=random_band_limited(lattice, config.kmin, kmax, decay, seed),
         )
+
+    yield from _one_ahead([lambda i=i: draw(i) for i in range(config.size)])
 
 
 REGISTERED_CHECKS = {

@@ -19,11 +19,13 @@ private kernel, ``_flux_divergence``, forms div(u (x) g) from half-layout
 stacks ``(., n, n, n//2 + 1)`` for the solver's nonlinear term, :func:`advect`
 and the inequality lab's trilinear and commutator forms, and
 :func:`multiply` and :func:`advect` return its half-layout output as fields.
-Each factor enters as its field's whole stack, resized onto the product
-lattice in one embed; that embed drops the inputs' Nyquist planes, which
-band-limited factors hold at zero.  The kernel's transforms are independent
-of each other; on two or more CPUs every second one runs on one worker
-thread, and the results are summed in a fixed order, so the bytes do not
+Each factor enters as its field's stack cropped to its support lattice, the
+smallest that holds its nonzero labels below the Nyquist planes; the
+transform pair embeds it on the product grid and truncates each product
+back, touching only the lines that hold a label.  The kernel's transforms
+are independent of each other; on two or more CPUs every second one is
+queued on one worker thread, the caller takes back any the worker has not
+started, and the results are summed in a fixed order, so the bytes do not
 depend on the thread that formed them.
 """
 
@@ -122,7 +124,7 @@ def multiply(f: ScalarSpectralField, g: ScalarSpectralField) -> ScalarSpectralFi
     """Exact product f*g, returned on the padded lattice."""
     if f.lattice != g.lattice:
         raise ValueError("factors live on different lattices")
-    lat, (a, b) = _padded((f, g))
+    _, lat, ([a], [b]) = _padded((f, g))
     values = to_grid(a, lat.n) * to_grid(b, lat.n)
     [product] = _on_pad_lattice(from_grid(values, lat.n)[None], f.lattice)
     return product
@@ -135,9 +137,10 @@ def _flux_divergence(u: np.ndarray, gs, n_grid: int, lattice_out: Lattice) -> li
     The factors are sampled on an n_grid^3 grid (n, or the size of the
     product lattice of ``_padded`` for exact products); each distinct
     product u_j g_i is transformed once, truncated to lattice_out (the
-    n-point or the product lattice), and component i of the result is
-    sum_j d_j(u_j g_i).  For g = u the six symmetric products are shared.
-    For divergence-free u this is u . grad(g).
+    n-point lattice, or the support or product lattice of ``_padded``),
+    and component i of the result is sum_j d_j(u_j g_i).  For g = u the
+    six symmetric products are shared.  For divergence-free u this is
+    u . grad(g).
 
     The factors' grids are independent transforms, and so are the
     products' coefficients; each set runs through :func:`_alternately`.
@@ -206,12 +209,21 @@ def _worker(pid: int):
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="nsvlab-transforms")
 
 
+def _taken(future, task):
+    """The result of ``task``, queued on the worker as ``future``: run on
+    the caller if the worker has not started it, so the caller never waits
+    behind other work queued on the worker."""
+    return task() if future.cancel() else future.result()
+
+
 def _alternately(tasks: list):
     """Yield the results of independent callables, in order.
 
-    Where :func:`_two_cpus` allows, every second task runs on the worker
-    thread while the caller runs the others, each as its result is asked
-    for.  A task's result does not depend on the thread that runs it.
+    Where :func:`_two_cpus` allows, every second task is queued on the
+    worker thread while the caller runs the others, each as its result is
+    asked for; a queued task the worker has not started by then runs on the
+    caller (:func:`_taken`).  A task's result does not depend on the thread
+    that runs it.
     """
     if len(tasks) < 2 or not _two_cpus():
         yield from (task() for task in tasks)
@@ -223,28 +235,57 @@ def _alternately(tasks: list):
         for k, task in enumerate(tasks[::2]):
             yield task()
             if k < len(theirs):
-                yield theirs[k].result()
+                yield _taken(theirs[k], tasks[2 * k + 1])
     finally:
         for future in theirs:
             future.cancel()
 
 
-def _padded(fields) -> tuple[Lattice, np.ndarray]:
-    """The product lattice of band-limited fields, and their half-layout
-    stacks on it, concatenated.
+def _one_ahead(tasks: list):
+    """Yield the results of independent callables, in order.
 
-    Its size is the smallest even 5-smooth M >= 4K + 2 (at least 8), K the
-    largest |m_i| of any nonzero coefficient, capped at :func:`padded_size`;
-    products of the fields are exact on it.  The factors' coefficients keep
-    their mode labels: a finer input lattice is cropped, which drops only
-    zeros, so the same field on any lattice gives the same stack.
+    Where :func:`_two_cpus` allows, task k + 1 is queued on the worker
+    thread while the caller holds result k, and is taken back by the caller
+    if the worker has not started it when its result is asked for
+    (:func:`_taken`).  An error in a task comes out where its result is
+    asked for.
+    """
+    if len(tasks) < 2 or not _two_cpus():
+        yield from (task() for task in tasks)
+        return
+    import os
+
+    worker, future = _worker(os.getpid()), None
+    try:
+        for k, task in enumerate(tasks):
+            result = task() if future is None else _taken(future, task)
+            future = worker.submit(tasks[k + 1]) if k + 1 < len(tasks) else None
+            yield result
+    finally:
+        if future is not None:
+            future.cancel()
+
+
+def _padded(fields) -> tuple[Lattice, Lattice, list[np.ndarray]]:
+    """The support and product lattices of band-limited fields, and each
+    field's half-layout stack on the support lattice.
+
+    K is the largest |m_i| of any nonzero coefficient.  The support lattice
+    has size max(2K + 2, 8), at most the fields' own n, and holds every
+    such label below its Nyquist planes.  The product lattice has the
+    smallest even 5-smooth size M >= 4K + 2 (at least 8), capped at
+    :func:`padded_size`; products of the fields are exact on it, and the
+    transform pair embeds the support stacks on its grid.  The factors'
+    coefficients keep their mode labels: the input lattice is cropped,
+    which drops only zeros, so the same field on any lattice gives the
+    same stacks.
     """
     extent = max(_band_extent(f) for f in fields)
     lattice = fields[0].lattice
+    n_support = min(lattice.n, max(2 * extent + 2, 8))
     m = min(padded_size(lattice.n), _fast_even_size(max(4 * extent + 2, 8)))
-    resize = _embed if m >= lattice.n else _restrict
-    stack = np.concatenate([resize(f._stack, m, half=True) for f in fields])
-    return _shared_lattice(m, lattice.period), stack
+    stacks = [_restrict(f._stack, n_support, half=True) for f in fields]
+    return _shared_lattice(n_support, lattice.period), _shared_lattice(m, lattice.period), stacks
 
 
 def _on_pad_lattice(stack: np.ndarray, lattice: Lattice) -> tuple[ScalarSpectralField, ...]:
@@ -268,8 +309,7 @@ def advect(u: VelocityField, g):
     """
     if _spectral(g).lattice != u.lattice:
         raise ValueError("fields live on different lattices")
-    lat, stack = _padded((u,) if g is u else (u, g))
-    u_pad, g_pad = np.split(stack, [len(u._stack)])
-    [div] = _flux_divergence(u_pad, [u_pad if g is u else g_pad], lat.n, lat)
+    _, lat, stacks = _padded((u,) if g is u else (u, g))
+    [div] = _flux_divergence(stacks[0], [stacks[-1]], lat.n, lat)
     out = _on_pad_lattice(div, u.lattice)
     return out[0] if isinstance(g, ScalarSpectralField) else out

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import nsvlab
-from nsvlab import __version__
+from nsvlab import __version__, products
 from nsvlab.cli import build_parser, main
 from nsvlab.fields import Lattice
 from nsvlab.inequalities import CorpusConfig, check_x0_interpolation, corpus_fields
@@ -157,6 +157,23 @@ def test_verify_verdicts_are_pinned_per_constant_mode(tmp_path, case, flags, exi
     assert code == exit_code
     pinned = (PINNED_VERDICTS / f"{case}.csv").read_text(encoding="utf-8")
     assert (run_dir / "verdicts.csv").read_text(encoding="utf-8") == pinned
+
+
+def test_verify_is_the_same_with_and_without_the_worker(tmp_path, monkeypatch):
+    # the corpus is drawn one field ahead on the transform worker thread
+    # when two CPUs are allowed; the fields and the verdicts do not move
+    outputs = []
+    for two_cpus in (True, False):
+        monkeypatch.setattr(products, "_two_cpus", lambda two_cpus=two_cpus: two_cpus)
+        stacks = [entry.field._stack.tobytes()
+                  for entry in corpus_fields(Lattice(16), CorpusConfig(size=5))]
+        code, run_dir = run(
+            tmp_path, "verify", "--lattice-n", "16", "--corpus-size", "5", "--checks", VERIFY_ALL,
+            out=f"two_cpus_{two_cpus}",
+        )
+        assert code == 0
+        outputs.append((stacks, (run_dir / "verdicts.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_rejects_unknown_check(tmp_path, capsys):

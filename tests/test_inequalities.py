@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -480,31 +481,47 @@ def test_commutator_report_forms_each_product_once(lat16, random16, monkeypatch)
         assert report["trilinear"] == trilinear_hs(u, s)
         assert report["commutator"] == commutator_l2(u, s)
         assert report["cancellation"] == advection_cancellation(u, s)
-    calls = {"irfftn": 0, "rfftn": 0}
-    grids = []
-    for name in calls:
+    calls = []
+    for name in ("irfftn", "rfftn", "ifft", "fft"):
         original = getattr(scipy.fft, name)
 
         def counted(x, *args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            grids.append(kwargs["s"] if _name == "irfftn" else x.shape)
+            if "s" in kwargs:
+                size = kwargs["s"]
+            elif "axis" in kwargs:
+                size = (x.shape[kwargs["axis"]],)
+            else:
+                size = tuple(x.shape[a] for a in kwargs["axes"])
+            calls.append((_name, size))  # one append: atomic across the worker thread
             return _original(x, *args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, name, counted)
+    # |m_i| <= 4: factors on the 10-point support lattice, products exact on
+    # 18 points (4K + 2).  f and |D|^s f reach the grid axis by axis, two
+    # complex passes and two row halves each (6 factors); each distinct
+    # product, the 6 symmetric f_i f_j and the 9 f_j (|D|^s f)_i, is kept
+    # whole for the commutator: one n-d transform
     commutator_report(u, 1.5)
-    # f and |D|^s f on the grid (3 + 3), then one per distinct product:
-    # the 6 symmetric f_i f_j and the 9 f_j (|D|^s f)_i
-    assert calls == {"irfftn": 6, "rfftn": 15}
-    # |m_i| <= 4 multiplies into |m_i| <= 8, exact on 18 points (4K + 2)
-    assert set(grids) == {(18, 18, 18)}
+    assert Counter(calls) == {
+        ("ifft", (18,)): 12, ("irfftn", (18,)): 12, ("rfftn", (18, 18, 18)): 15,
+    }
+    # the trilinear form keeps its 6 products on the support lattice only:
+    # four row-quarter real passes, then two complex passes, each
+    calls.clear()
+    trilinear_hs(u, 1.5)
+    assert Counter(calls) == {
+        ("ifft", (18,)): 6, ("irfftn", (18,)): 6, ("rfftn", (18,)): 24, ("fft", (18,)): 12,
+    }
 
     # support reaching n/3 needs the whole 3n/2 grid; the zero field the
-    # smallest lattice
+    # smallest lattice, where support and product lattice coincide and
+    # every transform is whole
     zero = ScalarSpectralField(lat16, lat16.zeros())
     for field, size in ((random16, padded_size(16)), (VelocityField((zero,) * 3), 8)):
-        grids.clear()
+        calls.clear()
         commutator_report(field, 1.5)
-        assert set(grids) == {(size,) * 3}
+        assert {n for _, sizes in calls for n in sizes} == {size}
+    assert {name for name, _ in calls} == {"irfftn", "rfftn"}
 
 
 def padded_forms(u, s):

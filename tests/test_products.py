@@ -1,5 +1,7 @@
 import math
+import os
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +18,15 @@ from nsvlab.fields import (
     random_band_limited,
     to_physical,
 )
-from nsvlab.inequalities import trilinear_hs
+from nsvlab.inequalities import (
+    _commutator,
+    _fractional_laplacian,
+    _padded_pairing,
+    advection_cancellation,
+    commutator_l2,
+    commutator_report,
+    trilinear_hs,
+)
 from nsvlab.products import (
     AliasingError,
     _flux_divergence,
@@ -237,28 +247,38 @@ def test_products_return_on_the_padded_lattice(lat16):
 PADDED_PAIRS = [(8, 12), (16, 24), (24, 36), (32, 48), (64, 96)]
 
 
-def whole_grid_flux_divergence(u, n_grid, lattice_out):
-    """Reference for ``_flux_divergence(u, [u], ...)``: one n-d real transform
-    of each embedded factor and of each whole product, then the truncation,
-    summed in the kernel's order."""
+def resized(c, m):
+    """Half-layout coefficients c on the m-point lattice, embedded or cropped."""
+    return (fields._embed if m >= c.shape[-3] else fields._restrict)(c, m, half=True)
+
+
+def whole_grid_flux_divergence(u, gs, n_grid, lattice_out):
+    """Reference for ``_flux_divergence``: one n-d real transform of each
+    factor embedded on the grid and of each whole product, then the
+    truncation to lattice_out (none on the grid's own lattice), summed in
+    the kernel's order."""
     n_out = lattice_out.n
     kd = lattice_out._half.k_deriv
-    grids = [
-        scipy.fft.irfftn(fields._embed(c, n_grid, half=True), s=(n_grid,) * 3, norm="forward")
-        for c in u
-    ]
-    fluxes = {}
-    div = np.empty(u.shape, dtype=np.complex128)
-    for i in range(3):
-        total = np.zeros(u.shape[1:], dtype=np.complex128)
-        for j in range(3):
-            key = (min(i, j), max(i, j))
-            if key not in fluxes:
-                whole = scipy.fft.rfftn(grids[i] * grids[j], norm="forward")
-                fluxes[key] = fields._restrict(whole, n_out, half=True)
-            total += kd[j] * fluxes[key]
-        div[i] = 1j * total
-    return div
+
+    def grid(c):
+        return scipy.fft.irfftn(resized(c, n_grid), s=(n_grid,) * 3, norm="forward")
+
+    def coefficients(values):
+        whole = scipy.fft.rfftn(values, norm="forward")
+        return whole if n_out == n_grid else fields._restrict(whole, n_out, half=True)
+
+    u_grids = [grid(c) for c in u]
+    out = []
+    for g in gs:
+        g_grids = [grid(c) for c in g]
+        div = np.empty((len(g), n_out, n_out, n_out // 2 + 1), dtype=np.complex128)
+        for i in range(len(g)):
+            total = np.zeros(div.shape[1:], dtype=np.complex128)
+            for j in range(3):
+                total += kd[j] * coefficients(u_grids[j] * g_grids[i])
+            div[i] = 1j * total
+        out.append(div)
+    return out
 
 
 @pytest.mark.parametrize("period", [2.0 * math.pi, 3.0])
@@ -277,7 +297,8 @@ def test_padded_pair_is_bitwise_the_whole_grid_transform(n, n_grid, period):
     stack = u._stack.copy()
     stack[:, n // 2] = stack[:, :, n // 2] = stack[:, :, :, n // 2] = 0.0
     [got] = _flux_divergence(stack, [stack], n_grid, lattice)
-    assert got.tobytes() == whole_grid_flux_divergence(stack, n_grid, lattice).tobytes()
+    [reference] = whole_grid_flux_divergence(stack, [stack], n_grid, lattice)
+    assert got.tobytes() == reference.tobytes()
 
 
 def flux_divergences(u):
@@ -305,15 +326,123 @@ def test_a_worker_task_error_comes_out_of_the_kernel(random16, monkeypatch):
     monkeypatch.setattr(products, "_two_cpus", lambda: True)
     expected = flux_divergences(random16)
     original = products._product_coefficients
+    on_the_worker = threading.Event()
 
     def failing_on_the_worker(*args):
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("worker task failed")
-        return original(*args)
+        if threading.current_thread() is threading.main_thread():
+            # hold the caller until the worker has started a task, so the
+            # caller cannot take every worker task back before one fails
+            assert on_the_worker.wait(timeout=60)
+            return original(*args)
+        on_the_worker.set()
+        raise RuntimeError("worker task failed")
 
     monkeypatch.setattr(products, "_product_coefficients", failing_on_the_worker)
     with pytest.raises(RuntimeError, match="worker task failed"):
         flux_divergences(random16)
+    assert on_the_worker.is_set()
     monkeypatch.setattr(products, "_product_coefficients", original)
     again = flux_divergences(random16)
     assert [a.tobytes() for a in again] == [a.tobytes() for a in expected]
+
+
+def recorded_tasks(count):
+    """``count`` tasks returning their index; ``threads`` maps each index
+    to the thread that ran it."""
+    threads = {}
+
+    def task(k):
+        threads[k] = threading.current_thread()
+        return k
+
+    return [partial(task, k) for k in range(count)], threads
+
+
+@pytest.mark.parametrize("generator", [products._alternately, products._one_ahead])
+def test_the_caller_takes_worker_tasks_that_have_not_started(generator, monkeypatch):
+    monkeypatch.setattr(products, "_two_cpus", lambda: True)
+    release = threading.Event()
+    blocker = products._worker(os.getpid()).submit(release.wait, 60)
+    try:
+        tasks, threads = recorded_tasks(7)
+        assert list(generator(tasks)) == list(range(7))
+    finally:
+        release.set()
+    assert blocker.result(timeout=60)
+    # the worker was busy throughout, so no task queued on it started there
+    assert threads == {k: threading.current_thread() for k in range(7)}
+
+
+def test_a_task_error_comes_out_where_its_result_is_asked_for(monkeypatch):
+    monkeypatch.setattr(products, "_two_cpus", lambda: True)
+    started = threading.Event()
+
+    def failing():
+        started.set()
+        raise RuntimeError("draw failed")
+
+    tasks, threads = recorded_tasks(3)
+    results = products._one_ahead([tasks[0], failing, tasks[2]])
+    assert next(results) == 0
+    assert started.wait(timeout=60)  # task 1 runs on the worker meanwhile
+    with pytest.raises(RuntimeError, match="draw failed"):
+        next(results)
+    assert list(threads) == [0]
+
+
+LAB_CASES = [  # n, kmax, seed, roundoff on a Nyquist plane, support and product lattice sizes
+    (16, 4.0, 21, False, 10, 18),  # the support lattice is smaller than the input lattice
+    (16, 2.0, 22, False, 8, 10),  # 2K + 2 < 8
+    (18, 6.0, 23, False, 14, 28),  # the cap binds: 4K + 2 = 26 rounds up to 30 > padded_size 28
+    (16, 4.0, 24, True, 16, 24),  # roundoff the band-limit test ignores at |m_1| = n/2
+]
+
+
+def whole_grid_lab_forms(u, s, n_grid):
+    """The lab's forms of u at order s with every factor embedded on the
+    n_grid-point product lattice and every transform one n-d transform of
+    the whole grid; advect and multiply embedded on the padded lattice."""
+    product = Lattice(n_grid, u.lattice.period)
+    n_pad = padded_size(u.lattice.n)
+    f = resized(u._stack, n_grid)
+    g = _fractional_laplacian(f, product, s)
+    transported, second = whole_grid_flux_divergence(f, [f, g], n_grid, product)
+    grids = [scipy.fft.irfftn(c, s=(n_grid,) * 3, norm="forward") for c in f[:2]]
+    multiplied = scipy.fft.rfftn(grids[0] * grids[1], norm="forward")
+
+    def padded(c):
+        return c if n_grid == n_pad else fields._embed(c, n_pad, half=True)
+
+    return {
+        "trilinear": _padded_pairing(transported, f, product, 2.0 * s),
+        "cancellation": _padded_pairing(second, g, product, 0.0),
+        "commutator": _commutator(transported, second, product, s),
+        "advect": padded(transported).tobytes(),
+        "multiply": padded(multiplied).tobytes(),
+    }
+
+
+@pytest.mark.parametrize("n, kmax, seed, nyquist, n_support, n_grid", LAB_CASES)
+def test_lab_forms_are_bitwise_the_whole_grid_forms(n, kmax, seed, nyquist, n_support, n_grid):
+    u = random_band_limited(Lattice(n), 1.0, kmax, 1.0, seed=seed)
+    if nyquist:
+        stack = u._stack.copy()
+        stack[0, n // 2, 1, 0] = 1e-19 * np.abs(stack).max()
+        u = VelocityField._from_half(u.lattice, stack)
+    support, product, _ = products._padded((u,))
+    assert (support.n, product.n) == (n_support, n_grid)
+    f0, f1 = u.components[:2]
+    for s in (0.0, 1.5, 2.5):
+        expected = whole_grid_lab_forms(u, s, n_grid)
+        report = commutator_report(u, s)
+        got = {
+            "trilinear": [trilinear_hs(u, s), report["trilinear"]],
+            "cancellation": [advection_cancellation(u, s), report["cancellation"]],
+            "commutator": [commutator_l2(u, s), report["commutator"]],
+        }
+        for name, values in got.items():
+            bits = np.float64(expected[name]).tobytes()
+            assert [np.float64(v).tobytes() for v in values] == [bits, bits], (name, s)
+    transported = np.stack([c._half for c in advect(u, u)])
+    assert transported.tobytes() == expected["advect"]
+    assert multiply(f0, f1)._half.tobytes() == expected["multiply"]
