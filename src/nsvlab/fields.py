@@ -27,12 +27,12 @@ full ``(n, n, n)`` layout: the public constructor takes it, and
 :attr:`ScalarSpectralField.coefficients` and the public lattice grids
 build it on demand.  :func:`to_grid` and :func:`from_grid`
 are the package's one transform pair between half-layout coefficients and
-grid samples.  On the coefficients' own grid each is one real-to-complex
-n-d FFT.  Between a lattice and a larger grid (zero padding, truncation)
-each runs one axis at a time: 1-D complex passes over only the lines that
-are nonzero on input or kept on output, and a real pass along the last
-axis one block of rows at a time.  Every line meets the transform the n-d
-FFT would apply to it, so the bits are the same.
+grid samples.  Each runs ``numpy.fft`` one axis at a time, complex passes
+along axes 0 and 1 and a real pass along axis 2, in the order of scipy's
+n-d real FFTs, whose bits it gives.  Between a lattice and a larger grid
+(zero padding, truncation) the complex passes skip the lines that are zero
+on input or dropped on output, and the real pass runs one block of rows at
+a time.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from functools import cached_property
 from itertools import product as _iter_product
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "TWO_PI",
@@ -256,11 +255,12 @@ def _shell_moments(lattice: Lattice, stack: np.ndarray) -> _ShellMoments:
     return _ShellMoments(squares, moduli, float(mags.max()))
 
 
-def _conj_reflect(coefficients: np.ndarray) -> np.ndarray:
-    """Coefficients of conj(f): index k holds conj(c_{-k})."""
+def _conj_reflect(coefficients: np.ndarray, width: int | None = None) -> np.ndarray:
+    """Coefficients of conj(f): index k holds conj(c_{-k}); given ``width``,
+    only the first ``width`` labels of the last axis."""
     n = coefficients.shape[0]
     idx = (-np.arange(n)) % n
-    return np.conj(coefficients[np.ix_(idx, idx, idx)])
+    return np.conj(coefficients[np.ix_(idx, idx, idx[:width])])
 
 
 def hermitianize(coefficients: np.ndarray) -> np.ndarray:
@@ -495,28 +495,40 @@ def restrict_coefficients(c: np.ndarray, n_small: int) -> np.ndarray:
 def to_grid(c: np.ndarray, n_grid: int) -> np.ndarray:
     """Real samples on an n_grid^3 grid of half-layout coefficients (n, n, n//2+1).
 
-    Zero-pads when n_grid > n; that embed drops the Nyquist planes of the
-    input, which the three-halves rule and the band-limited products hold
-    at zero anyway.  The padded grid is formed one axis at a time
-    (:func:`_padded_grid`), with the bits of one n-d transform of the
-    embedded coefficients.
+    Unscaled inverse passes: along axes 0 and then 1 in place, then the
+    real pass along axis 2.  Zero-pads when n_grid > n; that embed drops
+    the Nyquist planes of the input, which the three-halves rule and the
+    band-limited products hold at zero anyway, and the padded grid skips
+    the zero lines (:func:`_padded_grid`).
     """
     if n_grid == c.shape[0]:
-        return scipy.fft.irfftn(c, s=(n_grid,) * 3, axes=(0, 1, 2), norm="forward")
+        lines = np.fft.ifft(c, axis=0, norm="forward")
+        np.fft.ifft(lines, axis=1, norm="forward", out=lines)
+        return np.fft.irfftn(lines, s=(n_grid,), axes=(2,), norm="forward")
     return np.concatenate(_padded_grid(c, n_grid))
 
 
 def from_grid(values: np.ndarray, n_out: int) -> np.ndarray:
     """Half-layout coefficients of real grid samples, truncated to n_out modes.
 
-    Truncation drops the Nyquist planes of the n_out lattice, like
-    :func:`to_grid`'s embed.  A truncating transform runs one axis at a
-    time (:func:`_padded_coefficients`), with the bits of one n-d
-    transform followed by the truncation.
+    The real pass along axis 2, the 1/n^3 scale, then unscaled passes
+    along axes 0 and then 1 in place.  Truncation drops the Nyquist planes
+    of the n_out lattice, like :func:`to_grid`'s embed, and a truncating
+    transform keeps only the lines it returns (:func:`_padded_coefficients`).
     """
     if n_out == values.shape[0]:
-        return scipy.fft.rfftn(values, axes=(0, 1, 2), norm="forward")
+        lines = np.fft.rfftn(values, axes=(2,))
+        _scale(lines, n_out)
+        for axis in (0, 1):
+            np.fft.fft(lines, axis=axis, out=lines)
+        return lines
     return _padded_coefficients([values], values.shape[0], n_out)
+
+
+def _scale(lines: np.ndarray, n_grid: int) -> None:
+    """Scale the real and imaginary parts of ``lines`` by 1/n_grid^3 in place."""
+    parts = lines.view(np.float64)
+    np.multiply(parts, 1.0 / n_grid**3, out=parts)
 
 
 def _grid_blocks(c: np.ndarray, n_grid: int) -> list[np.ndarray]:
@@ -567,7 +579,7 @@ def _padded_grid(c: np.ndarray, n_grid: int) -> list[np.ndarray]:
     The complex passes along axes 0 and then 1 transform only the lines
     that hold an embedded label; every other line is zero.  The real pass
     along axis 2 then runs on one row half at a time.  Each line meets the
-    same unscaled 1-D transform that one n-d ``irfftn`` of the embedded
+    same unscaled 1-D transform that the own-size inverse of the embedded
     coefficients applies to it, so the samples are its bits.
     """
     n = c.shape[0]
@@ -577,12 +589,11 @@ def _padded_grid(c: np.ndarray, n_grid: int) -> list[np.ndarray]:
     kept = _kept(lead, n)
     lines = c[np.ix_(kept, kept, range(lead))]
     for axis in (0, 1):
-        lines = scipy.fft.ifft(
-            _spread(lines, n_grid, axis), axis=axis, norm="forward", overwrite_x=True
-        )
+        lines = _spread(lines, n_grid, axis)
+        np.fft.ifft(lines, axis=axis, norm="forward", out=lines)
     half = n_grid // 2
     return [
-        scipy.fft.irfftn(lines[rows], s=(n_grid,), axes=(2,), norm="forward")
+        np.fft.irfftn(lines[rows], s=(n_grid,), axes=(2,), norm="forward")
         for rows in (slice(0, half), slice(half, n_grid))
     ]
 
@@ -593,10 +604,10 @@ def _padded_coefficients(blocks, n_grid: int, n_out: int) -> np.ndarray:
 
     The real pass along axis 2 reads one block at a time and keeps the
     columns of kept labels.  Their real and imaginary parts are then
-    scaled by 1/n_grid^3 once, which is where one n-d ``rfftn`` applies
-    its factor.  The complex passes along axes 0 and then 1 transform
-    those columns' lines and keep the rows of kept labels, so every kept
-    coefficient holds the n-d transform's bits.
+    scaled by 1/n_grid^3 once (:func:`_scale`).  The complex passes along
+    axes 0 and then 1 transform those columns' lines and keep the rows of
+    kept labels, so every kept coefficient holds the own-size forward
+    transform's bits.
     """
     if n_out > n_grid:
         raise ValueError(f"cannot restrict n={n_grid} to larger n_small={n_out}")
@@ -604,14 +615,13 @@ def _padded_coefficients(blocks, n_grid: int, n_out: int) -> np.ndarray:
     lines = np.empty((n_grid, n_grid, lead), dtype=np.complex128)
     start = 0
     for block in blocks:
-        lines[start : start + len(block)] = scipy.fft.rfftn(block, axes=(2,))[..., :lead]
+        lines[start : start + len(block)] = np.fft.rfftn(block, axes=(2,))[..., :lead]
         start += len(block)
         del block  # before the next block is formed
-    parts = lines.view(np.float64)
-    np.multiply(parts, 1.0 / n_grid**3, out=parts)
+    _scale(lines, n_grid)
     kept = _kept(lead, n_grid)
     for axis in (0, 1):
-        lines = scipy.fft.fft(lines, axis=axis, overwrite_x=True).take(kept, axis=axis)
+        lines = np.fft.fft(lines, axis=axis, out=lines).take(kept, axis=axis)
     out = np.zeros((n_out, n_out, n_out // 2 + 1), dtype=np.complex128)
     kept = _kept(lead, n_out)
     out[np.ix_(kept, kept, range(lead))] = lines
@@ -630,9 +640,9 @@ def hermitian_defect(f: ScalarSpectralField) -> float:
     A field holds only its m_3 >= 0 half, and the m_3 < 0 modes of its
     full layout reflect that half, so the defect measures what the half
     itself holds of a non-Hermitian part: the asymmetry within the m_3 = 0
-    and Nyquist planes.  The one complex n-d ``numpy.fft`` call in the
-    package: it must see the imaginary part of the inverse transform, which
-    the real pair (:func:`to_grid`) never forms.
+    and Nyquist planes.  The package's one complex n-d transform,
+    ``numpy.fft.ifftn`` of the full layout: it must see the imaginary part
+    of the inverse, which the real pair (:func:`to_grid`) never forms.
     """
     n = f.lattice.n
     values = np.fft.ifftn(f.coefficients) * float(n**3)
@@ -738,9 +748,11 @@ def random_band_limited(
     amplitude[band] = kmag[band] ** (-decay)
     rng = np.random.default_rng(seed)
     stack = np.empty((3,) + kmag.shape, dtype=np.complex128)
+    h = kmag.shape[-1]
     for i in range(3):
         z = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
-        stack[i] = half_spectrum(hermitianize(z)) * amplitude
+        # the half of hermitianize(z), formed on the half only
+        stack[i] = 0.5 * (z[..., :h] + _conj_reflect(z, h)) * amplitude
     return VelocityField._from_half(lattice, project_arrays(stack, lattice))
 
 

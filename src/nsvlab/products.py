@@ -14,7 +14,8 @@ still return on :func:`pad_lattice`, into which the product embeds
 exactly.
 
 :func:`to_grid` and :func:`from_grid` (defined in :mod:`nsvlab.fields`
-and re-exported here) are the package's one transform pair.  Through it one
+and re-exported here) are the package's one transform pair, ``numpy.fft``
+passes one axis at a time.  Through it one
 private kernel, ``_flux_divergence``, forms div(u (x) g) from half-layout
 stacks ``(., n, n, n//2 + 1)`` for the solver's nonlinear term, :func:`advect`
 and the inequality lab's trilinear and commutator forms, and

@@ -13,9 +13,9 @@ periodic cube.  Two integrators:
 Advection is evaluated in divergence form, div(u (x) u), by the product
 kernel of :mod:`nsvlab.products` that the inequality lab shares.  It
 samples u on a grid and forms the six distinct products there, through the
-transform pair of :mod:`nsvlab.fields`: one n-d real FFT per transform
-under the two-thirds rule, and under the three-halves rule a transform run
-axis by axis that skips the padding.  Independent transforms overlap on two
+transform pair of :mod:`nsvlab.fields`, which runs ``numpy.fft`` one axis
+at a time: over the whole n-point grid under the two-thirds rule, and
+under the three-halves rule skipping the padding.  Independent transforms overlap on two
 threads where two CPUs are allowed.  The products are dealiased per
 config: the two-thirds rule masks |k| strictly below (2/3) * Nyquist on
 the n-point grid (the strict inequality keeps wrapped images out of the

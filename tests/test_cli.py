@@ -540,16 +540,26 @@ def test_monitor_growth_that_rounds_still_holds(tmp_path):
     assert math.isfinite(summary["h12_log_growth"]["empirical_constant"])
 
 
-def test_cli_import_leaves_scipy_integrate_and_optimize_unloaded():
-    probe = (
-        "import sys, nsvlab.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
-    )
+def test_cli_leaves_scipy_unloaded(tmp_path):
+    # the transforms are numpy.fft's; only monitor's rate inversion loads scipy
+    probe = "\n".join([
+        "import sys, nsvlab.cli",
+        "def loaded(): print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "loaded()",
+        "out = sys.argv[1]",
+        "assert nsvlab.cli.main(['verify', '--out', out, '--lattice-n', '16', "
+        "'--corpus-size', '2', '--checks', 'x0_interpolation,split_x1,h32_trilinear']) == 0",
+        "assert nsvlab.cli.main(['simulate', '--out', out, '--lattice-n', '16', "
+        "'--initial', 'random', '--dealias', '32', '--integrator', 'imex', '--nu', '0.1', "
+        "'--dt', '0.01', '--t-end', '0.02', '--sample-every', '1']) == 0",
+        "loaded()",
+    ])
     src = str(Path(nsvlab.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    lines = out.splitlines()  # the commands print their run directories between
+    assert (lines[0], lines[-1]) == ("[]", "[]")
 
 
 def test_monitor_needs_unknown_config_key_rejected(tmp_path, trajectory_file):

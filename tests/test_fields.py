@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nsvlab import fields
 from nsvlab.fields import (
     EmptyBandError,
     Lattice,
@@ -30,7 +32,7 @@ from nsvlab.fields import (
     truncate,
 )
 from nsvlab.norms import full_report
-from nsvlab.products import padded_size
+from nsvlab.products import _fast_even_size, padded_size
 from nsvlab.sim import SolverConfig, SolverState, step
 
 from conftest import dft_oracle
@@ -186,6 +188,29 @@ def test_transform_pair_matches_complex_fft(n):
         assert got.shape == (n, n, n // 2 + 1)
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(got - half_spectrum(oracle))) <= 1e-14 * scale, size
+
+
+FAST_SIZES = sorted({_fast_even_size(m) for m in range(8, 97)})
+
+
+@pytest.mark.parametrize("m", FAST_SIZES)
+def test_transform_pair_is_bitwise_scipy_fft(m):
+    # scipy.fft's n-d real transforms are the oracle, here only: the numpy.fft
+    # passes must give their bits, on the own-size grid and padded onto m
+    # points from a lattice of about 2m/3
+    rng = np.random.default_rng(m)
+    values = rng.standard_normal((m,) * 3)
+    whole = scipy.fft.rfftn(values, norm="forward")
+    assert from_grid(values, m).tobytes() == whole.tobytes()
+    inverse = scipy.fft.irfftn(whole, s=(m,) * 3, norm="forward")
+    assert to_grid(whole, m).tobytes() == inverse.tobytes()
+    n = max(8, 2 * (m // 3))
+    if n < m:
+        truncated = fields._restrict(whole, n, half=True)
+        assert from_grid(values, n).tobytes() == truncated.tobytes()
+        embedded = fields._embed(truncated, m, half=True)
+        padded = scipy.fft.irfftn(embedded, s=(m,) * 3, norm="forward")
+        assert to_grid(truncated, m).tobytes() == padded.tobytes()
 
 
 def test_hermitianize_is_idempotent(lat8):

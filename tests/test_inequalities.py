@@ -4,7 +4,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.fft
 from scipy.signal import convolve
 
 from conftest import transport_oracle
@@ -483,7 +482,7 @@ def test_commutator_report_forms_each_product_once(lat16, random16, monkeypatch)
         assert report["cancellation"] == advection_cancellation(u, s)
     calls = []
     for name in ("irfftn", "rfftn", "ifft", "fft"):
-        original = getattr(scipy.fft, name)
+        original = getattr(np.fft, name)
 
         def counted(x, *args, _name=name, _original=original, **kwargs):
             if "s" in kwargs:
@@ -495,15 +494,15 @@ def test_commutator_report_forms_each_product_once(lat16, random16, monkeypatch)
             calls.append((_name, size))  # one append: atomic across the worker thread
             return _original(x, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, name, counted)
+        monkeypatch.setattr(np.fft, name, counted)
     # |m_i| <= 4: factors on the 10-point support lattice, products exact on
     # 18 points (4K + 2).  f and |D|^s f reach the grid axis by axis, two
     # complex passes and two row halves each (6 factors); each distinct
     # product, the 6 symmetric f_i f_j and the 9 f_j (|D|^s f)_i, is kept
-    # whole for the commutator: one n-d transform
+    # whole for the commutator: one real pass, then two complex passes
     commutator_report(u, 1.5)
     assert Counter(calls) == {
-        ("ifft", (18,)): 12, ("irfftn", (18,)): 12, ("rfftn", (18, 18, 18)): 15,
+        ("ifft", (18,)): 12, ("irfftn", (18,)): 12, ("rfftn", (18,)): 15, ("fft", (18,)): 30,
     }
     # the trilinear form keeps its 6 products on the support lattice only:
     # four row-quarter real passes, then two complex passes, each
@@ -521,7 +520,8 @@ def test_commutator_report_forms_each_product_once(lat16, random16, monkeypatch)
         calls.clear()
         commutator_report(field, 1.5)
         assert {n for _, sizes in calls for n in sizes} == {size}
-    assert {name for name, _ in calls} == {"irfftn", "rfftn"}
+    names = Counter(name for name, _ in calls)  # whole: two complex passes per real one
+    assert names["ifft"] == 2 * names["irfftn"] > 0 and names["fft"] == 2 * names["rfftn"]
 
 
 def padded_forms(u, s):
