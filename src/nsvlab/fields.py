@@ -505,7 +505,7 @@ def to_grid(c: np.ndarray, n_grid: int) -> np.ndarray:
         lines = np.fft.ifft(c, axis=0, norm="forward")
         np.fft.ifft(lines, axis=1, norm="forward", out=lines)
         return np.fft.irfftn(lines, s=(n_grid,), axes=(2,), norm="forward")
-    return np.concatenate(_padded_grid(c, n_grid))
+    return _padded_grid(c, n_grid)
 
 
 def from_grid(values: np.ndarray, n_out: int) -> np.ndarray:
@@ -533,69 +533,78 @@ def _scale(lines: np.ndarray, n_grid: int) -> None:
 
 def _grid_blocks(c: np.ndarray, n_grid: int) -> list[np.ndarray]:
     """:func:`to_grid`'s samples as row blocks along axis 0: the whole grid
-    when n_grid is c's own size, else the padded grid's row quarters, views
-    of the two halves that :func:`_padded_grid` forms."""
-    if n_grid == c.shape[0]:
-        return [to_grid(c, n_grid)]
-    return [quarter for half in _padded_grid(c, n_grid) for quarter in np.array_split(half, 2)]
+    when n_grid is c's own size, else views of the padded grid's row quarters."""
+    grid = to_grid(c, n_grid)
+    return [grid] if n_grid == c.shape[0] else np.array_split(grid, 4)
 
 
-def _product_coefficients(a: list[np.ndarray], b: list[np.ndarray], n_out: int) -> np.ndarray:
-    """:func:`from_grid` of the product of two grids held as the row blocks
-    of :func:`_grid_blocks`.  The product is formed one block at a time, as
-    the transform reads it, so a padded product never exists whole.
-
-    a and b are the caller's own lists, emptied block by block, so a block
-    that nothing else holds is freed once its product is formed.  When
-    n_out is the grid's own size nothing is truncated, and the blocks are
-    joined for one n-d transform, which keeps the Nyquist planes.
+def _product_coefficients(factors: list[list[np.ndarray]], n_out: int) -> np.ndarray:
+    """:func:`from_grid` of the product a*b of two grids, or of the
+    difference a*b - c*d of two such products, each grid given as the row
+    blocks of :func:`_grid_blocks` in ``factors``.  The product is formed
+    one block at a time, as the transform reads it, so a padded product
+    never exists whole.  When n_out is the grid's own size nothing is
+    truncated, and the blocks are joined for one n-d transform, which
+    keeps the Nyquist planes.
     """
-    n_grid = a[0].shape[1]
-    if len(a) == 1:
-        return from_grid(a.pop() * b.pop(), n_out)
-    blocks = (a.pop(0) * b.pop(0) for _ in range(len(a)))
-    if n_out == n_grid:
-        return from_grid(np.concatenate(list(blocks)), n_out)
-    return _padded_coefficients(blocks, n_grid, n_out)
+    n_grid = factors[0][0].shape[1]
+    blocks = (_block_product(*parts) for parts in zip(*factors))
+    if n_out < n_grid:
+        return _padded_coefficients(blocks, n_grid, n_out)
+    return from_grid(np.concatenate(list(blocks)) if len(factors[0]) > 1 else next(blocks), n_out)
 
 
-def _kept(lead: int, m: int) -> np.ndarray:
-    """Indices on an m-point fft-layout axis of the labels -(lead-1)..lead-1:
-    the labels an embed fills and a truncation keeps (no Nyquist label)."""
-    return np.r_[0:lead, m - lead + 1 : m]
+def _block_product(a, b, c=None, d=None) -> np.ndarray:
+    """a*b, less c*d if given."""
+    product = a * b
+    if c is not None:
+        product -= c * d
+    return product
 
 
-def _spread(lines: np.ndarray, m: int, axis: int) -> np.ndarray:
-    """``lines``, whose ``axis`` holds the labels of :func:`_kept`, placed on
-    m points of that axis with zeros between."""
-    out = np.zeros(lines.shape[:axis] + (m,) + lines.shape[axis + 1 :], dtype=np.complex128)
-    out[(slice(None),) * axis + (_kept((lines.shape[axis] + 1) // 2, m),)] = lines
-    return out
+def _kept(lead: int, m_from: int, m_to: int):
+    """(from, to) slice pairs of the labels 0..lead-1 and -(lead-1)..-1 on an
+    m_from-point and an m_to-point fft-layout axis: the labels an embed
+    fills and a truncation keeps (no Nyquist label)."""
+    tail = lead - 1
+    return (
+        (slice(0, lead), slice(0, lead)),
+        (slice(m_from - tail, m_from), slice(m_to - tail, m_to)),
+    )
 
 
-def _padded_grid(c: np.ndarray, n_grid: int) -> list[np.ndarray]:
-    """:func:`to_grid` of c on a larger grid, as the grid's two row halves.
+def _padded_grid(c: np.ndarray, n_grid: int) -> np.ndarray:
+    """:func:`to_grid` of c on a larger grid.
 
-    The complex passes along axes 0 and then 1 transform only the lines
-    that hold an embedded label; every other line is zero.  The real pass
-    along axis 2 then runs on one row half at a time.  Each line meets the
-    same unscaled 1-D transform that the own-size inverse of the embedded
-    coefficients applies to it, so the samples are its bits.
+    The kept lines of c are copied, slice by slice, onto the columns of a
+    compact array, whose axis 1 holds only the 2*lead - 1 kept labels;
+    the complex pass along axis 0 runs there.  Those columns are then
+    copied onto the n_grid columns of the next array for the pass along
+    axis 1, and the real pass along axis 2 writes one row half of the grid
+    at a time.  Each line meets the same unscaled 1-D transform that the
+    own-size inverse of the embedded coefficients applies to it, so the
+    samples are its bits.
     """
     n = c.shape[0]
     if n_grid < n:
         raise ValueError(f"cannot embed n={n} into smaller n_pad={n_grid}")
     lead = (n + 1) // 2
-    kept = _kept(lead, n)
-    lines = c[np.ix_(kept, kept, range(lead))]
-    for axis in (0, 1):
-        lines = _spread(lines, n_grid, axis)
-        np.fft.ifft(lines, axis=axis, norm="forward", out=lines)
+    compact = 2 * lead - 1
+    columns = np.zeros((n_grid, compact, lead), dtype=np.complex128)
+    for rows, grid_rows in _kept(lead, n, n_grid):
+        for cols, compact_cols in _kept(lead, n, compact):
+            columns[grid_rows, compact_cols] = c[rows, cols, :lead]
+    np.fft.ifft(columns, axis=0, norm="forward", out=columns)
+    lines = np.zeros((n_grid, n_grid, lead), dtype=np.complex128)
+    for compact_cols, grid_cols in _kept(lead, compact, n_grid):
+        lines[:, grid_cols] = columns[:, compact_cols]
+    del columns
+    np.fft.ifft(lines, axis=1, norm="forward", out=lines)
+    grid = np.empty((n_grid, n_grid, n_grid))
     half = n_grid // 2
-    return [
-        np.fft.irfftn(lines[rows], s=(n_grid,), axes=(2,), norm="forward")
-        for rows in (slice(0, half), slice(half, n_grid))
-    ]
+    for rows in (slice(0, half), slice(half, n_grid)):
+        np.fft.irfftn(lines[rows], s=(n_grid,), axes=(2,), norm="forward", out=grid[rows])
+    return grid
 
 
 def _padded_coefficients(blocks, n_grid: int, n_out: int) -> np.ndarray:
@@ -604,10 +613,11 @@ def _padded_coefficients(blocks, n_grid: int, n_out: int) -> np.ndarray:
 
     The real pass along axis 2 reads one block at a time and keeps the
     columns of kept labels.  Their real and imaginary parts are then
-    scaled by 1/n_grid^3 once (:func:`_scale`).  The complex passes along
-    axes 0 and then 1 transform those columns' lines and keep the rows of
-    kept labels, so every kept coefficient holds the own-size forward
-    transform's bits.
+    scaled by 1/n_grid^3 once (:func:`_scale`).  The complex pass along
+    axis 0 transforms those columns' lines; the rows of kept labels are
+    copied, slice by slice, into a compact array for the pass along axis
+    1, whose kept columns are copied into the result.  Every kept
+    coefficient holds the own-size forward transform's bits.
     """
     if n_out > n_grid:
         raise ValueError(f"cannot restrict n={n_grid} to larger n_small={n_out}")
@@ -619,12 +629,17 @@ def _padded_coefficients(blocks, n_grid: int, n_out: int) -> np.ndarray:
         start += len(block)
         del block  # before the next block is formed
     _scale(lines, n_grid)
-    kept = _kept(lead, n_grid)
-    for axis in (0, 1):
-        lines = np.fft.fft(lines, axis=axis, out=lines).take(kept, axis=axis)
+    np.fft.fft(lines, axis=0, out=lines)
+    compact = 2 * lead - 1
+    rows = np.empty((compact, n_grid, lead), dtype=np.complex128)
+    for grid_rows, compact_rows in _kept(lead, n_grid, compact):
+        rows[compact_rows] = lines[grid_rows]
+    del lines
+    np.fft.fft(rows, axis=1, out=rows)
     out = np.zeros((n_out, n_out, n_out // 2 + 1), dtype=np.complex128)
-    kept = _kept(lead, n_out)
-    out[np.ix_(kept, kept, range(lead))] = lines
+    for compact_rows, out_rows in _kept(lead, compact, n_out):
+        for grid_cols, out_cols in _kept(lead, n_grid, n_out):
+            out[out_rows, out_cols, :lead] = rows[compact_rows, grid_cols]
     return out
 
 
@@ -700,14 +715,21 @@ def project_arrays(stack: np.ndarray, lattice: Lattice) -> np.ndarray:
     and the divergence of the output vanishes mode by mode; pure-Nyquist
     modes (derivative wavevector zero) pass through untouched.
     """
-    kx, ky, kz = lattice._half.k_deriv
-    factor = kx * stack[0] + ky * stack[1] + kz * stack[2]
-    factor *= lattice._half.inv_ksq_deriv
-    out = np.empty_like(stack)
-    out[0] = stack[0] - kx * factor
-    out[1] = stack[1] - ky * factor
-    out[2] = stack[2] - kz * factor
+    out = stack.copy()
+    _project(out, lattice)
     return out
+
+
+def _project(stack: np.ndarray, lattice: Lattice) -> None:
+    """:func:`project_arrays` in place, with two scratch arrays."""
+    kx, ky, kz = lattice._half.k_deriv
+    factor = kx * stack[0]
+    scratch = np.multiply(ky, stack[1])
+    factor += scratch
+    factor += np.multiply(kz, stack[2], out=scratch)
+    factor *= lattice._half.inv_ksq_deriv
+    for k, component in zip(lattice._half.k_deriv, stack):
+        component -= np.multiply(k, factor, out=scratch)
 
 
 def taylor_green(lattice: Lattice) -> VelocityField:

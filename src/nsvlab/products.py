@@ -24,10 +24,13 @@ Each factor enters as its field's stack cropped to its support lattice, the
 smallest that holds its nonzero labels below the Nyquist planes; the
 transform pair embeds it on the product grid and truncates each product
 back, touching only the lines that hold a label.  The kernel's transforms
-are independent of each other; on two or more CPUs every second one is
-queued on one worker thread, the caller takes back any the worker has not
-started, and the results are summed in a fixed order, so the bytes do not
-depend on the thread that formed them.
+form one plan: the factors' grids, then the products, each of which waits
+only for its own two grids.  The lab's plan lists the six symmetric
+products u_i u_j; the solver's lists five trace-free ones, which the
+projection of its term does not tell apart.  On two or more CPUs every
+second task runs on one worker thread, the caller runs any the worker has
+not started, and the results are summed in a fixed order, so the bytes do
+not depend on the thread that formed them.
 """
 
 from __future__ import annotations
@@ -131,64 +134,107 @@ def multiply(f: ScalarSpectralField, g: ScalarSpectralField) -> ScalarSpectralFi
     return product
 
 
-def _flux_divergence(u: np.ndarray, gs, n_grid: int, lattice_out: Lattice) -> list[np.ndarray]:
+def _flux_divergence(
+    u: np.ndarray, gs, n_grid: int, lattice_out: Lattice, *, trace_free: bool = False
+) -> list[np.ndarray]:
     """div(u (x) g) for each half-layout stack g of gs, on lattice_out.
 
     u is a (3, n, n, n//2+1) stack and each g an (m, n, n, n//2+1) stack.
     The factors are sampled on an n_grid^3 grid (n, or the size of the
-    product lattice of ``_padded`` for exact products); each distinct
-    product u_j g_i is transformed once, truncated to lattice_out (the
-    n-point lattice, or the support or product lattice of ``_padded``),
-    and component i of the result is sum_j d_j(u_j g_i).  For g = u the
-    six symmetric products are shared.  For divergence-free u this is
-    u . grad(g).
+    product lattice of ``_padded`` for exact products); each product the
+    plan of :func:`_product_tasks` lists is transformed once, truncated to
+    lattice_out (the n-point lattice, or the support or product lattice of
+    ``_padded``), and component i of the result is sum_j d_j(u_j g_i).
+    For g = u the six symmetric products are shared.  For divergence-free
+    u this is u . grad(g).
 
-    The factors' grids are independent transforms, and so are the
-    products' coefficients; each set runs through :func:`_alternately`.
-    The sums are then taken in the order above, so the result does not
-    depend on which thread ran which transform.
+    With ``trace_free`` (the solver's term), a g that is u is transported
+    by the trace-free products instead: the diagonal u_i u_i becomes
+    u_i^2 - u_2^2 and u_2^2 is not formed, so five products give
+    div(u (x) u) - grad(u_2^2), which the Leray projection maps to the
+    same field.
+
+    One plan runs through :func:`_alternately`: the grids, the products,
+    each waiting only for its own grids, and one sum per component, which
+    waits only for its own products and writes one row of a new stack.
+    Each sum is taken in the order above, so the bytes do not depend on
+    which thread ran which task.
     """
     if len(u) != 3:
         raise TypeError(f"the transporting field must be a velocity, got {len(u)} component(s)")
     n_out = lattice_out.n
     kd = lattice_out._half.k_deriv
-    products = _alternately(_product_tasks(u, gs, n_grid, n_out))
-    out = []
-    for g in gs:
-        fluxes, div = {}, []  # div's rows are stacked last, when the products' memory is free
+    grids, products = _product_tasks(u, gs, n_grid, n_out, trace_free)
+    out, sums = [], []
+    for k, g in enumerate(gs):
+        div = np.empty((len(g), n_out, n_out, n_out // 2 + 1), dtype=np.complex128)
         for i in range(len(g)):
-            total = np.zeros((n_out, n_out, n_out // 2 + 1), dtype=np.complex128)
-            for j in range(3):
-                key = (min(i, j), max(i, j))
-                flux = fluxes.pop(key) if key in fluxes else next(products)
-                if g is u and j > i:
-                    fluxes[key] = flux  # u_i u_j again at (j, i)
-                total += kd[j] * flux
-            total *= 1j
-            div.append(total)
-        out.append(np.stack(div))
+            keys = [(k, min(i, j), max(i, j)) if g is u else (k, i, j) for j in range(3)]
+            # only the trace-free u_2 u_2 is not in the plan
+            terms = [(kd[j], products[key]) for j, key in enumerate(keys) if key in products]
+            for _, product in terms:
+                product.uses += 1
+            sums.append(partial(_summed, div[i], terms))
+        out.append(div)
+    _alternately([cell.start for cell in [*grids, *products.values()]] + sums)
     return out
 
 
-def _product_tasks(u: np.ndarray, gs, n_grid: int, n_out: int) -> list:
-    """Sample the factors of :func:`_flux_divergence`, then return one task
-    per distinct product u_j g_i, in the order its sums first need them.
+def _summed(total: np.ndarray, terms) -> None:
+    """total = 1j * (kd_0 * flux_0 + kd_1 * flux_1 + ...), summed from zero
+    in the order of ``terms``, pairs of a derivative wavenumber and the
+    :class:`_Once` of a product's coefficients."""
+    total[...] = 0.0
+    scratch = np.empty_like(total)
+    for kd, product in terms:
+        total += np.multiply(kd, product(), out=scratch)
+    total *= 1j
 
-    Each task holds its own lists of its factors' row blocks and empties
-    them as it forms its product.  Once this function returns, those lists
-    hold the only references, so each block is freed after its last product.
+
+# the trace-free products of the solver's term, (i, j) for u_i u_j and
+# (i, i) for u_i^2 - u_2^2; listed after the grids u_0, u_1, u_2, every
+# second task runs on the caller: the grids of u_0 and u_2 and the products
+# that need only them, so the caller forms its products without waiting
+_TRACE_FREE = ((0, 1), (0, 0), (1, 1), (0, 2), (1, 2))
+
+
+def _product_tasks(u: np.ndarray, gs, n_grid: int, n_out: int, trace_free: bool = False):
+    """The grids and products of :func:`_flux_divergence`'s plan, each a
+    :class:`_Once`: one grid per factor component, and a dict of one product
+    per distinct pair, keyed (k, i, j) for u_j g_i of gs[k] (i <= j where g
+    is u), in the order their sums first need them, or in the order of
+    :data:`_TRACE_FREE`.
+
+    A product takes its factors' grids from their :class:`_Once`, which
+    drops a grid once its last product has taken it, so a grid is freed
+    when its last product is formed.  The products' ``uses`` are left for
+    their sums to count.
     """
     stacks = [u] + [g for g in gs if g is not u]
-    grids = list(_alternately([partial(_grid_blocks, c, n_grid) for s in stacks for c in s]))
+    grids = [_Once(partial(_grid_blocks, c, n_grid), uses=0) for s in stacks for c in s]
     u_grids, own = grids[:3], iter(grids[3:])
-    g_grids = [u_grids if g is u else [next(own) for _ in g] for g in gs]
     factors = {}
     for k, g in enumerate(gs):
+        if g is u and trace_free:
+            for i, j in _TRACE_FREE:
+                diagonal = (u_grids[2], u_grids[2]) if i == j else ()
+                factors[k, i, j] = (u_grids[i], u_grids[j], *diagonal)
+            continue
+        g_grids = u_grids if g is u else [next(own) for _ in g]
         for i in range(len(g)):
             for j in range(3):
                 key = (k, min(i, j), max(i, j)) if g is u else (k, i, j)
-                factors.setdefault(key, (u_grids[j], g_grids[k][i]))
-    return [partial(_product_coefficients, [*a], [*b], n_out) for a, b in factors.values()]
+                factors.setdefault(key, (u_grids[j], g_grids[i]))
+    for cells in factors.values():
+        for cell in cells:
+            cell.uses += 1
+    products = {key: _Once(partial(_product, cells, n_out), uses=0) for key, cells in factors.items()}
+    return grids, products
+
+
+def _product(cells, n_out: int) -> np.ndarray:
+    """The coefficients of the product of the grids that ``cells`` hold."""
+    return _product_coefficients([cell() for cell in cells], n_out)
 
 
 def _two_cpus() -> bool:
@@ -210,45 +256,92 @@ def _worker(pid: int):
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="nsvlab-transforms")
 
 
-def _taken(future, task):
-    """The result of ``task``, queued on the worker as ``future``: run on
-    the caller if the worker has not started it, so the caller never waits
-    behind other work queued on the worker."""
-    return task() if future.cancel() else future.result()
+class _Once:
+    """A task run at most once, by the first thread that asks for it; a
+    thread that asks while another runs it waits for that run.
 
-
-def _alternately(tasks: list):
-    """Yield the results of independent callables, in order.
-
-    Where :func:`_two_cpus` allows, every second task is queued on the
-    worker thread while the caller runs the others, each as its result is
-    asked for; a queued task the worker has not started by then runs on the
-    caller (:func:`_taken`).  A task's result does not depend on the thread
-    that runs it.
+    The result is dropped after ``uses`` calls.  An error in the task is
+    kept and raised to every caller, so it comes out where the result is
+    asked for, not on the thread that happened to run the task.
     """
-    if len(tasks) < 2 or not _two_cpus():
-        yield from (task() for task in tasks)
-        return
+
+    def __init__(self, task, uses: int = 1) -> None:
+        import threading
+
+        self.uses = uses
+        self._task, self._lock = task, threading.Lock()
+        self._result = self._error = None
+
+    def _run(self) -> None:  # with the lock held
+        if self._task is not None:
+            task, self._task = self._task, None
+            try:
+                self._result = task()
+            except BaseException as error:
+                self._error = error
+                if not isinstance(error, Exception):
+                    raise  # an interrupt or exit goes on at once
+
+    def start(self) -> None:
+        """Run the task unless a thread has claimed it; never wait."""
+        if self._lock.acquire(blocking=False):
+            try:
+                self._run()
+            finally:
+                self._lock.release()
+
+    def __call__(self):
+        """The task's result, run here unless a thread has claimed it."""
+        with self._lock:
+            self._run()
+            self.uses -= 1
+            result, error = self._result, self._error
+            if self.uses == 0:
+                self._result = None
+        if error is not None:
+            raise error
+        return result
+
+
+def _started(cells) -> None:
+    """Start each :class:`_Once` in turn (:meth:`_Once.start`)."""
+    for cell in cells:
+        cell.start()
+
+
+def _alternately(tasks: list) -> list:
+    """The results of callables, in order.
+
+    Each task runs once, on the first thread that asks for it (a
+    :class:`_Once`).  Where :func:`_two_cpus` allows, every second task is
+    queued on the worker thread as one job, the caller starts the others,
+    then asks for every result in order, so it runs any task the worker has
+    not started.  A task may call a :class:`_Once` that other tasks share
+    (a sum its products, a product its grids): it runs there unless a
+    thread has claimed it, else it is waited for.  Each shared task waits
+    only for tasks a level below it, so two threads never wait for each
+    other.  A task's result does not depend on the thread that runs it.
+    """
+    cells = [_Once(task) for task in tasks]
+    if len(cells) < 2 or not _two_cpus():
+        return [cell() for cell in cells]
     import os
 
-    theirs = [_worker(os.getpid()).submit(task) for task in tasks[1::2]]
+    job = _worker(os.getpid()).submit(_started, cells[1::2])
     try:
-        for k, task in enumerate(tasks[::2]):
-            yield task()
-            if k < len(theirs):
-                yield _taken(theirs[k], tasks[2 * k + 1])
+        _started(cells[::2])
+        return [cell() for cell in cells]
     finally:
-        for future in theirs:
-            future.cancel()
+        job.cancel()
 
 
 def _one_ahead(tasks: list):
     """Yield the results of independent callables, in order.
 
-    Where :func:`_two_cpus` allows, task k + 1 is queued on the worker
-    thread while the caller holds result k, and is taken back by the caller
-    if the worker has not started it when its result is asked for
-    (:func:`_taken`).  An error in a task comes out where its result is
+    Where :func:`_two_cpus` allows, task k + 1 is started on the worker
+    thread while the caller holds result k, and the caller runs it itself
+    if the worker has not started it when its result is asked for (a
+    :class:`_Once`).  An error in a task comes out where its result is
     asked for.
     """
     if len(tasks) < 2 or not _two_cpus():
@@ -256,11 +349,11 @@ def _one_ahead(tasks: list):
         return
     import os
 
-    worker, future = _worker(os.getpid()), None
+    worker, cells, future = _worker(os.getpid()), [_Once(task) for task in tasks], None
     try:
-        for k, task in enumerate(tasks):
-            result = task() if future is None else _taken(future, task)
-            future = worker.submit(tasks[k + 1]) if k + 1 < len(tasks) else None
+        for k, cell in enumerate(cells):
+            result = cell()
+            future = worker.submit(cells[k + 1].start) if k + 1 < len(cells) else None
             yield result
     finally:
         if future is not None:

@@ -12,11 +12,16 @@ periodic cube.  Two integrators:
 
 Advection is evaluated in divergence form, div(u (x) u), by the product
 kernel of :mod:`nsvlab.products` that the inequality lab shares.  It
-samples u on a grid and forms the six distinct products there, through the
-transform pair of :mod:`nsvlab.fields`, which runs ``numpy.fft`` one axis
-at a time: over the whole n-point grid under the two-thirds rule, and
-under the three-halves rule skipping the padding.  Independent transforms overlap on two
-threads where two CPUs are allowed.  The products are dealiased per
+samples u on a grid and forms five trace-free products there, u_0 u_1,
+u_0 u_2, u_1 u_2, u_0^2 - u_2^2 and u_1^2 - u_2^2: dropping u_2^2 from the
+diagonal changes the divergence by the gradient of u_2^2, which the
+projection removes.  The products run through the transform pair of
+:mod:`nsvlab.fields`, which runs ``numpy.fft`` one axis at a time: over
+the whole n-point grid under the two-thirds rule, and under the
+three-halves rule skipping the padding.  The three grids and five products
+overlap on two threads where two CPUs are allowed, and the mask, the
+projection, the sign and the imex update then work in place on the
+kernel's output.  The products are dealiased per
 config: the two-thirds rule masks |k| strictly below (2/3) * Nyquist on
 the n-point grid (the strict inequality keeps wrapped images out of the
 retained band when 3 divides n); the three-halves rule zero-pads to the
@@ -41,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._version import __version__
-from .fields import Lattice, VelocityField, _check_mean, project_arrays, to_grid
+from .fields import Lattice, VelocityField, _check_mean, _project, project_arrays, to_grid
 from .norms import full_report
 from .products import _flux_divergence, padded_size
 from .trajectory import Trajectory, TrajectorySample
@@ -182,14 +187,20 @@ def _solver_stack(u: VelocityField, dealias: str) -> np.ndarray:
 
 
 def _nonlinear_arrays(stack: np.ndarray, lattice: Lattice, dealias: str) -> np.ndarray:
-    """-P[div(u(x)u)] as dealiased half-layout coefficients."""
+    """-P[div(u(x)u)] as dealiased half-layout coefficients, in a new array.
+
+    The kernel forms the divergence from five trace-free products; it
+    differs from div(u(x)u) by a gradient, which the projection removes.
+    The mask, the projection and the sign are applied in place.
+    """
     if dealias == "two-thirds":
         mask = _dealias_mask(lattice.n, lattice.period)
         stack = stack * mask
-        adv = _flux_divergence(stack, [stack], lattice.n, lattice)[0] * mask
+        [term] = _flux_divergence(stack, [stack], lattice.n, lattice, trace_free=True)
+        term *= mask
     else:  # three-halves: zero-padded products, truncated without the Nyquist planes
-        adv = _flux_divergence(stack, [stack], padded_size(lattice.n), lattice)[0]
-    term = project_arrays(adv, lattice)
+        [term] = _flux_divergence(stack, [stack], padded_size(lattice.n), lattice, trace_free=True)
+    _project(term, lattice)
     np.negative(term, out=term)
     term[:, 0, 0, 0] = 0.0
     return term
@@ -224,10 +235,15 @@ def _step_arrays(
         k4 = _rhs(stack + dt * k3, lattice, config)
         new = stack + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     else:  # integrating-factor Euler: exact diffusion multiplier
-        new = stack.copy()
         if config.advection:
-            new += dt * _nonlinear_arrays(stack, lattice, config.dealias)
-        new *= np.exp(-config.nu * lattice._half.ksq * dt)
+            new = _nonlinear_arrays(stack, lattice, config.dealias)
+            new *= dt
+            new += stack
+        else:
+            new = stack.copy()
+        decay = -config.nu * lattice._half.ksq
+        decay *= dt
+        new *= np.exp(decay, out=decay)
     new[:, 0, 0, 0] = 0.0
     return new
 

@@ -1,6 +1,8 @@
 import math
 import os
+import sys
 import threading
+import time
 from functools import partial
 
 import numpy as np
@@ -302,14 +304,17 @@ def test_padded_pair_is_bitwise_the_whole_grid_transform(n, n_grid, period):
 
 
 def flux_divergences(u):
-    """The kernel on each of its paths: the solver's padded and unpadded
-    terms, and the lab's two transported stacks."""
+    """The kernel on each of its paths: the six-product term padded and
+    unpadded, the solver's five-product plan under both dealiasing rules,
+    and the lab's two transported stacks."""
     lattice = u.lattice
     stack = u._stack
     g = stack * lattice._half.kmag
     return [
         *_flux_divergence(stack, [stack], padded_size(lattice.n), lattice),
         *_flux_divergence(stack, [stack], lattice.n, lattice),
+        *_flux_divergence(stack, [stack], padded_size(lattice.n), lattice, trace_free=True),
+        *_flux_divergence(stack, [stack], lattice.n, lattice, trace_free=True),
         *_flux_divergence(stack, [stack, g], lattice.n, lattice),
     ]
 
@@ -320,6 +325,32 @@ def test_flux_divergence_is_the_same_with_and_without_the_worker(random16, monke
     monkeypatch.setattr(products, "_two_cpus", lambda: False)
     serial = flux_divergences(random16)
     assert [a.tobytes() for a in threaded] == [a.tobytes() for a in serial]
+
+
+def test_flux_divergence_is_the_same_when_the_worker_grids_are_late(random16, monkeypatch):
+    # every grid the worker forms is held back, so the caller reaches the
+    # products that need it first: it must run the worker's products that
+    # have not started and wait for the grid, never for each other
+    monkeypatch.setattr(products, "_two_cpus", lambda: False)
+    serial = flux_divergences(random16)
+    monkeypatch.setattr(products, "_two_cpus", lambda: True)
+    original = products._grid_blocks
+    late = []
+
+    def late_on_the_worker(*args):
+        if threading.current_thread().name.startswith("nsvlab-transforms"):
+            late.append(args[1])
+            time.sleep(0.05)
+        return original(*args)
+
+    monkeypatch.setattr(products, "_grid_blocks", late_on_the_worker)
+    result = []
+    caller = threading.Thread(target=lambda: result.extend(flux_divergences(random16)), daemon=True)
+    caller.start()
+    caller.join(timeout=120)
+    assert not caller.is_alive()
+    assert late  # the worker formed a grid
+    assert [a.tobytes() for a in result] == [a.tobytes() for a in serial]
 
 
 def test_a_worker_task_error_comes_out_of_the_kernel(random16, monkeypatch):
@@ -371,6 +402,42 @@ def test_the_caller_takes_worker_tasks_that_have_not_started(generator, monkeypa
     assert blocker.result(timeout=60)
     # the worker was busy throughout, so no task queued on it started there
     assert threads == {k: threading.current_thread() for k in range(7)}
+
+
+def test_a_shared_task_runs_once_however_the_threads_interleave(monkeypatch):
+    # four callers share the one worker; every task takes two shared tasks
+    # (a product its two grids), and each shared task must run exactly once
+    monkeypatch.setattr(products, "_two_cpus", lambda: True)
+    failures = []
+
+    def caller(seed):
+        for _ in range(50):
+            runs = []
+
+            def shared_task(k):
+                runs.append(k)
+                return k
+
+            shared = [products._Once(partial(shared_task, k), uses=2) for k in range(6)]
+            tasks = [partial(lambda a, b: a() + b(), shared[k], shared[(k + 1) % 6]) for k in range(6)]
+            results = products._alternately([cell.start for cell in shared] + tasks)
+            if results[6:] != [k + (k + 1) % 6 for k in range(6)] or sorted(runs) != list(range(6)):
+                failures.append((seed, results, runs))
+            if any(cell._result is not None for cell in shared):
+                failures.append((seed, "a result outlived its last use"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller, args=(seed,), daemon=True) for seed in range(4)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert failures == []
 
 
 def test_a_task_error_comes_out_where_its_result_is_asked_for(monkeypatch):

@@ -12,12 +12,14 @@ from nsvlab.fields import (
     ScalarSpectralField,
     VelocityField,
     leray_project,
+    project_arrays,
     random_band_limited,
     taylor_green,
 )
 from nsvlab.inequalities import commutator_report, trilinear_hs
 from nsvlab.norms import NormReport, full_report, l2_norm, sobolev_norm
 from nsvlab.products import (
+    _flux_divergence,
     advect,
     embed_coefficients,
     multiply,
@@ -26,6 +28,8 @@ from nsvlab.products import (
 )
 from nsvlab.sim import (
     DEALIAS_RULES,
+    _dealias_mask,
+    _solver_stack,
     RK4_DIFFUSIVE_LIMIT,
     SchemeBlowupError,
     SolverConfig,
@@ -163,6 +167,36 @@ def test_nonlinear_term_conserves_energy_and_helicity(lat16, dealias, kmax):
     assert np.max(np.abs(term)) > 0.0
     assert pairing(stack_of(u), term) <= 1e-15
     assert pairing(curl_stack(u), term) <= 1e-15
+
+
+@pytest.mark.parametrize("dealias", DEALIAS_RULES)
+@pytest.mark.parametrize("n", [16, 24, 32, 48])
+@pytest.mark.parametrize("initial", ["taylor-green", "random"])
+def test_trace_free_term_is_the_projected_six_product_term(dealias, n, initial):
+    # the solver forms u_0^2 - u_2^2 and u_1^2 - u_2^2 in place of the
+    # three diagonal products; that changes the divergence by grad(u_2^2),
+    # which the projection removes
+    lat = Lattice(n)
+    if initial == "taylor-green":
+        u = taylor_green(lat)
+    else:
+        u = random_band_limited(lat, 1.0, n / 3, 1.0, seed=n)
+    stack = _solver_stack(u, dealias)
+    if dealias == "two-thirds":
+        mask = _dealias_mask(n, lat.period)
+        stack = stack * mask
+        [six] = _flux_divergence(stack, [stack], n, lat)
+        six *= mask
+    else:
+        [six] = _flux_divergence(stack, [stack], padded_size(n), lat)
+    six = -project_arrays(six, lat)
+    six[:, 0, 0, 0] = 0.0
+    term = nonlinear_term(u, dealias)
+    five = term._stack
+    assert np.max(np.abs(six)) > 0.0
+    assert np.max(np.abs(five - six)) <= 1e-13 * np.max(np.abs(six))
+    assert pairing(stack_of(u), stack_of(term)) <= 1e-15
+    assert pairing(curl_stack(u), stack_of(term)) <= 1e-15
 
 
 def abc_flow(lat: Lattice) -> VelocityField:
@@ -342,14 +376,15 @@ def test_step_forms_each_product_once(lat16, random16, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    # per right-hand side: u on the grid (3), one per distinct product u_i u_j (6);
-    # every transform is two 1-D complex passes and real passes along the last
-    # axis: one on the own-size grid, and by row block on the padded one, the
-    # grid's two halves and the product's four quarters
+    # per right-hand side: u on the grid (3), one per trace-free product (5:
+    # u_0 u_1, u_0 u_2, u_1 u_2, u_0^2 - u_2^2, u_1^2 - u_2^2); every transform
+    # is two 1-D complex passes and real passes along the last axis: one on the
+    # own-size grid, and by row block on the padded one, the grid's two halves
+    # and the product's four quarters
     for dealias, integrator, expected in (
-        ("three-halves", "imex", {"irfftn": 3 * 2, "rfftn": 6 * 4, "ifft": 3 * 2, "fft": 6 * 2}),
+        ("three-halves", "imex", {"irfftn": 3 * 2, "rfftn": 5 * 4, "ifft": 3 * 2, "fft": 5 * 2}),
         ("two-thirds", "rk4",
-         {"irfftn": 3 * 4, "rfftn": 6 * 4, "ifft": 3 * 2 * 4, "fft": 6 * 2 * 4}),
+         {"irfftn": 3 * 4, "rfftn": 5 * 4, "ifft": 3 * 2 * 4, "fft": 5 * 2 * 4}),
     ):
         calls.clear()
         config = SolverConfig(nu=0.05, dealias=dealias, integrator=integrator)
