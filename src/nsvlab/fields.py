@@ -720,15 +720,17 @@ def project_arrays(stack: np.ndarray, lattice: Lattice) -> np.ndarray:
     return out
 
 
-def _project(stack: np.ndarray, lattice: Lattice) -> None:
-    """:func:`project_arrays` in place, with two scratch arrays."""
+def _project(stack: np.ndarray, lattice: Lattice, rows: slice = slice(None)) -> None:
+    """:func:`project_arrays` in place, with two scratch arrays; ``stack``
+    holds the first-axis ``rows`` of the lattice's half layout."""
     kx, ky, kz = lattice._half.k_deriv
+    kx = kx[rows]
     factor = kx * stack[0]
     scratch = np.multiply(ky, stack[1])
     factor += scratch
     factor += np.multiply(kz, stack[2], out=scratch)
-    factor *= lattice._half.inv_ksq_deriv
-    for k, component in zip(lattice._half.k_deriv, stack):
+    factor *= lattice._half.inv_ksq_deriv[rows]
+    for k, component in zip((kx, ky, kz), stack):
         component -= np.multiply(k, factor, out=scratch)
 
 

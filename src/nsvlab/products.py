@@ -290,6 +290,11 @@ class _Once:
             finally:
                 self._lock.release()
 
+    def cancel(self) -> None:
+        """Drop the task unless a thread has claimed it; wait for a run in progress."""
+        with self._lock:
+            self._task = None
+
     def __call__(self):
         """The task's result, run here unless a thread has claimed it."""
         with self._lock:
@@ -358,6 +363,21 @@ def _one_ahead(tasks: list):
     finally:
         if future is not None:
             future.cancel()
+
+
+def _behind(task) -> _Once:
+    """``task`` as a :class:`_Once`, queued on the worker thread where
+    :func:`_two_cpus` allows, else run here at once.  The caller asks for
+    its result later, and runs it then if the worker has not started it;
+    an error in the task comes out there."""
+    cell = _Once(task)
+    if _two_cpus():
+        import os
+
+        _worker(os.getpid()).submit(cell.start)
+    else:
+        cell.start()
+    return cell
 
 
 def _padded(fields) -> tuple[Lattice, Lattice, list[np.ndarray]]:

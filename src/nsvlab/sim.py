@@ -21,7 +21,8 @@ the whole n-point grid under the two-thirds rule, and under the
 three-halves rule skipping the padding.  The three grids and five products
 overlap on two threads where two CPUs are allowed, and the mask, the
 projection, the sign and the imex update then work in place on the
-kernel's output.  The products are dealiased per
+kernel's output, one half of its first-axis rows on each thread.  The
+products are dealiased per
 config: the two-thirds rule masks |k| strictly below (2/3) * Nyquist on
 the n-point grid (the strict inequality keeps wrapped images out of the
 retained band when 3 divides n); the three-halves rule zero-pads to the
@@ -35,20 +36,22 @@ lattice's half-layout grids.  Where the state leaves the solver (a sample,
 the state passed to hooks, the result of :func:`step` and of
 :func:`nonlinear_term`) it is wrapped as a :class:`VelocityField` without a
 copy, and sample norms are that field's :func:`~nsvlab.norms.full_report`.
+:func:`integrate` takes each sample on the worker thread one step behind
+the solver (see there).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from ._version import __version__
 from .fields import Lattice, VelocityField, _check_mean, _project, project_arrays, to_grid
 from .norms import full_report
-from .products import _flux_divergence, padded_size
+from .products import _alternately, _behind, _flux_divergence, padded_size
 from .trajectory import Trajectory, TrajectorySample
 
 __all__ = [
@@ -178,32 +181,53 @@ def resolve_dt(u0: VelocityField, config: SolverConfig) -> float:
 def _solver_stack(u: VelocityField, dealias: str) -> np.ndarray:
     """The half layout of u's coefficients as the solver advances them: the
     three-halves rule is exact only without the Nyquist planes, so they are
-    zeroed."""
-    stack = u._stack.copy()
+    zeroed in a copy.  Where nothing is to be zeroed this is u's own stack,
+    which no step writes to; a plane is tested by its bits, so a -0.0 on it
+    is rewritten to +0.0 as in every other run."""
+    stack = u._stack
     if dealias == "three-halves":
         half = u.lattice.n // 2
-        stack[:, half] = stack[:, :, half] = stack[:, :, :, half] = 0.0
+        planes = (stack[:, half], stack[:, :, half], stack[:, :, :, half])
+        if any(np.ascontiguousarray(plane).view(np.uint64).any() for plane in planes):
+            stack = stack.copy()
+            stack[:, half] = stack[:, :, half] = stack[:, :, :, half] = 0.0
     return stack
 
 
-def _nonlinear_arrays(stack: np.ndarray, lattice: Lattice, dealias: str) -> np.ndarray:
+def _nonlinear_arrays(stack: np.ndarray, lattice: Lattice, dealias: str, update=None) -> np.ndarray:
     """-P[div(u(x)u)] as dealiased half-layout coefficients, in a new array.
 
     The kernel forms the divergence from five trace-free products; it
     differs from div(u(x)u) by a gradient, which the projection removes.
-    The mask, the projection and the sign are applied in place.
+    The mask, the projection, the sign and then ``update``, if given, are
+    applied in place by :func:`_tail`, on the two first-axis row halves
+    through :func:`_alternately`; every mode sees the same operations, so
+    the bytes do not depend on the thread that ran a half.
     """
+    mask = None
     if dealias == "two-thirds":
         mask = _dealias_mask(lattice.n, lattice.period)
         stack = stack * mask
         [term] = _flux_divergence(stack, [stack], lattice.n, lattice, trace_free=True)
-        term *= mask
     else:  # three-halves: zero-padded products, truncated without the Nyquist planes
         [term] = _flux_divergence(stack, [stack], padded_size(lattice.n), lattice, trace_free=True)
-    _project(term, lattice)
-    np.negative(term, out=term)
+    half = lattice.n // 2
+    _alternately([partial(_tail, term, lattice, rows, mask, update)
+                  for rows in (slice(None, half), slice(half, None))])
     term[:, 0, 0, 0] = 0.0
     return term
+
+
+def _tail(term: np.ndarray, lattice: Lattice, rows: slice, mask, update) -> None:
+    """The mask, the projection, the sign and ``update(rows, part)`` on the
+    part ``term[:, rows]`` of the term."""
+    part = term[:, rows]
+    if mask is not None:
+        part *= mask[rows]
+    _project(part, lattice, rows)
+    np.negative(part, out=part)
+    if update is not None:
+        update(rows, part)
 
 
 def nonlinear_term(u: VelocityField, dealias: str = "two-thirds") -> VelocityField:
@@ -234,18 +258,25 @@ def _step_arrays(
         k3 = _rhs(stack + (0.5 * dt) * k2, lattice, config)
         k4 = _rhs(stack + dt * k3, lattice, config)
         new = stack + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:  # integrating-factor Euler: exact diffusion multiplier
-        if config.advection:
-            new = _nonlinear_arrays(stack, lattice, config.dealias)
-            new *= dt
-            new += stack
-        else:
-            new = stack.copy()
-        decay = -config.nu * lattice._half.ksq
-        decay *= dt
-        new *= np.exp(decay, out=decay)
+    elif config.advection:  # integrating-factor Euler: exact diffusion multiplier
+        update = partial(_imex_update, stack, lattice._half.ksq, config.nu, dt)
+        new = _nonlinear_arrays(stack, lattice, config.dealias, update)
+    else:  # the same without advection: exact heat decay
+        new = stack * np.exp(-config.nu * lattice._half.ksq * dt)
     new[:, 0, 0, 0] = 0.0
     return new
+
+
+def _imex_update(
+    stack: np.ndarray, ksq: np.ndarray, nu: float, dt: float, rows: slice, term: np.ndarray
+) -> None:
+    """term = (stack + dt * term) * exp(-nu |k|^2 dt) on first-axis ``rows``,
+    in place: the integrating-factor Euler step."""
+    term *= dt
+    term += stack[:, rows]
+    decay = -nu * ksq[rows]
+    decay *= dt
+    term *= np.exp(decay, out=decay)
 
 
 def step(state: SolverState, config: SolverConfig, dt: float | None = None) -> SolverState:
@@ -265,6 +296,18 @@ def step(state: SolverState, config: SolverConfig, dt: float | None = None) -> S
     return SolverState(t=state.t + dt, u=VelocityField._from_half(lat, new))
 
 
+def _sample(trajectory: Trajectory, hooks, u0: VelocityField, dt: float,
+            step_index: int, t: float, stack: np.ndarray) -> None:
+    """Append the sample of the state ``stack`` at t to the trajectory and
+    hand it to each hook in turn; a stack that is u0's is sampled as u0."""
+    u = u0 if stack is u0._stack else VelocityField._from_half(u0.lattice, stack)
+    state = SolverState(t=t, u=u)
+    sample = TrajectorySample(t=t, step_index=step_index, dt=dt, norms=full_report(u))
+    trajectory.samples.append(sample)
+    for hook in hooks:
+        hook(sample, state)
+
+
 def integrate(u0: VelocityField, config: SolverConfig, hooks=()) -> Trajectory:
     """Run from u0 to t_end, sampling norms every sample_every steps.
 
@@ -272,6 +315,14 @@ def integrate(u0: VelocityField, config: SolverConfig, hooks=()) -> Trajectory:
     beyond t_end.  The first and final states are always sampled.  On a
     scheme blow-up the trajectory is returned with ``failed`` set and the
     failure reason recorded; samples collected so far are kept.
+
+    Where two CPUs are allowed, each sample (norms, then hooks) runs on the
+    worker thread while the next step is taken, one at a time and in order.
+    A hook's error comes out here with its own type, when the next sample
+    is due or at the end, and no later hook runs; a step's error drops a
+    sample not yet started.  If u0 needs no change (no Nyquist plane to
+    zero, no projection), the run starts from u0's own stack and sample 0
+    hands u0 itself to the hooks.
     """
     _check_mean(u0, "initial velocity")
     defect = u0.divergence_defect()
@@ -292,26 +343,25 @@ def integrate(u0: VelocityField, config: SolverConfig, hooks=()) -> Trajectory:
     stack = _solver_stack(u0, config.dealias)
     if defect > 1e-13:  # a step keeps the defect below this; project other data once
         stack = project_arrays(stack, lat)
-
-    def emit(step_index: int, t: float, arrays: np.ndarray) -> None:
-        state = SolverState(t=t, u=VelocityField._from_half(lat, arrays))
-        sample = TrajectorySample(t=t, step_index=step_index, dt=dt, norms=full_report(state.u))
-        trajectory.samples.append(sample)
-        for hook in hooks:
-            hook(sample, state)
-
-    emit(0, 0.0, stack)
-    for i in range(1, n_steps + 1):
-        stack = _step_arrays(stack, lat, config, dt)
-        t = i * dt
-        if not np.isfinite(stack).all():
-            trajectory.failed = True
-            trajectory.failure_reason = (
-                f"non-finite coefficients after step {i} (t = {t:.6g})"
-            )
-            break
-        if i % config.sample_every == 0 or i == n_steps:
-            emit(i, t, stack)
+    sample = partial(_sample, trajectory, hooks, u0, dt)
+    pending = _behind(partial(sample, 0, 0.0, stack))
+    try:
+        for i in range(1, n_steps + 1):
+            stack = _step_arrays(stack, lat, config, dt)
+            t = i * dt
+            if not np.isfinite(stack).all():
+                trajectory.failed = True
+                trajectory.failure_reason = (
+                    f"non-finite coefficients after step {i} (t = {t:.6g})"
+                )
+                break
+            if i % config.sample_every == 0 or i == n_steps:
+                pending()
+                pending = _behind(partial(sample, i, t, stack))
+    except BaseException:
+        pending.cancel()
+        raise
+    pending()
     return trajectory
 
 

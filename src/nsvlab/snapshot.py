@@ -25,8 +25,8 @@ import struct
 
 import numpy as np
 
-from .fields import Lattice, ScalarSpectralField, VelocityField, _spectral
-from .fields import full_spectrum, half_spectrum
+from .fields import Lattice, ScalarSpectralField, VelocityField, _iter_product, _spectral
+from .fields import full_spectrum
 
 __all__ = ["SnapshotFormatError", "write_snapshot", "read_snapshot", "MAGIC"]
 
@@ -65,8 +65,13 @@ def read_snapshot(path):
         if ncomp not in (1, 3):
             raise SnapshotFormatError(f"component count must be 1 or 3, got {ncomp}")
         lattice = Lattice(int(n), float(period))
-        count = n**3
-        stack = np.empty((ncomp, n, n, n // 2 + 1), dtype=np.complex128)
+        count, h = n**3, n // 2
+        stack = np.empty((ncomp, n, n, h + 1), dtype=np.complex128)
+        # (half-layout, centered) slice pairs: the centered m < 0 and m >= 0
+        # halves trade places, and the last axis keeps m_3 >= 0 and puts
+        # m_3 = -n/2 at its Nyquist index
+        swap = ((slice(None, h), slice(h, None)), (slice(h, None), slice(None, h)))
+        last = ((slice(None, h), slice(h, None)), (slice(h, None), slice(None, 1)))
         for i in range(ncomp):
             data = np.fromfile(fh, dtype="<c16", count=count)
             if data.size != count:
@@ -75,7 +80,9 @@ def read_snapshot(path):
                 )
             if not np.isfinite(data).all():
                 raise ValueError("coefficients contain non-finite values")
-            stack[i] = half_spectrum(np.fft.ifftshift(data.reshape((n, n, n))))
+            cube = data.reshape((n, n, n))
+            for (d0, c0), (d1, c1), (d2, c2) in _iter_product(swap, swap, last):
+                stack[i, d0, d1, d2] = cube[c0, c1, c2]
         if fh.read(1):
             raise SnapshotFormatError(
                 f"bytes left after {ncomp} components of n={n}; header and payload disagree"

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 import scipy.fft
 
 from conftest import transport_oracle
+from nsvlab import products, sim
 from nsvlab.fields import (
     Lattice,
     NonzeroMeanError,
@@ -46,6 +50,13 @@ from nsvlab.trajectory import Trajectory, TrajectorySample
 
 def stack_of(u: VelocityField) -> np.ndarray:
     return u.coefficient_stack()
+
+
+@pytest.fixture(params=[True, False], ids=["worker", "one-cpu"])
+def two_cpus(request, monkeypatch):
+    """Samples and kernel tasks with the worker thread, and inline on one CPU."""
+    monkeypatch.setattr(products, "_two_cpus", lambda: request.param)
+    return request.param
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +523,112 @@ def test_hooks_see_every_sample(lat16):
     assert [s for s, _ in seen] == [0, 1, 2, 3]
 
 
+def test_hooks_run_one_at_a_time_in_sample_order(lat16, two_cpus):
+    seen, threads, busy = [], set(), []
+
+    def hook(name):
+        def record(sample, state):
+            assert not busy, "two hooks ran at once"
+            busy.append(name)
+            time.sleep(0.01)
+            seen.append((name, sample.step_index))
+            threads.add(threading.current_thread().name)
+            busy.clear()
+
+        return record
+
+    config = SolverConfig(nu=0.1, dt=0.01, t_end=0.03)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        traj = integrate(taylor_green(lat16), config, hooks=[hook("a"), hook("b")])
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [(name, i) for i in range(4) for name in "ab"]
+    assert [s.step_index for s in traj.samples] == [0, 1, 2, 3]
+    on_the_worker = any(name.startswith("nsvlab-transforms") for name in threads)
+    assert on_the_worker == two_cpus
+
+
+def test_a_hook_error_comes_out_of_integrate_and_stops_the_hooks(lat16, two_cpus):
+    calls = []
+
+    def failing(sample, state):
+        calls.append(("failing", sample.step_index))
+        if sample.step_index == 1:
+            raise OSError("disk full")
+
+    def after(sample, state):
+        calls.append(("after", sample.step_index))
+
+    config = SolverConfig(nu=0.1, dt=0.01, t_end=0.05)
+    with pytest.raises(OSError, match="disk full"):
+        integrate(taylor_green(lat16), config, hooks=[failing, after])
+    time.sleep(0.05)  # a sample left running would add calls here
+    assert calls == [("failing", 0), ("after", 0), ("failing", 1)]
+
+
+def test_a_kernel_error_leaves_no_sample_pending(lat16, two_cpus, monkeypatch):
+    original = sim._flux_divergence
+    kernel_calls, seen = [], []
+
+    def failing_at_step_two(*args, **kwargs):
+        kernel_calls.append(None)
+        if len(kernel_calls) == 2:
+            raise RuntimeError("kernel failed")
+        return original(*args, **kwargs)
+
+    def slow(sample, state):
+        time.sleep(0.02)
+        seen.append(sample.step_index)
+
+    monkeypatch.setattr(sim, "_flux_divergence", failing_at_step_two)
+    config = SolverConfig(nu=0.1, dt=0.01, t_end=0.05, integrator="imex")
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        integrate(taylor_green(lat16), config, hooks=[slow])
+    after_the_error = list(seen)
+    assert after_the_error in ([0], [0, 1])  # sample 1 runs to its end or not at all
+    # the worker is free: a plan through it completes, and no hook runs later
+    result = []
+    caller = threading.Thread(
+        target=lambda: result.extend(products._alternately([lambda: 1, lambda: 2, lambda: 3])),
+        daemon=True,
+    )
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert result == [1, 2, 3]
+    time.sleep(0.05)
+    assert seen == after_the_error
+
+
+@pytest.mark.parametrize("plane", ["negative zero", "nonzero"])
+@pytest.mark.parametrize("dealias", DEALIAS_RULES)
+def test_first_sample_holds_the_solver_stack_bit_for_bit(lat16, two_cpus, dealias, plane):
+    # a Nyquist plane that holds -0.0 is rewritten to +0.0 under the
+    # three-halves rule, as a nonzero one is zeroed; under the two-thirds
+    # rule the run starts from u0's own coefficients
+    half = lat16.n // 2
+    stack = stack_of(taylor_green(lat16))
+    if plane == "negative zero":
+        stack[:, half] = -0.0
+    else:
+        stack[0, half, 1, 2] = 0.01  # m_1 = -8: no derivative, no divergence
+    u0 = VelocityField(tuple(ScalarSpectralField(lat16, c) for c in stack))
+    assert np.signbit(u0._stack.real[:, half]).all() == (plane == "negative zero")
+    first = []
+    config = SolverConfig(nu=0.1, dt=0.01, t_end=0.01, dealias=dealias)
+    integrate(u0, config, hooks=[lambda sample, state: first.append(state.u)])
+    if dealias == "three-halves":
+        expected = u0._stack.copy()
+        expected[:, half] = expected[:, :, half] = expected[:, :, :, half] = 0.0
+        assert not np.signbit(first[0]._stack.real[:, half]).any()
+        assert first[0]._stack.tobytes() == expected.tobytes()
+        assert first[0]._stack is not u0._stack
+    else:
+        assert first[0]._stack is u0._stack
+
+
 @pytest.mark.parametrize("dealias", DEALIAS_RULES)
 def test_sample_norms_equal_full_report_of_the_hook_state(random16, dealias):
     pairs = []
@@ -527,18 +644,23 @@ def test_sample_norms_equal_full_report_of_the_hook_state(random16, dealias):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_scheme_blowup_marks_trajectory_failed(lat16):
+def test_scheme_blowup_marks_trajectory_failed(lat16, monkeypatch):
     violent = taylor_green(lat16) * 80.0
     config = SolverConfig(nu=0.01, dt=0.5, t_end=5.0)
-    traj = integrate(violent, config)
-    assert traj.failed
-    assert "non-finite" in traj.failure_reason
-    assert len(traj.samples) >= 1
-    assert traj.samples[0].t == 0.0
-    # sampled states have finite coefficients; norms may overflow to inf
-    # on the way out but are never NaN
-    for s in traj.samples:
-        assert not math.isnan(s.norms.l2)
+    for two_cpus in (True, False):  # samples on the worker, and in place
+        monkeypatch.setattr(products, "_two_cpus", lambda two_cpus=two_cpus: two_cpus)
+        traj = integrate(violent, config)
+        assert traj.failed
+        assert "non-finite" in traj.failure_reason
+        assert len(traj.samples) >= 1
+        assert traj.samples[0].t == 0.0
+        # every step before the blow-up was sampled
+        assert [s.step_index for s in traj.samples] == list(range(len(traj.samples)))
+        assert f"after step {len(traj.samples)} " in traj.failure_reason
+        # sampled states have finite coefficients; norms may overflow to inf
+        # on the way out but are never NaN
+        for s in traj.samples:
+            assert not math.isnan(s.norms.l2)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,10 +1,11 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from nsvlab.fields import ScalarSpectralField, VelocityField, random_band_limited
+from nsvlab.fields import ScalarSpectralField, VelocityField, half_spectrum, random_band_limited
 from nsvlab.norms import NormReport
 from nsvlab.snapshot import (
     MAGIC,
@@ -332,3 +333,17 @@ def test_snapshot_rejects_bytes_after_the_payload(tmp_path, lat16):
     trailing.write_bytes(raw + b"\0")
     with pytest.raises(SnapshotFormatError, match="bytes left"):
         read_snapshot(trailing)
+
+
+@pytest.mark.parametrize("components", [1, 3])
+@pytest.mark.parametrize("n", [8, 10, 16, 32, 64])
+def test_snapshot_read_is_the_unshifted_half_of_the_payload(tmp_path, n, components):
+    # every coefficient is set, the Nyquist planes included, and some hold -0.0
+    rng = np.random.default_rng(n + components)
+    cubes = rng.standard_normal((components, n, n, n, 2)).view(np.complex128)[..., 0]
+    cubes[:, 0, :2] = -0.0
+    path = tmp_path / "centered.nsv"
+    header = struct.pack("<8sIIIId", MAGIC, 1, components, n, 0, 2.0 * math.pi)
+    path.write_bytes(header + cubes.astype("<c16").tobytes())
+    expected = np.stack([half_spectrum(np.fft.ifftshift(cube)) for cube in cubes])
+    assert read_snapshot(path)._stack.tobytes() == expected.tobytes()
