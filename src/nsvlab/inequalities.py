@@ -34,13 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
 from .fields import Lattice, VelocityField, _restrict, _shell_sums, random_band_limited
 from .norms import _moments, _radial_weight, _shell_fsum
 from .norms import band_constant, l2_norm, leilin_norm, sobolev_norm
-from .products import _flux_divergence, _one_ahead, _padded
+from .products import _behind, _flux_divergence, _padded
 
 __all__ = [
     "CONSTANT_MODES",
@@ -454,11 +455,12 @@ class CorpusField:
 def corpus_fields(lattice: Lattice, config: CorpusConfig = CorpusConfig()):
     """Yield the corpus in index order (deterministic for a fixed config).
 
-    Each field is drawn as it is asked for; on two or more CPUs the next
-    one is drawn on the transform worker thread while the caller holds this
-    one.  A draw is a pure function of its seed, so the fields do not
-    depend on the thread, and an error in a draw comes out where that field
-    is asked for.
+    Field 0 is drawn here; once field i has come back, draw i + 1 is queued
+    :func:`_behind` the worker while the caller holds field i, and the
+    caller draws it if the worker has not started it (on one CPU it is
+    drawn at once).  A draw is a pure function of its seed, so the fields
+    do not depend on the thread, and an error in a draw comes out where
+    that field is asked for.
     """
     kmax = config.resolved_kmax(lattice)
 
@@ -472,7 +474,16 @@ def corpus_fields(lattice: Lattice, config: CorpusConfig = CorpusConfig()):
             field=random_band_limited(lattice, config.kmin, kmax, decay, seed),
         )
 
-    yield from _one_ahead([lambda i=i: draw(i) for i in range(config.size)])
+    pending = None
+    try:
+        for i in range(config.size):
+            field = draw(i) if pending is None else pending()
+            if i + 1 < config.size:
+                pending = _behind(partial(draw, i + 1))
+            yield field
+    finally:
+        if pending is not None:
+            pending.cancel()
 
 
 REGISTERED_CHECKS = {

@@ -27,10 +27,10 @@ back, touching only the lines that hold a label.  The kernel's transforms
 form one plan: the factors' grids, then the products, each of which waits
 only for its own two grids.  The lab's plan lists the six symmetric
 products u_i u_j; the solver's lists five trace-free ones, which the
-projection of its term does not tell apart.  On two or more CPUs every
-second task runs on one worker thread, the caller runs any the worker has
-not started, and the results are summed in a fixed order, so the bytes do
-not depend on the thread that formed them.
+projection of its term does not tell apart.  Every second task is queued
+behind one worker thread's queue and the caller runs any the worker has not
+started (on one CPU they run at once); the results are summed in a fixed
+order, so the bytes do not depend on the thread that formed them.
 """
 
 from __future__ import annotations
@@ -318,21 +318,18 @@ def _alternately(tasks: list) -> list:
     """The results of callables, in order.
 
     Each task runs once, on the first thread that asks for it (a
-    :class:`_Once`).  Where :func:`_two_cpus` allows, every second task is
-    queued on the worker thread as one job, the caller starts the others,
-    then asks for every result in order, so it runs any task the worker has
-    not started.  A task may call a :class:`_Once` that other tasks share
-    (a sum its products, a product its grids): it runs there unless a
-    thread has claimed it, else it is waited for.  Each shared task waits
-    only for tasks a level below it, so two threads never wait for each
-    other.  A task's result does not depend on the thread that runs it.
+    :class:`_Once`).  One job, queued :func:`_behind` the worker (on one
+    CPU, run at once), starts every second task and the caller the others;
+    the caller then asks for every result in order, so it runs any task the
+    worker has not started, and cancels the job.  A task may call a
+    :class:`_Once` that other tasks share (a sum its products, a product
+    its grids): it runs there unless a thread has claimed it, else it is
+    waited for.  Each shared task waits only for tasks a level below it, so
+    two threads never wait for each other, and no result depends on the
+    thread that formed it.
     """
     cells = [_Once(task) for task in tasks]
-    if len(cells) < 2 or not _two_cpus():
-        return [cell() for cell in cells]
-    import os
-
-    job = _worker(os.getpid()).submit(_started, cells[1::2])
+    job = _behind(partial(_started, cells[1::2]))
     try:
         _started(cells[::2])
         return [cell() for cell in cells]
@@ -340,36 +337,12 @@ def _alternately(tasks: list) -> list:
         job.cancel()
 
 
-def _one_ahead(tasks: list):
-    """Yield the results of independent callables, in order.
-
-    Where :func:`_two_cpus` allows, task k + 1 is started on the worker
-    thread while the caller holds result k, and the caller runs it itself
-    if the worker has not started it when its result is asked for (a
-    :class:`_Once`).  An error in a task comes out where its result is
-    asked for.
-    """
-    if len(tasks) < 2 or not _two_cpus():
-        yield from (task() for task in tasks)
-        return
-    import os
-
-    worker, cells, future = _worker(os.getpid()), [_Once(task) for task in tasks], None
-    try:
-        for k, cell in enumerate(cells):
-            result = cell()
-            future = worker.submit(cells[k + 1].start) if k + 1 < len(cells) else None
-            yield result
-    finally:
-        if future is not None:
-            future.cancel()
-
-
 def _behind(task) -> _Once:
-    """``task`` as a :class:`_Once`, queued on the worker thread where
-    :func:`_two_cpus` allows, else run here at once.  The caller asks for
-    its result later, and runs it then if the worker has not started it;
-    an error in the task comes out there."""
+    """``task`` as a :class:`_Once`, queued behind the worker thread's queue
+    where :func:`_two_cpus` allows, else run here at once: the package's one
+    way onto the worker.  The caller asks for its result later, and runs it
+    then if the worker has not started it; an error in the task comes out
+    there.  :meth:`_Once.cancel` drops it if unclaimed, or waits for it."""
     cell = _Once(task)
     if _two_cpus():
         import os

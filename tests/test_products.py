@@ -10,7 +10,7 @@ import pytest
 import scipy.fft
 from scipy.signal import convolve
 
-from nsvlab import fields, products
+from nsvlab import fields, inequalities, products
 from nsvlab.fields import (
     Lattice,
     ScalarSpectralField,
@@ -21,12 +21,14 @@ from nsvlab.fields import (
     to_physical,
 )
 from nsvlab.inequalities import (
+    CorpusConfig,
     _commutator,
     _fractional_laplacian,
     _padded_pairing,
     advection_cancellation,
     commutator_l2,
     commutator_report,
+    corpus_fields,
     trilinear_hs,
 )
 from nsvlab.products import (
@@ -353,11 +355,16 @@ def test_flux_divergence_is_the_same_when_the_worker_grids_are_late(random16, mo
     assert [a.tobytes() for a in result] == [a.tobytes() for a in serial]
 
 
+def settle():
+    """Wait until the worker thread has reached every task queued on it."""
+    products._worker(os.getpid()).submit(int).result(timeout=60)
+
+
 def test_a_worker_task_error_comes_out_of_the_kernel(random16, monkeypatch):
     monkeypatch.setattr(products, "_two_cpus", lambda: True)
     expected = flux_divergences(random16)
-    original = products._product_coefficients
-    on_the_worker = threading.Event()
+    original, summed = products._product_coefficients, products._summed
+    on_the_worker, worker_sums = threading.Event(), []
 
     def failing_on_the_worker(*args):
         if threading.current_thread() is threading.main_thread():
@@ -368,11 +375,23 @@ def test_a_worker_task_error_comes_out_of_the_kernel(random16, monkeypatch):
         on_the_worker.set()
         raise RuntimeError("worker task failed")
 
+    def slow_on_the_worker(*args):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)  # the worker is still busy when the error comes out
+            worker_sums.append(None)
+        return summed(*args)
+
     monkeypatch.setattr(products, "_product_coefficients", failing_on_the_worker)
+    monkeypatch.setattr(products, "_summed", slow_on_the_worker)
     with pytest.raises(RuntimeError, match="worker task failed"):
         flux_divergences(random16)
     assert on_the_worker.is_set()
+    # the plan's job, claimed by the worker, was waited for: none of it runs later
+    ran = len(worker_sums)
+    settle()
+    assert ran >= 1 and len(worker_sums) == ran
     monkeypatch.setattr(products, "_product_coefficients", original)
+    monkeypatch.setattr(products, "_summed", summed)
     again = flux_divergences(random16)
     assert [a.tobytes() for a in again] == [a.tobytes() for a in expected]
 
@@ -389,19 +408,59 @@ def recorded_tasks(count):
     return [partial(task, k) for k in range(count)], threads
 
 
-@pytest.mark.parametrize("generator", [products._alternately, products._one_ahead])
-def test_the_caller_takes_worker_tasks_that_have_not_started(generator, monkeypatch):
+def recorded_draws(monkeypatch, failing=None):
+    """Make each corpus draw return its seed after a short wait, and draw
+    ``failing`` raise; the returned dict maps each seed to the thread that
+    drew it, once the draw has ended."""
+    threads = {}
+
+    def draw(lattice, kmin, kmax, decay, seed):
+        time.sleep(0.01)
+        threads[seed] = threading.current_thread()
+        if seed == failing:
+            raise RuntimeError("draw failed")
+        return seed
+
+    monkeypatch.setattr(inequalities, "random_band_limited", draw)
+    return threads
+
+
+def corpus(size):
+    """The corpus of ``size`` fields whose seeds are their indices."""
+    return corpus_fields(Lattice(8), CorpusConfig(size=size, base_seed=0))
+
+
+@pytest.mark.parametrize("runner", ["_alternately", "corpus_fields"])
+def test_the_caller_takes_worker_tasks_that_have_not_started(runner, monkeypatch):
     monkeypatch.setattr(products, "_two_cpus", lambda: True)
+    jobs, started = [], products._started
+
+    def recorded_started(cells):  # records the threads that start a job of _alternately
+        jobs.append(threading.current_thread())
+        started(cells)
+
+    monkeypatch.setattr(products, "_started", recorded_started)
+    if runner == "_alternately":
+        tasks, threads = recorded_tasks(7)
+        run = partial(products._alternately, tasks)
+    else:
+        threads = recorded_draws(monkeypatch)
+
+        def run():
+            return [entry.field for entry in corpus(7)]
+
     release = threading.Event()
     blocker = products._worker(os.getpid()).submit(release.wait, 60)
     try:
-        tasks, threads = recorded_tasks(7)
-        assert list(generator(tasks)) == list(range(7))
+        assert run() == list(range(7))
     finally:
         release.set()
     assert blocker.result(timeout=60)
-    # the worker was busy throughout, so no task queued on it started there
+    settle()
+    # the worker was busy throughout, so no task queued on it started there,
+    # and the job it had not started was dropped
     assert threads == {k: threading.current_thread() for k in range(7)}
+    assert all(thread is threading.current_thread() for thread in jobs)
 
 
 def test_a_shared_task_runs_once_however_the_threads_interleave(monkeypatch):
@@ -440,21 +499,49 @@ def test_a_shared_task_runs_once_however_the_threads_interleave(monkeypatch):
     assert failures == []
 
 
-def test_a_task_error_comes_out_where_its_result_is_asked_for(monkeypatch):
-    monkeypatch.setattr(products, "_two_cpus", lambda: True)
-    started = threading.Event()
-
-    def failing():
-        started.set()
-        raise RuntimeError("draw failed")
-
-    tasks, threads = recorded_tasks(3)
-    results = products._one_ahead([tasks[0], failing, tasks[2]])
-    assert next(results) == 0
-    assert started.wait(timeout=60)  # task 1 runs on the worker meanwhile
+@pytest.mark.parametrize("two_cpus", [True, False], ids=["worker", "one-cpu"])
+def test_a_draw_error_comes_out_where_its_field_is_asked_for(two_cpus, monkeypatch):
+    monkeypatch.setattr(products, "_two_cpus", lambda: two_cpus)
+    threads = recorded_draws(monkeypatch, failing=1)
+    fields = corpus(3)
+    assert next(fields).field == 0
+    settle()  # draw 1 fails meanwhile, on the worker where there is one
+    assert (threads[1] is not threading.current_thread()) == two_cpus
     with pytest.raises(RuntimeError, match="draw failed"):
-        next(results)
-    assert list(threads) == [0]
+        next(fields)
+    settle()
+    assert list(threads) == [0, 1]  # draw 2 never runs
+
+
+@pytest.mark.parametrize("two_cpus", [True, False], ids=["worker", "one-cpu"])
+def test_an_empty_corpus_draws_nothing(two_cpus, monkeypatch):
+    monkeypatch.setattr(products, "_two_cpus", lambda: two_cpus)
+    threads = recorded_draws(monkeypatch)
+    assert list(corpus(0)) == []
+    settle()
+    assert threads == {}
+
+
+def test_a_closed_corpus_leaves_no_draw_behind(monkeypatch):
+    monkeypatch.setattr(products, "_two_cpus", lambda: True)
+    threads = recorded_draws(monkeypatch)
+    fields = corpus(5)
+    assert [next(fields).field for _ in range(2)] == [0, 1]
+    fields.close()
+    drawn = set(threads)
+    assert drawn in ({0, 1}, {0, 1, 2})  # draw 2 runs to its end or not at all
+    # the worker is free: a plan through it completes, and no draw runs later
+    result = []
+    caller = threading.Thread(
+        target=lambda: result.extend(products._alternately([lambda: 1, lambda: 2, lambda: 3])),
+        daemon=True,
+    )
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert result == [1, 2, 3]
+    settle()
+    assert set(threads) == drawn
 
 
 LAB_CASES = [  # n, kmax, seed, roundoff on a Nyquist plane, support and product lattice sizes
