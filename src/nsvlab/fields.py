@@ -439,57 +439,41 @@ def full_spectrum(half: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _blocks(n_small: int, n_big: int, half: bool):
-    """(small, big) index pairs of the blocks holding the modes two sizes share.
+def _resized(c: np.ndarray, m: int, half: bool) -> np.ndarray:
+    """Coefficients on the last three axes embedded into, or cropped to, an
+    m-point lattice, in c's dtype; leading axes (a component stack) are
+    carried through.
 
-    Full layout: 8 corner blocks, every label of the small lattice.  Half
-    layout: 4 blocks with m_3 >= 0, and the Nyquist planes of an even small
-    lattice are left out (their partner labels would be distinct modes on
-    the big one).
+    The labels the two sizes share are copied (:func:`_kept`).  Full
+    layout: every label of the smaller lattice.  Half layout: the m_3 >= 0
+    labels, and the Nyquist planes of an even smaller lattice are left out
+    (their partner labels would be distinct modes on the larger one).
     """
-    lead = (n_small + 1) // 2  # labels 0..lead-1 lead each axis
-    trail = (n_small - 1) // 2 if half else n_small // 2  # the negative ones trail
-    axis = (
-        (slice(0, lead), slice(0, lead)),
-        (slice(n_small - trail, n_small), slice(n_big - trail, n_big)),
-    )
+    n = c.shape[-3]
+    small = min(n, m)
+    lead = (small + 1) // 2  # labels 0..lead-1 lead each axis
+    axis = _kept(lead, n, m, tail=lead - 1 if half else small // 2)
+    out = np.zeros(c.shape[:-3] + (m, m, m // 2 + 1 if half else m), dtype=c.dtype)
     for pairs in _iter_product(axis, axis, axis[:1] if half else axis):
-        yield tuple(zip(*pairs))
-
-
-def _embed(c: np.ndarray, n_big: int, half: bool) -> np.ndarray:
-    """Coefficients on the last three axes embedded into n_big; leading
-    axes (a component stack) are carried through."""
-    n = c.shape[-3]
-    if n_big < n:
-        raise ValueError(f"cannot embed n={n} into smaller n_pad={n_big}")
-    out = np.zeros(c.shape[:-3] + (n_big, n_big, n_big // 2 + 1 if half else n_big),
-                   dtype=np.complex128)
-    for small, big in _blocks(n, n_big, half):
-        out[(..., *big)] = c[(..., *small)]
-    return out
-
-
-def _restrict(c: np.ndarray, n_small: int, half: bool) -> np.ndarray:
-    """Coefficients on the last three axes cropped to n_small, as :func:`_embed`."""
-    n = c.shape[-3]
-    if n_small > n:
-        raise ValueError(f"cannot restrict n={n} to larger n_small={n_small}")
-    out = np.zeros(c.shape[:-3] + (n_small, n_small, n_small // 2 + 1 if half else n_small),
-                   dtype=c.dtype)
-    for small, big in _blocks(n_small, n, half):
-        out[(..., *small)] = c[(..., *big)]
+        source, target = zip(*pairs)
+        out[(..., *target)] = c[(..., *source)]
     return out
 
 
 def embed_coefficients(c: np.ndarray, n_pad: int) -> np.ndarray:
     """Embed fft-layout coefficients into a larger lattice (zero padding)."""
-    return _embed(c, n_pad, half=False)
+    n = c.shape[-3]
+    if n_pad < n:
+        raise ValueError(f"cannot embed n={n} into smaller n_pad={n_pad}")
+    return _resized(c.astype(np.complex128, copy=False), n_pad, half=False)
 
 
 def restrict_coefficients(c: np.ndarray, n_small: int) -> np.ndarray:
     """Crop fft-layout coefficients to a smaller lattice (mode truncation)."""
-    return _restrict(c, n_small, half=False)
+    n = c.shape[-3]
+    if n_small > n:
+        raise ValueError(f"cannot restrict n={n} to larger n_small={n_small}")
+    return _resized(c, n_small, half=False)
 
 
 def to_grid(c: np.ndarray, n_grid: int) -> np.ndarray:
@@ -562,11 +546,12 @@ def _block_product(a, b, c=None, d=None) -> np.ndarray:
     return product
 
 
-def _kept(lead: int, m_from: int, m_to: int):
-    """(from, to) slice pairs of the labels 0..lead-1 and -(lead-1)..-1 on an
+def _kept(lead: int, m_from: int, m_to: int, tail: int | None = None):
+    """(from, to) slice pairs of the labels 0..lead-1 and -tail..-1 on an
     m_from-point and an m_to-point fft-layout axis: the labels an embed
-    fills and a truncation keeps (no Nyquist label)."""
-    tail = lead - 1
+    fills and a truncation keeps, by default with no Nyquist label (tail
+    lead - 1)."""
+    tail = lead - 1 if tail is None else tail
     return (
         (slice(0, lead), slice(0, lead)),
         (slice(m_from - tail, m_from), slice(m_to - tail, m_to)),

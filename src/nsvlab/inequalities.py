@@ -38,7 +38,7 @@ from functools import partial
 
 import numpy as np
 
-from .fields import Lattice, VelocityField, _restrict, _shell_sums, random_band_limited
+from .fields import Lattice, VelocityField, _resized, _shell_sums, random_band_limited
 from .norms import _moments, _radial_weight, _shell_fsum
 from .norms import band_constant, l2_norm, leilin_norm, sobolev_norm
 from .products import _behind, _flux_divergence, _padded
@@ -383,9 +383,9 @@ def commutator_report(f: VelocityField, s: float) -> dict[str, float]:
     hs = sobolev_norm(f, s)
     x1 = leilin_norm(f, 1.0)
     support, product, f_sup, g_sup, transported, second = _commutator_products(f, s)
-    tri = _padded_pairing(_restrict(transported, support.n, half=True), f_sup, support, 2.0 * s)
+    tri = _padded_pairing(_resized(transported, support.n, half=True), f_sup, support, 2.0 * s)
     comm = _commutator(transported, second, product, s)
-    cancel = _padded_pairing(_restrict(second, support.n, half=True), g_sup, support, 0.0)
+    cancel = _padded_pairing(_resized(second, support.n, half=True), g_sup, support, 0.0)
     tiny = 1e-300
     return {
         "s": s,
@@ -437,6 +437,10 @@ class CorpusConfig:
     kmax: float | None = None  # default: k_unit * n/4
     decays: tuple[float, ...] = (1.0, 2.0, 3.0)
     base_seed: int = 2024
+
+    def __post_init__(self) -> None:
+        if not self.decays:
+            raise ValueError(f"a corpus needs a spectral decay, got decays={self.decays!r}")
 
     def resolved_kmax(self, lattice: Lattice) -> float:
         if self.kmax is not None:
@@ -550,6 +554,8 @@ def equality_probe(
         raise ValueError(f"unknown inequality {name!r}; known: {sorted(REGISTERED_CHECKS)}")
     check = REGISTERED_CHECKS[name]
     config = corpus or CorpusConfig(size=20)
+    if config.size < 1:
+        raise ValueError(f"equality_probe needs a nonempty corpus, got corpus size {config.size}")
     ratios = []
     best_field = None
     best_ratio = -math.inf

@@ -23,14 +23,16 @@ and the inequality lab's trilinear and commutator forms, and
 Each factor enters as its field's stack cropped to its support lattice, the
 smallest that holds its nonzero labels below the Nyquist planes; the
 transform pair embeds it on the product grid and truncates each product
-back, touching only the lines that hold a label.  The kernel's transforms
-form one plan: the factors' grids, then the products, each of which waits
-only for its own two grids.  The lab's plan lists the six symmetric
-products u_i u_j; the solver's lists five trace-free ones, which the
-projection of its term does not tell apart.  Every second task is queued
-behind one worker thread's queue and the caller runs any the worker has not
-started (on one CPU they run at once); the results are summed in a fixed
-order, so the bytes do not depend on the thread that formed them.
+back, touching only the lines that hold a label.  The kernel builds one
+plan of :class:`_Once` cells: the factors' grids, then the products, each
+of which waits only for its own two grids, then one sum per output row.
+The lab's plan lists the six symmetric products u_i u_j; the solver's
+lists five trace-free ones, which the projection of its term does not tell
+apart.  :func:`_alternately` queues every second cell behind one worker
+thread's queue and the caller runs any the worker has not started (on one
+CPU they run at once), then waits for every cell in plan order, so an
+error in any of them comes out of the kernel; the results are summed in a
+fixed order, so the bytes do not depend on the thread that formed them.
 """
 
 from __future__ import annotations
@@ -42,10 +44,10 @@ import numpy as np
 from .fields import (
     Lattice,
     ScalarSpectralField,
-    _embed,
+    VelocityField,
     _grid_blocks,
     _product_coefficients,
-    _restrict,
+    _resized,
     _spectral,
     _support,
     embed_coefficients,
@@ -141,42 +143,63 @@ def _flux_divergence(
 
     u is a (3, n, n, n//2+1) stack and each g an (m, n, n, n//2+1) stack.
     The factors are sampled on an n_grid^3 grid (n, or the size of the
-    product lattice of ``_padded`` for exact products); each product the
-    plan of :func:`_product_tasks` lists is transformed once, truncated to
-    lattice_out (the n-point lattice, or the support or product lattice of
-    ``_padded``), and component i of the result is sum_j d_j(u_j g_i).
-    For g = u the six symmetric products are shared.  For divergence-free
-    u this is u . grad(g).
+    product lattice of ``_padded`` for exact products); each distinct
+    product u_j g_i is transformed once, truncated to lattice_out (the
+    n-point lattice, or the support or product lattice of ``_padded``),
+    and component i of the result is sum_j d_j(u_j g_i).  For g = u the
+    six symmetric products are shared.  For divergence-free u this is
+    u . grad(g).
 
     With ``trace_free`` (the solver's term), a g that is u is transported
-    by the trace-free products instead: the diagonal u_i u_i becomes
-    u_i^2 - u_2^2 and u_2^2 is not formed, so five products give
-    div(u (x) u) - grad(u_2^2), which the Leray projection maps to the
+    by the trace-free products of :data:`_TRACE_FREE` instead: the diagonal
+    u_i u_i becomes u_i^2 - u_2^2 and u_2^2 is not formed, so five products
+    give div(u (x) u) - grad(u_2^2), which the Leray projection maps to the
     same field.
 
-    One plan runs through :func:`_alternately`: the grids, the products,
-    each waiting only for its own grids, and one sum per component, which
-    waits only for its own products and writes one row of a new stack.
-    Each sum is taken in the order above, so the bytes do not depend on
-    which thread ran which task.
+    One plan of :class:`_Once` cells runs through :func:`_alternately`: a
+    grid per factor component, the products in the order their sums first
+    need them (or in the order of :data:`_TRACE_FREE`), each waiting only
+    for its own grids, and one sum per component, which waits only for its
+    own products and writes one row of a new stack.  A grid is dropped once
+    its last product has taken it, and a product once its last sum has, so
+    no grid outlives its products.  Each sum is taken in the order above,
+    so the bytes do not depend on which thread ran which task.
     """
     if len(u) != 3:
         raise TypeError(f"the transporting field must be a velocity, got {len(u)} component(s)")
     n_out = lattice_out.n
     kd = lattice_out._half.k_deriv
-    grids, products = _product_tasks(u, gs, n_grid, n_out, trace_free)
-    out, sums = [], []
+    stacks = [u] + [g for g in gs if g is not u]
+    grids = [_Once(partial(_grid_blocks, c, n_grid), uses=0) for s in stacks for c in s]
+    u_grids, own = grids[:3], iter(grids[3:])
+
+    def product(*cells) -> _Once:
+        for cell in cells:
+            cell.uses += 1
+        return _Once(partial(_product, cells, n_out), uses=0)
+
+    products, sums, out = {}, [], []
     for k, g in enumerate(gs):
+        free = trace_free and g is u
+        if free:
+            for i, j in _TRACE_FREE:
+                diagonal = (u_grids[2], u_grids[2]) if i == j else ()
+                products[k, i, j] = product(u_grids[i], u_grids[j], *diagonal)
+        g_grids = u_grids if g is u else [next(own) for _ in g]
         div = np.empty((len(g), n_out, n_out, n_out // 2 + 1), dtype=np.complex128)
         for i in range(len(g)):
-            keys = [(k, min(i, j), max(i, j)) if g is u else (k, i, j) for j in range(3)]
-            # only the trace-free u_2 u_2 is not in the plan
-            terms = [(kd[j], products[key]) for j, key in enumerate(keys) if key in products]
-            for _, product in terms:
-                product.uses += 1
-            sums.append(partial(_summed, div[i], terms))
+            terms = []
+            for j in range(3):
+                key = (k, min(i, j), max(i, j)) if g is u else (k, i, j)
+                if key not in products:
+                    if free:
+                        continue  # only the trace-free u_2 u_2 is not in the plan
+                    products[key] = product(u_grids[j], g_grids[i])
+                products[key].uses += 1
+                terms.append((kd[j], products[key]))
+            sums.append(_Once(partial(_summed, div[i], terms)))
         out.append(div)
-    _alternately([cell.start for cell in [*grids, *products.values()]] + sums)
+    _alternately([*grids, *products.values(), *sums])
     return out
 
 
@@ -196,40 +219,6 @@ def _summed(total: np.ndarray, terms) -> None:
 # second task runs on the caller: the grids of u_0 and u_2 and the products
 # that need only them, so the caller forms its products without waiting
 _TRACE_FREE = ((0, 1), (0, 0), (1, 1), (0, 2), (1, 2))
-
-
-def _product_tasks(u: np.ndarray, gs, n_grid: int, n_out: int, trace_free: bool = False):
-    """The grids and products of :func:`_flux_divergence`'s plan, each a
-    :class:`_Once`: one grid per factor component, and a dict of one product
-    per distinct pair, keyed (k, i, j) for u_j g_i of gs[k] (i <= j where g
-    is u), in the order their sums first need them, or in the order of
-    :data:`_TRACE_FREE`.
-
-    A product takes its factors' grids from their :class:`_Once`, which
-    drops a grid once its last product has taken it, so a grid is freed
-    when its last product is formed.  The products' ``uses`` are left for
-    their sums to count.
-    """
-    stacks = [u] + [g for g in gs if g is not u]
-    grids = [_Once(partial(_grid_blocks, c, n_grid), uses=0) for s in stacks for c in s]
-    u_grids, own = grids[:3], iter(grids[3:])
-    factors = {}
-    for k, g in enumerate(gs):
-        if g is u and trace_free:
-            for i, j in _TRACE_FREE:
-                diagonal = (u_grids[2], u_grids[2]) if i == j else ()
-                factors[k, i, j] = (u_grids[i], u_grids[j], *diagonal)
-            continue
-        g_grids = u_grids if g is u else [next(own) for _ in g]
-        for i in range(len(g)):
-            for j in range(3):
-                key = (k, min(i, j), max(i, j)) if g is u else (k, i, j)
-                factors.setdefault(key, (u_grids[j], g_grids[i]))
-    for cells in factors.values():
-        for cell in cells:
-            cell.uses += 1
-    products = {key: _Once(partial(_product, cells, n_out), uses=0) for key, cells in factors.items()}
-    return grids, products
 
 
 def _product(cells, n_out: int) -> np.ndarray:
@@ -295,6 +284,15 @@ class _Once:
         with self._lock:
             self._task = None
 
+    def wait(self) -> None:
+        """Run the task here unless a thread has claimed it, else wait for
+        that run; raise its error.  Not a use: the result is kept for the
+        calls that count."""
+        with self._lock:
+            self._run()
+        if self._error is not None:  # set only by the run, which has ended
+            raise self._error
+
     def __call__(self):
         """The task's result, run here unless a thread has claimed it."""
         with self._lock:
@@ -314,25 +312,26 @@ def _started(cells) -> None:
         cell.start()
 
 
-def _alternately(tasks: list) -> list:
-    """The results of callables, in order.
+def _alternately(cells: list) -> None:
+    """Run every :class:`_Once` of ``cells``, and raise the first error in
+    their order.
 
-    Each task runs once, on the first thread that asks for it (a
-    :class:`_Once`).  One job, queued :func:`_behind` the worker (on one
-    CPU, run at once), starts every second task and the caller the others;
-    the caller then asks for every result in order, so it runs any task the
-    worker has not started, and cancels the job.  A task may call a
-    :class:`_Once` that other tasks share (a sum its products, a product
+    One job, queued :func:`_behind` the worker (on one CPU, run at once),
+    starts every second cell and the caller the others; the caller then
+    waits for every cell in order (:meth:`_Once.wait`), so it runs any the
+    worker has not started, and cancels the job.  A cell may call a
+    :class:`_Once` that other cells share (a sum its products, a product
     its grids): it runs there unless a thread has claimed it, else it is
-    waited for.  Each shared task waits only for tasks a level below it, so
+    waited for.  Each shared cell waits only for cells a level below it, so
     two threads never wait for each other, and no result depends on the
-    thread that formed it.
+    thread that formed it.  The waits are not uses, so a shared result is
+    dropped at its last use, as its callers count it.
     """
-    cells = [_Once(task) for task in tasks]
     job = _behind(partial(_started, cells[1::2]))
     try:
         _started(cells[::2])
-        return [cell() for cell in cells]
+        for cell in cells:
+            cell.wait()
     finally:
         job.cancel()
 
@@ -371,7 +370,7 @@ def _padded(fields) -> tuple[Lattice, Lattice, list[np.ndarray]]:
     lattice = fields[0].lattice
     n_support = min(lattice.n, max(2 * extent + 2, 8))
     m = min(padded_size(lattice.n), _fast_even_size(max(4 * extent + 2, 8)))
-    stacks = [_restrict(f._stack, n_support, half=True) for f in fields]
+    stacks = [_resized(f._stack, n_support, half=True) for f in fields]
     return _shared_lattice(n_support, lattice.period), _shared_lattice(m, lattice.period), stacks
 
 
@@ -381,7 +380,7 @@ def _on_pad_lattice(stack: np.ndarray, lattice: Lattice) -> tuple[ScalarSpectral
     never larger and the product lies below its Nyquist planes."""
     lat_pad = pad_lattice(lattice)
     if stack.shape[1] != lat_pad.n:
-        stack = _embed(stack, lat_pad.n, half=True)
+        stack = _resized(stack, lat_pad.n, half=True)
     return tuple(ScalarSpectralField._from_half(lat_pad, c) for c in stack)
 
 

@@ -51,7 +51,7 @@ import numpy as np
 from ._version import __version__
 from .fields import Lattice, VelocityField, _check_mean, _project, project_arrays, to_grid
 from .norms import full_report
-from .products import _alternately, _behind, _flux_divergence, padded_size
+from .products import _Once, _alternately, _behind, _flux_divergence, padded_size
 from .trajectory import Trajectory, TrajectorySample
 
 __all__ = [
@@ -212,7 +212,7 @@ def _nonlinear_arrays(stack: np.ndarray, lattice: Lattice, dealias: str, update=
     else:  # three-halves: zero-padded products, truncated without the Nyquist planes
         [term] = _flux_divergence(stack, [stack], padded_size(lattice.n), lattice, trace_free=True)
     half = lattice.n // 2
-    _alternately([partial(_tail, term, lattice, rows, mask, update)
+    _alternately([_Once(partial(_tail, term, lattice, rows, mask, update))
                   for rows in (slice(None, half), slice(half, None))])
     term[:, 0, 0, 0] = 0.0
     return term

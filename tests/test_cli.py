@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -560,6 +561,26 @@ def test_cli_leaves_scipy_unloaded(tmp_path):
                          capture_output=True, text=True).stdout
     lines = out.splitlines()  # the commands print their run directories between
     assert (lines[0], lines[-1]) == ("[]", "[]")
+
+
+def test_every_public_annotation_resolves():
+    # get_type_hints evaluates each postponed annotation in its defining module,
+    # so a name that module never imports raises NameError
+    hinted = []
+    for name in nsvlab.__all__:
+        obj = getattr(nsvlab, name)
+        if isinstance(obj, type):
+            hinted.append(obj)
+            for member in vars(obj).values():
+                for wrapped in ("__func__", "fget", "func"):  # classmethod, property, cached_property
+                    member = getattr(member, wrapped, member)
+                if callable(member) and hasattr(member, "__annotations__"):
+                    hinted.append(member)
+        elif callable(obj):
+            hinted.append(obj)
+    assert nsvlab.advect in hinted
+    for obj in hinted:
+        typing.get_type_hints(obj)
 
 
 def test_monitor_needs_unknown_config_key_rejected(tmp_path, trajectory_file):

@@ -206,9 +206,9 @@ def test_transform_pair_is_bitwise_scipy_fft(m):
     assert to_grid(whole, m).tobytes() == inverse.tobytes()
     n = max(8, 2 * (m // 3))
     if n < m:
-        truncated = fields._restrict(whole, n, half=True)
+        truncated = fields._resized(whole, n, half=True)
         assert from_grid(values, n).tobytes() == truncated.tobytes()
-        embedded = fields._embed(truncated, m, half=True)
+        embedded = fields._resized(truncated, m, half=True)
         padded = scipy.fft.irfftn(embedded, s=(m,) * 3, norm="forward")
         assert to_grid(truncated, m).tobytes() == padded.tobytes()
 

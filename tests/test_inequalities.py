@@ -631,6 +631,16 @@ def test_equality_probe_approaches_one(lat16):
     assert result.best_ratio > 0.8
 
 
+def test_equality_probe_rejects_an_empty_corpus(lat8):
+    with pytest.raises(ValueError, match="corpus size 0"):
+        equality_probe("x0_interpolation", lat8, corpus=CorpusConfig(size=0))
+
+
+def test_corpus_config_rejects_empty_decays():
+    with pytest.raises(ValueError, match=r"decays=\(\)"):
+        CorpusConfig(decays=())
+
+
 def test_equality_probe_rejects_unknown_keywords(lat8):
     with pytest.raises(TypeError):
         equality_probe("x0_interpolation", lat8, no_such_option=1)

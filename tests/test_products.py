@@ -253,7 +253,7 @@ PADDED_PAIRS = [(8, 12), (16, 24), (24, 36), (32, 48), (64, 96)]
 
 def resized(c, m):
     """Half-layout coefficients c on the m-point lattice, embedded or cropped."""
-    return (fields._embed if m >= c.shape[-3] else fields._restrict)(c, m, half=True)
+    return fields._resized(c, m, half=True)
 
 
 def whole_grid_flux_divergence(u, gs, n_grid, lattice_out):
@@ -269,7 +269,7 @@ def whole_grid_flux_divergence(u, gs, n_grid, lattice_out):
 
     def coefficients(values):
         whole = scipy.fft.rfftn(values, norm="forward")
-        return whole if n_out == n_grid else fields._restrict(whole, n_out, half=True)
+        return whole if n_out == n_grid else resized(whole, n_out)
 
     u_grids = [grid(c) for c in u]
     out = []
@@ -292,10 +292,10 @@ def test_padded_pair_is_bitwise_the_whole_grid_transform(n, n_grid, period):
     lattice = Lattice(n, period)
     u = random_band_limited(lattice, lattice.k_unit, lattice.nyquist, 1.0, seed=n)
     c = u._stack[0]
-    embedded = fields._embed(c, n_grid, half=True)
+    embedded = resized(c, n_grid)
     whole = scipy.fft.irfftn(embedded, s=(n_grid,) * 3, norm="forward")
     assert to_grid(c, n_grid).tobytes() == whole.tobytes()
-    reference = fields._restrict(scipy.fft.rfftn(whole, norm="forward"), n, half=True)
+    reference = resized(scipy.fft.rfftn(whole, norm="forward"), n)
     assert from_grid(whole, n).tobytes() == reference.tobytes()
     # the solver's padded term: products formed block by block, never whole
     stack = u._stack.copy()
@@ -396,16 +396,16 @@ def test_a_worker_task_error_comes_out_of_the_kernel(random16, monkeypatch):
     assert [a.tobytes() for a in again] == [a.tobytes() for a in expected]
 
 
-def recorded_tasks(count):
-    """``count`` tasks returning their index; ``threads`` maps each index
-    to the thread that ran it."""
+def recorded_cells(count):
+    """``count`` task cells returning their index; ``threads`` maps each
+    index to the thread that ran it."""
     threads = {}
 
     def task(k):
         threads[k] = threading.current_thread()
         return k
 
-    return [partial(task, k) for k in range(count)], threads
+    return [products._Once(partial(task, k)) for k in range(count)], threads
 
 
 def recorded_draws(monkeypatch, failing=None):
@@ -441,8 +441,11 @@ def test_the_caller_takes_worker_tasks_that_have_not_started(runner, monkeypatch
 
     monkeypatch.setattr(products, "_started", recorded_started)
     if runner == "_alternately":
-        tasks, threads = recorded_tasks(7)
-        run = partial(products._alternately, tasks)
+        cells, threads = recorded_cells(7)
+
+        def run():
+            products._alternately(cells)
+            return [cell() for cell in cells]
     else:
         threads = recorded_draws(monkeypatch)
 
@@ -478,9 +481,11 @@ def test_a_shared_task_runs_once_however_the_threads_interleave(monkeypatch):
                 return k
 
             shared = [products._Once(partial(shared_task, k), uses=2) for k in range(6)]
-            tasks = [partial(lambda a, b: a() + b(), shared[k], shared[(k + 1) % 6]) for k in range(6)]
-            results = products._alternately([cell.start for cell in shared] + tasks)
-            if results[6:] != [k + (k + 1) % 6 for k in range(6)] or sorted(runs) != list(range(6)):
+            tasks = [products._Once(partial(lambda a, b: a() + b(), shared[k], shared[(k + 1) % 6]))
+                     for k in range(6)]
+            products._alternately(shared + tasks)
+            results = [task() for task in tasks]
+            if results != [k + (k + 1) % 6 for k in range(6)] or sorted(runs) != list(range(6)):
                 failures.append((seed, results, runs))
             if any(cell._result is not None for cell in shared):
                 failures.append((seed, "a result outlived its last use"))
@@ -497,6 +502,22 @@ def test_a_shared_task_runs_once_however_the_threads_interleave(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in callers)
     assert failures == []
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["caller-half", "worker-half"])
+@pytest.mark.parametrize("two_cpus", [True, False], ids=["worker", "one-cpu"])
+def test_a_cell_error_comes_out_of_alternately(two_cpus, failing, monkeypatch):
+    # no other cell asks for the failing one, so only the in-order wait raises it
+    monkeypatch.setattr(products, "_two_cpus", lambda: two_cpus)
+    cells, _ = recorded_cells(4)
+
+    def fail():
+        raise RuntimeError("cell failed")
+
+    cells[failing] = products._Once(fail)
+    with pytest.raises(RuntimeError, match="cell failed"):
+        products._alternately(cells)
+    settle()
 
 
 @pytest.mark.parametrize("two_cpus", [True, False], ids=["worker", "one-cpu"])
@@ -531,15 +552,12 @@ def test_a_closed_corpus_leaves_no_draw_behind(monkeypatch):
     drawn = set(threads)
     assert drawn in ({0, 1}, {0, 1, 2})  # draw 2 runs to its end or not at all
     # the worker is free: a plan through it completes, and no draw runs later
-    result = []
-    caller = threading.Thread(
-        target=lambda: result.extend(products._alternately([lambda: 1, lambda: 2, lambda: 3])),
-        daemon=True,
-    )
+    cells = [products._Once(partial(int, k)) for k in (1, 2, 3)]
+    caller = threading.Thread(target=products._alternately, args=(cells,), daemon=True)
     caller.start()
     caller.join(timeout=60)
     assert not caller.is_alive()
-    assert result == [1, 2, 3]
+    assert [cell() for cell in cells] == [1, 2, 3]
     settle()
     assert set(threads) == drawn
 
@@ -565,7 +583,7 @@ def whole_grid_lab_forms(u, s, n_grid):
     multiplied = scipy.fft.rfftn(grids[0] * grids[1], norm="forward")
 
     def padded(c):
-        return c if n_grid == n_pad else fields._embed(c, n_pad, half=True)
+        return c if n_grid == n_pad else resized(c, n_pad)
 
     return {
         "trilinear": _padded_pairing(transported, f, product, 2.0 * s),

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -589,15 +590,12 @@ def test_a_kernel_error_leaves_no_sample_pending(lat16, two_cpus, monkeypatch):
     after_the_error = list(seen)
     assert after_the_error in ([0], [0, 1])  # sample 1 runs to its end or not at all
     # the worker is free: a plan through it completes, and no hook runs later
-    result = []
-    caller = threading.Thread(
-        target=lambda: result.extend(products._alternately([lambda: 1, lambda: 2, lambda: 3])),
-        daemon=True,
-    )
+    cells = [products._Once(partial(int, k)) for k in (1, 2, 3)]
+    caller = threading.Thread(target=products._alternately, args=(cells,), daemon=True)
     caller.start()
     caller.join(timeout=60)
     assert not caller.is_alive()
-    assert result == [1, 2, 3]
+    assert [cell() for cell in cells] == [1, 2, 3]
     time.sleep(0.05)
     assert seen == after_the_error
 
