@@ -13,26 +13,26 @@ returning a contaminated product.  :func:`multiply` and :func:`advect`
 still return on :func:`pad_lattice`, into which the product embeds
 exactly.
 
-:func:`to_grid` and :func:`from_grid` (defined in :mod:`nsvlab.fields`
-and re-exported here) are the package's one transform pair, ``numpy.fft``
-passes one axis at a time.  Through it one
-private kernel, ``_flux_divergence``, forms div(u (x) g) from half-layout
-stacks ``(., n, n, n//2 + 1)`` for the solver's nonlinear term, :func:`advect`
-and the inequality lab's trilinear and commutator forms, and
-:func:`multiply` and :func:`advect` return its half-layout output as fields.
-Each factor enters as its field's stack cropped to its support lattice, the
-smallest that holds its nonzero labels below the Nyquist planes; the
-transform pair embeds it on the product grid and truncates each product
-back, touching only the lines that hold a label.  The kernel builds one
-plan of :class:`_Once` cells: the factors' grids, then the products, each
-of which waits only for its own two grids, then one sum per output row.
-The lab's plan lists the six symmetric products u_i u_j; the solver's
-lists five trace-free ones, which the projection of its term does not tell
-apart.  :func:`_alternately` queues every second cell behind one worker
-thread's queue and the caller runs any the worker has not started (on one
-CPU they run at once), then waits for every cell in plan order, so an
-error in any of them comes out of the kernel; the results are summed in a
-fixed order, so the bytes do not depend on the thread that formed them.
+:func:`to_grid` and :func:`from_grid` (defined in :mod:`nsvlab.fields` and
+re-exported here) are the package's one transform pair, ``numpy.fft``
+passes one axis at a time.  Through it one private plan runner,
+``_divergences``, forms sums of derivatives of products of half-layout
+components ``(n, n, n//2 + 1)`` for the solver's nonlinear term,
+:func:`advect` and the inequality lab's trilinear and commutator forms.  A
+plan names its factors, its products (a*b, or a*b - c*d) and, per output
+row, its (derivative, product) terms; the solver's plan, five trace-free
+products, is in :mod:`nsvlab.sim`, and ``_flux_divergence`` builds the
+lab's, div(u (x) g), whose six symmetric products u_i u_j are shared when
+g is u.  :func:`multiply` and :func:`advect` return half-layout products
+as fields.  Each factor enters as its field's stack cropped to its support
+lattice, the smallest that holds its nonzero labels below the Nyquist
+planes; the transform pair embeds it on the product grid and truncates
+each product back, touching only the lines that hold a label.  The
+runner's grids, products and sums are :class:`_Once` cells, which
+:func:`_alternately` splits between the caller and one worker thread (on
+one CPU they run at once); an error in any of them comes out of the
+runner, and the results are summed in a fixed order, so the bytes do not
+depend on the thread that formed them.
 """
 
 from __future__ import annotations
@@ -136,9 +136,7 @@ def multiply(f: ScalarSpectralField, g: ScalarSpectralField) -> ScalarSpectralFi
     return product
 
 
-def _flux_divergence(
-    u: np.ndarray, gs, n_grid: int, lattice_out: Lattice, *, trace_free: bool = False
-) -> list[np.ndarray]:
+def _flux_divergence(u: np.ndarray, gs, n_grid: int, lattice_out: Lattice) -> list[np.ndarray]:
     """div(u (x) g) for each half-layout stack g of gs, on lattice_out.
 
     u is a (3, n, n, n//2+1) stack and each g an (m, n, n, n//2+1) stack.
@@ -146,60 +144,58 @@ def _flux_divergence(
     product lattice of ``_padded`` for exact products); each distinct
     product u_j g_i is transformed once, truncated to lattice_out (the
     n-point lattice, or the support or product lattice of ``_padded``),
-    and component i of the result is sum_j d_j(u_j g_i).  For g = u the
-    six symmetric products are shared.  For divergence-free u this is
-    u . grad(g).
-
-    With ``trace_free`` (the solver's term), a g that is u is transported
-    by the trace-free products of :data:`_TRACE_FREE` instead: the diagonal
-    u_i u_i becomes u_i^2 - u_2^2 and u_2^2 is not formed, so five products
-    give div(u (x) u) - grad(u_2^2), which the Leray projection maps to the
-    same field.
-
-    One plan of :class:`_Once` cells runs through :func:`_alternately`: a
-    grid per factor component, the products in the order their sums first
-    need them (or in the order of :data:`_TRACE_FREE`), each waiting only
-    for its own grids, and one sum per component, which waits only for its
-    own products and writes one row of a new stack.  A grid is dropped once
-    its last product has taken it, and a product once its last sum has, so
-    no grid outlives its products.  Each sum is taken in the order above,
-    so the bytes do not depend on which thread ran which task.
+    and component i of the result is sum_j d_j(u_j g_i).  For divergence-
+    free u this is u . grad(g).  The plan for :func:`_divergences` has one
+    factor per component of each distinct stack and one product per
+    unordered pair of factors (so g = u shares its six), in the order the
+    sums first need them.
     """
     if len(u) != 3:
         raise TypeError(f"the transporting field must be a velocity, got {len(u)} component(s)")
+    factors, first = [], {}  # the index of each distinct stack's first factor
+    for s in (u, *gs):
+        if id(s) not in first:
+            first[id(s)] = len(factors)
+            factors.extend(s)
+    pairs, rows = {}, []
+    for g in gs:
+        for i in range(first[id(g)], first[id(g)] + len(g)):
+            rows.append([(j, pairs.setdefault((min(i, j), max(i, j)), len(pairs)))
+                         for j in range(3)])
+    out = _divergences(factors, list(pairs), rows, n_grid, lattice_out)
+    return np.split(out, np.cumsum([len(g) for g in gs])[:-1])
+
+
+def _divergences(factors, products, rows, n_grid: int, lattice_out: Lattice) -> np.ndarray:
+    """Sums of derivatives of products of half-layout components, on lattice_out.
+
+    Each of ``factors`` is sampled on an n_grid^3 grid.  Each entry of
+    ``products`` is formed there once, in the order given, and its
+    coefficients truncated to lattice_out: ``(a, b)`` is factor a times
+    factor b, and ``(a, b, c, d)`` is a*b - c*d.  Row r of the returned
+    stack is 1j * sum kd_j P_p over the ``(j, p)`` terms of ``rows[r]``, a
+    derivative axis j and a product index p, summed from zero in the
+    row's order.
+
+    One plan of :class:`_Once` cells runs through :func:`_alternately`: a
+    grid per factor, then the products, each waiting only for its own
+    grids, then one sum per row, which waits only for its own products and
+    writes its row.  A grid is dropped once its last product has taken it,
+    and a product once its last sum has, so no grid outlives its products.
+    Each sum is taken in its row's order, so the bytes do not depend on
+    which thread ran which task.
+    """
     n_out = lattice_out.n
     kd = lattice_out._half.k_deriv
-    stacks = [u] + [g for g in gs if g is not u]
-    grids = [_Once(partial(_grid_blocks, c, n_grid), uses=0) for s in stacks for c in s]
-    u_grids, own = grids[:3], iter(grids[3:])
-
-    def product(*cells) -> _Once:
-        for cell in cells:
-            cell.uses += 1
-        return _Once(partial(_product, cells, n_out), uses=0)
-
-    products, sums, out = {}, [], []
-    for k, g in enumerate(gs):
-        free = trace_free and g is u
-        if free:
-            for i, j in _TRACE_FREE:
-                diagonal = (u_grids[2], u_grids[2]) if i == j else ()
-                products[k, i, j] = product(u_grids[i], u_grids[j], *diagonal)
-        g_grids = u_grids if g is u else [next(own) for _ in g]
-        div = np.empty((len(g), n_out, n_out, n_out // 2 + 1), dtype=np.complex128)
-        for i in range(len(g)):
-            terms = []
-            for j in range(3):
-                key = (k, min(i, j), max(i, j)) if g is u else (k, i, j)
-                if key not in products:
-                    if free:
-                        continue  # only the trace-free u_2 u_2 is not in the plan
-                    products[key] = product(u_grids[j], g_grids[i])
-                products[key].uses += 1
-                terms.append((kd[j], products[key]))
-            sums.append(_Once(partial(_summed, div[i], terms)))
-        out.append(div)
-    _alternately([*grids, *products.values(), *sums])
+    taken = [f for product in products for f in product]  # a grid's uses: its products' reads
+    grids = [_Once(partial(_grid_blocks, c, n_grid), taken.count(f)) for f, c in enumerate(factors)]
+    taken = [p for terms in rows for _, p in terms]  # a product's uses: its sums' reads
+    cells = [_Once(partial(_product, [grids[f] for f in product], n_out), taken.count(p))
+             for p, product in enumerate(products)]
+    out = np.empty((len(rows), n_out, n_out, n_out // 2 + 1), dtype=np.complex128)
+    sums = [_Once(partial(_summed, total, [(kd[j], cells[p]) for j, p in terms]))
+            for total, terms in zip(out, rows)]
+    _alternately([*grids, *cells, *sums])
     return out
 
 
@@ -212,13 +208,6 @@ def _summed(total: np.ndarray, terms) -> None:
     for kd, product in terms:
         total += np.multiply(kd, product(), out=scratch)
     total *= 1j
-
-
-# the trace-free products of the solver's term, (i, j) for u_i u_j and
-# (i, i) for u_i^2 - u_2^2; listed after the grids u_0, u_1, u_2, every
-# second task runs on the caller: the grids of u_0 and u_2 and the products
-# that need only them, so the caller forms its products without waiting
-_TRACE_FREE = ((0, 1), (0, 0), (1, 1), (0, 2), (1, 2))
 
 
 def _product(cells, n_out: int) -> np.ndarray:

@@ -10,18 +10,18 @@ periodic cube.  Two integrators:
   exp(-nu |k|^2 dt) is applied exactly and only advection is explicit.
   With advection disabled a single mode decays exactly (to roundoff).
 
-Advection is evaluated in divergence form, div(u (x) u), by the product
-kernel of :mod:`nsvlab.products` that the inequality lab shares.  It
-samples u on a grid and forms five trace-free products there, u_0 u_1,
-u_0 u_2, u_1 u_2, u_0^2 - u_2^2 and u_1^2 - u_2^2: dropping u_2^2 from the
-diagonal changes the divergence by the gradient of u_2^2, which the
-projection removes.  The products run through the transform pair of
+Advection is evaluated in divergence form, div(u (x) u), by the plan
+runner of :mod:`nsvlab.products` that the inequality lab shares.  The
+solver's plan, :data:`_TRACE_FREE`, forms five trace-free products of u on
+a grid, u_0 u_1, u_0^2 - u_2^2, u_1^2 - u_2^2, u_0 u_2 and u_1 u_2: dropping
+u_2^2 from the diagonal changes the divergence by the gradient of u_2^2,
+which the projection removes.  The products run through the transform pair of
 :mod:`nsvlab.fields`, which runs ``numpy.fft`` one axis at a time: over
 the whole n-point grid under the two-thirds rule, and under the
 three-halves rule skipping the padding.  The three grids and five products
 overlap on two threads where two CPUs are allowed, and the mask, the
 projection, the sign and the imex update then work in place on the
-kernel's output, one half of its first-axis rows on each thread.  The
+runner's output, one half of its first-axis rows on each thread.  The
 products are dealiased per
 config: the two-thirds rule masks |k| strictly below (2/3) * Nyquist on
 the n-point grid (the strict inequality keeps wrapped images out of the
@@ -51,7 +51,7 @@ import numpy as np
 from ._version import __version__
 from .fields import Lattice, VelocityField, _check_mean, _project, project_arrays, to_grid
 from .norms import full_report
-from .products import _Once, _alternately, _behind, _flux_divergence, padded_size
+from .products import _Once, _alternately, _behind, _divergences, padded_size
 from .trajectory import Trajectory, TrajectorySample
 
 __all__ = [
@@ -103,7 +103,7 @@ class SolverConfig:
             raise ValueError(f"dealias must be one of {DEALIAS_RULES}, got {self.dealias!r}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
-        if not (isinstance(self.sample_every, int) and self.sample_every >= 1):
+        if type(self.sample_every) is not int or self.sample_every < 1:  # a bool is no count
             raise ValueError(f"sample_every must be a positive integer, got {self.sample_every!r}")
         if not (math.isfinite(self.cfl) and self.cfl > 0):
             raise ValueError(f"cfl must be positive, got {self.cfl}")
@@ -194,23 +194,31 @@ def _solver_stack(u: VelocityField, dealias: str) -> np.ndarray:
     return stack
 
 
+# the solver's plan for products._divergences over the factors u_0, u_1, u_2:
+# (i, j) is u_i u_j and (i, i, 2, 2) is u_i^2 - u_2^2; after the three grids
+# every second cell runs on the caller, the grids of u_0 and u_2 and the two
+# products of only them, so the caller never waits.  Row i of the term sums
+# (j, product) terms d_j(u_j u_i), with u_2 u_2 left out as zero
+_TRACE_FREE = ((0, 1), (0, 0, 2, 2), (1, 1, 2, 2), (0, 2), (1, 2))
+_TERM_ROWS = (((0, 1), (1, 0), (2, 3)), ((0, 0), (1, 2), (2, 4)), ((0, 3), (1, 4)))
+
+
 def _nonlinear_arrays(stack: np.ndarray, lattice: Lattice, dealias: str, update=None) -> np.ndarray:
     """-P[div(u(x)u)] as dealiased half-layout coefficients, in a new array.
 
-    The kernel forms the divergence from five trace-free products; it
-    differs from div(u(x)u) by a gradient, which the projection removes.
+    The solver's plan forms the divergence from five trace-free products;
+    it differs from div(u(x)u) by a gradient, which the projection removes.
     The mask, the projection, the sign and then ``update``, if given, are
     applied in place by :func:`_tail`, on the two first-axis row halves
     through :func:`_alternately`; every mode sees the same operations, so
     the bytes do not depend on the thread that ran a half.
     """
-    mask = None
+    # three-halves: zero-padded products, truncated without the Nyquist planes
+    mask, n_grid = None, padded_size(lattice.n)
     if dealias == "two-thirds":
-        mask = _dealias_mask(lattice.n, lattice.period)
+        mask, n_grid = _dealias_mask(lattice.n, lattice.period), lattice.n
         stack = stack * mask
-        [term] = _flux_divergence(stack, [stack], lattice.n, lattice, trace_free=True)
-    else:  # three-halves: zero-padded products, truncated without the Nyquist planes
-        [term] = _flux_divergence(stack, [stack], padded_size(lattice.n), lattice, trace_free=True)
+    term = _divergences(stack, _TRACE_FREE, _TERM_ROWS, n_grid, lattice)
     half = lattice.n // 2
     _alternately([_Once(partial(_tail, term, lattice, rows, mask, update))
                   for rows in (slice(None, half), slice(half, None))])

@@ -11,9 +11,9 @@ Layout (little-endian):
     complex128   components x n^3 coefficients, row-major over integer
                  wavenumbers m1, m2, m3 each running -n/2 ... n/2-1
 
-Nothing follows the last component; a reader rejects leftover bytes, so a
-header whose n disagrees with its payload is an error, not a silent
-misread.
+Nothing follows the last component; a reader checks the file's size
+against its header before it allocates, so a header whose n disagrees
+with its payload is an error, not a silent misread or a huge allocation.
 
 The on-disk mode order is the centered (shifted) order, not the fft
 layout, so the file is self-describing without knowing numpy conventions.
@@ -53,6 +53,8 @@ def write_snapshot(path, field) -> None:
 
 def read_snapshot(path):
     """Read a snapshot; returns ScalarSpectralField or VelocityField."""
+    import os
+
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -66,6 +68,11 @@ def read_snapshot(path):
             raise SnapshotFormatError(f"component count must be 1 or 3, got {ncomp}")
         lattice = Lattice(int(n), float(period))
         count, h = n**3, n // 2
+        size, expected = os.fstat(fh.fileno()).st_size, _HEADER.size + ncomp * count * 16
+        if size != expected:
+            fault = "file truncated" if size < expected else "bytes left"
+            raise SnapshotFormatError(f"{ncomp} components of n={n} take {expected} bytes, "
+                                      f"the file {size}: {fault}; header and payload disagree")
         stack = np.empty((ncomp, n, n, h + 1), dtype=np.complex128)
         # (half-layout, centered) slice pairs: the centered m < 0 and m >= 0
         # halves trade places, and the last axis keeps m_3 >= 0 and puts
@@ -74,17 +81,9 @@ def read_snapshot(path):
         last = ((slice(None, h), slice(h, None)), (slice(h, None), slice(None, 1)))
         for i in range(ncomp):
             data = np.fromfile(fh, dtype="<c16", count=count)
-            if data.size != count:
-                raise SnapshotFormatError(
-                    f"component {i}: expected {count} coefficients, file truncated"
-                )
             if not np.isfinite(data).all():
                 raise ValueError("coefficients contain non-finite values")
             cube = data.reshape((n, n, n))
             for (d0, c0), (d1, c1), (d2, c2) in _iter_product(swap, swap, last):
                 stack[i, d0, d1, d2] = cube[c0, c1, c2]
-        if fh.read(1):
-            raise SnapshotFormatError(
-                f"bytes left after {ncomp} components of n={n}; header and payload disagree"
-            )
     return (VelocityField if ncomp == 3 else ScalarSpectralField)._from_half(lattice, stack)

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from nsvlab.fields import (
     to_grid,
 )
 from nsvlab.products import padded_size
+from nsvlab.snapshot import MAGIC
 
 
 @pytest.fixture(scope="session")
@@ -68,3 +72,10 @@ def transport_oracle(u, components) -> list[np.ndarray]:
             total += u_j * to_grid(1j * half_spectrum(kd) * c, n_pad)
         out.append(full_spectrum(from_grid(total, n_pad), n_pad))
     return out
+
+
+def big_n_snapshot(path):
+    """A valid header that claims three n=1024 components, before 1024
+    bytes of payload: 1056 bytes in all."""
+    path.write_bytes(struct.pack("<8sIIIId", MAGIC, 1, 3, 1024, 0, 2 * math.pi) + bytes(1024))
+    return path

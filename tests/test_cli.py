@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import nsvlab
+from conftest import big_n_snapshot
 from nsvlab import __version__, products
 from nsvlab.cli import build_parser, main
 from nsvlab.fields import Lattice
@@ -285,6 +286,15 @@ def test_simulate_restart_lattice_mismatch(tmp_path, capsys):
     )
     assert code2 == 2
     assert "does not match" in capsys.readouterr().err
+
+
+def test_simulate_restart_from_a_header_too_big_for_its_file(tmp_path, capsys):
+    # the header claims n=1024; the error is a usage error before a run exists
+    big = big_n_snapshot(tmp_path / "big.nsv")
+    code, run_dir = run(tmp_path, *SIM_ARGS, "--restart", str(big), out="big")
+    assert_usage_error(capsys, code)
+    assert run_dir is None
+    assert not (tmp_path / "big").exists() or not any((tmp_path / "big").iterdir())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+import weakref
 from functools import partial
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import scipy.fft
 from scipy.signal import convolve
 
-from nsvlab import fields, inequalities, products
+from nsvlab import fields, inequalities, products, sim
 from nsvlab.fields import (
     Lattice,
     ScalarSpectralField,
@@ -33,6 +34,7 @@ from nsvlab.inequalities import (
 )
 from nsvlab.products import (
     AliasingError,
+    _divergences,
     _flux_divergence,
     advect,
     embed_coefficients,
@@ -315,8 +317,8 @@ def flux_divergences(u):
     return [
         *_flux_divergence(stack, [stack], padded_size(lattice.n), lattice),
         *_flux_divergence(stack, [stack], lattice.n, lattice),
-        *_flux_divergence(stack, [stack], padded_size(lattice.n), lattice, trace_free=True),
-        *_flux_divergence(stack, [stack], lattice.n, lattice, trace_free=True),
+        _divergences(stack, sim._TRACE_FREE, sim._TERM_ROWS, padded_size(lattice.n), lattice),
+        _divergences(stack, sim._TRACE_FREE, sim._TERM_ROWS, lattice.n, lattice),
         *_flux_divergence(stack, [stack, g], lattice.n, lattice),
     ]
 
@@ -502,6 +504,79 @@ def test_a_shared_task_runs_once_however_the_threads_interleave(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in callers)
     assert failures == []
+
+
+def plan_events(u, plan, n_grid):
+    """Run the solver's or the lab's plan on u and log, in order, when each
+    product and each sum starts, when each product ends and when each grid
+    block is freed; returns the log and the block finalizers."""
+    lattice, stack = u.lattice, u._stack
+    events, finalizers, grid_of = [], [], {}
+    grid_blocks, coefficients, summed = (
+        products._grid_blocks, products._product_coefficients, products._summed)
+
+    def logged_grid_blocks(c, n):
+        blocks = grid_blocks(c, n)
+        k = len(grid_of)
+        grid_of[id(blocks[0])] = k  # ids are looked up only while the grid lives
+        finalizers.extend(weakref.finalize(block, events.append, ("free", k)) for block in blocks)
+        return blocks
+
+    def logged_coefficients(factors, n_out):
+        users = {grid_of[id(blocks[0])] for blocks in factors}
+        events.append(("product", users))
+        result = coefficients(factors, n_out)
+        events.append(("end", users))
+        return result
+
+    def logged_summed(*args):
+        events.append(("sum", None))
+        return summed(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(products, "_grid_blocks", logged_grid_blocks)
+        patch.setattr(products, "_product_coefficients", logged_coefficients)
+        patch.setattr(products, "_summed", logged_summed)
+        if plan == "solver":
+            _divergences(stack, sim._TRACE_FREE, sim._TERM_ROWS, n_grid, lattice)
+        else:
+            _flux_divergence(stack, [stack, stack * lattice._half.kmag], n_grid, lattice)
+    return events, finalizers
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["own-size", "padded"])
+@pytest.mark.parametrize("plan", ["solver", "lab"])
+def test_no_grid_outlives_its_last_product(random16, plan, padded, monkeypatch):
+    # on one CPU the plan runs in one order: each grid must be freed before
+    # the first product or sum that starts after its last product has ended
+    n_grid = padded_size(16) if padded else 16
+    monkeypatch.setattr(products, "_two_cpus", lambda: False)
+    events, finalizers = plan_events(random16, plan, n_grid)
+    assert not any(f.alive for f in finalizers)
+    starts = [k for k, (kind, _) in enumerate(events) if kind in ("product", "sum")]
+    grids = {k for kind, users in events if kind == "product" for k in users}
+    assert grids == set(range(6 if plan == "lab" else 3))
+    for grid in grids:
+        last_end = max(k for k, (kind, users) in enumerate(events)
+                       if kind == "end" and grid in users)
+        next_start = min((k for k in starts if k > last_end), default=len(events))
+        freed = [k for k, event in enumerate(events) if event == ("free", grid)]
+        assert len(freed) == (4 if padded else 1)
+        assert max(freed) < next_start, (grid, events)
+    # with the worker, no grid is left alive once the plan has returned
+    monkeypatch.setattr(products, "_two_cpus", lambda: True)
+    _, finalizers = plan_events(random16, plan, n_grid)
+    assert finalizers and not any(f.alive for f in finalizers)
+
+
+@pytest.mark.parametrize("n_grid", [16, 24])
+def test_a_multi_term_row_is_the_sum_of_its_single_term_rows(random16, n_grid):
+    plan = [(0, 1), (0, 0, 2, 2), (1, 2)]
+    rows = [((0, 0), (1, 1), (2, 2)), ((0, 0),), ((1, 1),), ((2, 2),)]
+    whole, *single = _divergences(random16._stack, plan, rows, n_grid, random16.lattice)
+    assert np.max(np.abs(whole)) > 0.0
+    # equal as numbers: the single rows may differ from the whole in signed zeros
+    assert np.array_equal(whole, single[0] + single[1] + single[2])
 
 
 @pytest.mark.parametrize("failing", [0, 1], ids=["caller-half", "worker-half"])

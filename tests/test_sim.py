@@ -80,6 +80,7 @@ def test_config_rejects_bad_values():
         dict(nu=0.1, integrator="euler"),
         dict(nu=0.1, sample_every=0),
         dict(nu=0.1, sample_every=2.5),
+        dict(nu=0.1, sample_every=True),
         dict(nu=0.1, cfl=0.0),
     ):
         with pytest.raises(ValueError):
@@ -570,7 +571,7 @@ def test_a_hook_error_comes_out_of_integrate_and_stops_the_hooks(lat16, two_cpus
 
 
 def test_a_kernel_error_leaves_no_sample_pending(lat16, two_cpus, monkeypatch):
-    original = sim._flux_divergence
+    original = sim._divergences
     kernel_calls, seen = [], []
 
     def failing_at_step_two(*args, **kwargs):
@@ -583,7 +584,7 @@ def test_a_kernel_error_leaves_no_sample_pending(lat16, two_cpus, monkeypatch):
         time.sleep(0.02)
         seen.append(sample.step_index)
 
-    monkeypatch.setattr(sim, "_flux_divergence", failing_at_step_two)
+    monkeypatch.setattr(sim, "_divergences", failing_at_step_two)
     config = SolverConfig(nu=0.1, dt=0.01, t_end=0.05, integrator="imex")
     with pytest.raises(RuntimeError, match="kernel failed"):
         integrate(taylor_green(lat16), config, hooks=[slow])

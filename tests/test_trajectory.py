@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import big_n_snapshot
 from nsvlab.fields import ScalarSpectralField, VelocityField, half_spectrum, random_band_limited
 from nsvlab.norms import NormReport
 from nsvlab.snapshot import (
@@ -333,6 +334,15 @@ def test_snapshot_rejects_bytes_after_the_payload(tmp_path, lat16):
     trailing.write_bytes(raw + b"\0")
     with pytest.raises(SnapshotFormatError, match="bytes left"):
         read_snapshot(trailing)
+
+
+def test_snapshot_checks_the_header_against_the_file_size_first(tmp_path):
+    # the n=1024 stack would take 24 GiB; the file's size shows the header
+    # wrong before any of it is allocated
+    path = big_n_snapshot(tmp_path / "big.nsv")
+    assert path.stat().st_size == 1056
+    with pytest.raises(SnapshotFormatError, match="n=1024 take 51539607584 bytes, the file 1056"):
+        read_snapshot(path)
 
 
 @pytest.mark.parametrize("components", [1, 3])
